@@ -180,21 +180,6 @@ def distance(metric: MahalanobisMetric, x, y) -> float:
 
 
 @dataclass(frozen=True)
-class Triplet:
-    """Relative comparison: instance `a` is closer to `b` than to `c`."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if len({self.a, self.b, self.c}) != 3:
-            raise ConfigurationError(f"triplet indices must be distinct, got {self}")
-        if min(self.a, self.b, self.c) < 0:
-            raise ConfigurationError(f"triplet indices must be nonnegative, got {self}")
-
-
-@dataclass(frozen=True)
 class TripletSet:
     """Triplets stored as an (m, 3) index array, plus the sigma used to build them."""
 
@@ -222,10 +207,6 @@ class TripletSet:
 
     def __len__(self) -> int:
         return self.indices.shape[0]
-
-    @property
-    def triplets(self) -> list[Triplet]:
-        return [Triplet(int(a), int(b), int(c)) for a, b, c in self.indices]
 
 
 @dataclass(frozen=True)

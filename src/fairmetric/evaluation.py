@@ -6,6 +6,10 @@ every learner on the train fold, and score each learned metric on the test fold
 with the triplet-violation loss and the two kNN losses. Repeats share splits
 across learners (paired comparison) and aggregate to mean and sample standard
 deviation.
+
+No triplet set is enumerated: training triplets are sampled by rank, the test
+set is kept as its rule and size, and the violation loss is counted per anchor
+from one test x test distance matrix per metric, so a fold needs O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import build_pairs, build_triplets, subsample_triplets
+from .constraints import TripletRule, build_pairs, describe_triplets, sample_triplets
+# unused here, but the benchmark's tracer wraps these two by name in this module
+from .constraints import build_triplets, subsample_triplets  # noqa: F401
 from .core import (
     LOSS_KNN_L1,
     LOSS_KNN_L2,
@@ -66,8 +72,25 @@ def triplet_violation_loss(
     return float(np.mean(d_ab > d_ac))
 
 
-def knn_predict(metric: MahalanobisMetric, train: LabeledDataset, x, k: int) -> float:
-    """Inverse-distance weighted rating of the k nearest training points.
+def fold_distances(metric: MahalanobisMetric, fold: LabeledDataset) -> np.ndarray:
+    """(n, n) d_M between the rows of a fold, with `triplet_violation_loss`'s arithmetic."""
+    rows = np.arange(fold.n)
+    flat = _pair_distances(metric, fold.features, np.repeat(rows, fold.n), np.tile(rows, fold.n))
+    return flat.reshape(fold.n, fold.n)
+
+
+def counted_violation_loss(distances: np.ndarray, rule: TripletRule) -> float:
+    """`triplet_violation_loss` over the rule's triplet set, counted per anchor."""
+    if rule.total == 0:
+        raise EvaluationError("cannot score an empty triplet set")
+    violations = 0
+    for d, valid in zip(distances, rule.anchor_masks()):
+        violations += int(np.count_nonzero(valid & (d[:, None] > d[None, :])))
+    return violations / rule.total
+
+
+def knn_predictions(metric: MahalanobisMetric, train: LabeledDataset, queries, k: int) -> np.ndarray:
+    """Inverse-distance weighted rating of the k nearest training points, per query row.
 
     Ties at the k-boundary break toward the lower training index; neighbors at
     (numerically) zero distance short-circuit to the plain mean of their labels.
@@ -76,31 +99,43 @@ def knn_predict(metric: MahalanobisMetric, train: LabeledDataset, x, k: int) -> 
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if k > train.n:
         raise ConfigurationError(f"k={k} exceeds training size {train.n}")
-    xa = np.asarray(x, dtype=float).ravel()
-    if xa.shape[0] != train.d:
-        raise ConfigurationError(f"query has dimension {xa.shape[0]}, train has {train.d}")
-    diff = train.features - xa
-    dists = np.sqrt(np.maximum(quad_forms(diff, metric.matrix), 0.0))
-    nearest = np.argsort(dists, kind="stable")[:k]
-    labels = train.labels[nearest].astype(float)
-    near_d = dists[nearest]
-    exact = near_d < ZERO_NEIGHBOR_DISTANCE
-    if np.any(exact):
-        return float(labels[exact].mean())
-    inv = 1.0 / near_d
-    return float((inv / inv.sum()) @ labels)
+    q = np.asarray(queries, dtype=float)
+    if q.shape[1] != train.d:
+        raise ConfigurationError(f"query has dimension {q.shape[1]}, train has {train.d}")
+    diff = (train.features[None, :, :] - q[:, None, :]).reshape(-1, train.d)
+    dists = np.sqrt(np.maximum(quad_forms(diff, metric.matrix), 0.0)).reshape(q.shape[0], train.n)
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    near_labels = train.labels[nearest].astype(float)
+    near_dists = np.take_along_axis(dists, nearest, axis=1)
+    preds = np.empty(q.shape[0])
+    # row by row: a batched weighted sum would not round like the 1-D dot product
+    for i, (labels, near_d) in enumerate(zip(near_labels, near_dists)):
+        exact = near_d < ZERO_NEIGHBOR_DISTANCE
+        if np.any(exact):
+            preds[i] = labels[exact].mean()
+        else:
+            inv = 1.0 / near_d
+            preds[i] = (inv / inv.sum()) @ labels
+    return preds
+
+
+def knn_predict(metric: MahalanobisMetric, train: LabeledDataset, x, k: int) -> float:
+    """`knn_predictions` for a single query point."""
+    return float(knn_predictions(metric, train, np.asarray(x, dtype=float).reshape(1, -1), k)[0])
+
+
+def _knn_errors(metric, train: LabeledDataset, test: LabeledDataset, k: int) -> np.ndarray:
+    return knn_predictions(metric, train, test.features, k) - test.labels
 
 
 def knn_l1(metric: MahalanobisMetric, train: LabeledDataset, test: LabeledDataset, k: int) -> float:
     """Mean absolute gap between the weighted-neighbor rating and the true rating."""
-    preds = [knn_predict(metric, train, row, k) for row in test.features]
-    return float(np.mean(np.abs(np.asarray(preds) - test.labels)))
+    return float(np.mean(np.abs(_knn_errors(metric, train, test, k))))
 
 
 def knn_l2(metric: MahalanobisMetric, train: LabeledDataset, test: LabeledDataset, k: int) -> float:
     """Mean squared gap between the weighted-neighbor rating and the true rating."""
-    preds = [knn_predict(metric, train, row, k) for row in test.features]
-    return float(np.mean(np.square(np.asarray(preds) - test.labels)))
+    return float(np.mean(np.square(_knn_errors(metric, train, test, k))))
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +144,17 @@ def knn_l2(metric: MahalanobisMetric, train: LabeledDataset, test: LabeledDatase
 
 @dataclass(frozen=True)
 class RepeatData:
-    """One repeat's folds and constraint sets (features already standardized)."""
+    """One repeat's folds and constraint sets (features already standardized).
+
+    `test_triplets` is None when the test fold has no triplets (or n < 3).
+    """
 
     repeat: int
     train: LabeledDataset
     test: LabeledDataset
     train_pairs: PairSets
     train_triplets: TripletSet
-    test_triplets: TripletSet | None
+    test_triplets: TripletRule | None
 
 
 @dataclass
@@ -145,25 +183,40 @@ def split_indices(n: int, config: ExperimentConfig, repeat: int) -> tuple[np.nda
     return chosen[: config.train_size], chosen[config.train_size :]
 
 
-def prepare_repeat(dataset: LabeledDataset, config: ExperimentConfig, repeat: int) -> RepeatData:
-    sigma = config.sigma_train
+def prepare_fold(
+    dataset: LabeledDataset, config: ExperimentConfig, repeat: int, sigmas
+) -> tuple[LabeledDataset, LabeledDataset, list[TripletSet]]:
+    """Split, z-score both folds with train statistics, and sample train triplets per sigma."""
     train_idx, test_idx = split_indices(dataset.n, config, repeat)
     train, stats = standardize(dataset.subset(train_idx))
     test, _ = standardize(dataset.subset(test_idx), stats)
-    full = build_triplets(train, sigma, config.triplet_variant)
-    sub = subsample_triplets(full, config.triplet_subsample, subseed(config.rng_seed, repeat, 1))
+    triplets = [
+        sample_triplets(
+            train,
+            sigma,
+            config.triplet_subsample,
+            subseed(config.rng_seed, repeat, 1),
+            config.triplet_variant,
+        )
+        for sigma in sigmas
+    ]
+    return train, test, triplets
+
+
+def prepare_repeat(dataset: LabeledDataset, config: ExperimentConfig, repeat: int) -> RepeatData:
+    train, test, (train_triplets,) = prepare_fold(dataset, config, repeat, [config.sigma_train])
     try:
-        test_triplets = build_triplets(test, config.sigma_test, config.triplet_variant)
+        test_triplets = describe_triplets(test, config.sigma_test, config.triplet_variant)
     except ConfigurationError:
         test_triplets = None
-    if test_triplets is not None and len(test_triplets) == 0:
+    if test_triplets is not None and test_triplets.total == 0:
         test_triplets = None
     return RepeatData(
         repeat=repeat,
         train=train,
         test=test,
         train_pairs=build_pairs(train),
-        train_triplets=sub,
+        train_triplets=train_triplets,
         test_triplets=test_triplets,
     )
 
@@ -197,9 +250,11 @@ def score_metric(
 ) -> dict[str, float]:
     losses: dict[str, float] = {}
     if data.test_triplets is not None:
-        losses[LOSS_TRIPLET] = triplet_violation_loss(metric, data.test, data.test_triplets)
-    losses[LOSS_KNN_L1] = knn_l1(metric, data.train, data.test, k)
-    losses[LOSS_KNN_L2] = knn_l2(metric, data.train, data.test, k)
+        distances = fold_distances(metric, data.test)
+        losses[LOSS_TRIPLET] = counted_violation_loss(distances, data.test_triplets)
+    errors = _knn_errors(metric, data.train, data.test, k)
+    losses[LOSS_KNN_L1] = float(np.mean(np.abs(errors)))
+    losses[LOSS_KNN_L2] = float(np.mean(np.square(errors)))
     return losses
 
 
@@ -321,25 +376,19 @@ def sigma_sweep(
     columns = ("euclidean",) + tuple(lsml_column_name(s) for s in sigma_train_list)
 
     def run_repeat(repeat: int):
-        train_idx, test_idx = split_indices(dataset.n, config, repeat)
-        train, stats = standardize(dataset.subset(train_idx))
-        test, _ = standardize(dataset.subset(test_idx), stats)
+        train, test, triplet_sets = prepare_fold(dataset, config, repeat, sigma_train_list)
         fitted: dict[str, MahalanobisMetric] = {"euclidean": euclidean_baseline(train.d)}
-        for sigma in sigma_train_list:
-            full = build_triplets(train, sigma, config.triplet_variant)
-            sub = subsample_triplets(
-                full, config.triplet_subsample, subseed(config.rng_seed, repeat, 1)
-            )
-            opts = OptimizerOptions(max_iter=config.lsml_max_iter, tol=config.lsml_tol)
-            metric, _ = fit_lsml(train, sub, config.alpha, opts)
+        opts = OptimizerOptions(max_iter=config.lsml_max_iter, tol=config.lsml_tol)
+        for sigma, triplets in zip(sigma_train_list, triplet_sets):
+            metric, _ = fit_lsml(train, triplets, config.alpha, opts)
             fitted[lsml_column_name(sigma)] = metric
+        rules = [describe_triplets(test, s, config.triplet_variant) for s in sigma_test_list]
         losses: dict[tuple[float, str], float] = {}
-        for sigma_t in sigma_test_list:
-            test_triplets = build_triplets(test, sigma_t, config.triplet_variant)
-            if len(test_triplets) == 0:
-                continue
-            for name, metric in fitted.items():
-                losses[(sigma_t, name)] = triplet_violation_loss(metric, test, test_triplets)
+        for name, metric in fitted.items():
+            distances = fold_distances(metric, test)
+            for sigma_t, rule in zip(sigma_test_list, rules):
+                if rule.total:
+                    losses[(sigma_t, name)] = counted_violation_loss(distances, rule)
         return repeat, fitted, losses
 
     repeats = range(config.n_repeats)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantError, NumericalError
+from .errors import ConfigurationError, InvariantError
 
 SYMMETRY_TOL = 1e-9
 RELATIVE_EIG_FLOOR = 1e-10  # fraction of lambda_max treated as numerically zero
@@ -56,22 +56,6 @@ def safe_inverse(a: np.ndarray, floor: float | None = None) -> tuple[np.ndarray,
     w = np.maximum(w, floor)
     out = (v / w) @ v.T
     return 0.5 * (out + out.T), floored
-
-
-def logdet(a: np.ndarray) -> float:
-    """Sum of log eigenvalues of a symmetric positive definite matrix.
-
-    Raises NumericalError when the matrix is not positive definite beyond the
-    relative eigenvalue floor (i.e. effectively singular or indefinite).
-    """
-    a = check_symmetric(a)
-    w = np.linalg.eigvalsh(a)
-    lam_max = float(w[-1])
-    if lam_max <= 0.0 or float(w[0]) < RELATIVE_EIG_FLOOR * lam_max:
-        raise NumericalError(
-            f"logdet requires a positive definite matrix; spectrum [{w[0]:.3e}, {lam_max:.3e}]"
-        )
-    return float(np.sum(np.log(w)))
 
 
 def quad_forms(diffs: np.ndarray, matrix: np.ndarray) -> np.ndarray:

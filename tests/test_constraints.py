@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from fairmetric.constraints import build_pairs, build_triplets, subsample_triplets
+from fairmetric.constraints import (
+    build_pairs,
+    build_triplets,
+    sample_triplets,
+    subsample_triplets,
+)
 from fairmetric.errors import ConfigurationError
 
 from conftest import make_dataset, toy
@@ -139,3 +144,33 @@ def test_build_triplets_rejects_tiny_dataset_and_negative_sigma():
         build_triplets(ds, -1.0)
     with pytest.raises(ConfigurationError):
         build_triplets(ds, 0.0, "bogus")
+
+
+@pytest.mark.parametrize("variant", ["literal", "symmetric"])
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 2.0])
+def test_sample_triplets_equals_subsampled_enumeration(variant, sigma):
+    rng = np.random.default_rng(5)
+    datasets = [make_dataset(rng, int(rng.integers(3, 31)), 2) for _ in range(6)]
+    datasets.append(toy(np.zeros((5, 1)), [3, 3, 3, 3, 3]))  # no triplets at any sigma
+    datasets.append(toy(np.zeros((5, 1)), [1, 2, 3, 4, 5]))  # all labels distinct
+    for ds in datasets:
+        full = build_triplets(ds, sigma, variant)
+        for m in sorted({1, max(1, len(full) // 3), max(1, len(full)), len(full) + 7}):
+            seed = int(rng.integers(2**31))
+            expected = subsample_triplets(full, m, seed)
+            got = sample_triplets(ds, sigma, m, seed, variant)
+            assert np.array_equal(got.indices, expected.indices)
+            assert got.sigma == expected.sigma
+    assert len(build_triplets(datasets[-2], sigma, variant)) == 0
+
+
+def test_sample_triplets_rejects_what_build_and_subsample_reject():
+    ds = toy(np.zeros((3, 1)), [1, 2, 3])
+    with pytest.raises(ConfigurationError):
+        sample_triplets(toy(np.zeros((2, 1)), [1, 2]), 0.0, 5, seed=0)
+    with pytest.raises(ConfigurationError):
+        sample_triplets(ds, -1.0, 5, seed=0)
+    with pytest.raises(ConfigurationError):
+        sample_triplets(ds, 0.0, 5, seed=0, variant="bogus")
+    with pytest.raises(ConfigurationError):
+        sample_triplets(ds, 0.0, 0, seed=0)

@@ -8,7 +8,6 @@ from fairmetric.core import (
     LabeledDataset,
     MahalanobisMetric,
     RatingScale,
-    Triplet,
     TripletSet,
     distance,
     squared_distance,
@@ -120,17 +119,11 @@ def test_dataset_arrays_are_readonly():
         ds.features[0, 0] = 1.0
 
 
-def test_triplet_must_be_distinct():
-    with pytest.raises(ConfigurationError):
-        Triplet(1, 1, 2)
-
-
 def test_triplet_set_validates_rows():
     with pytest.raises(ConfigurationError):
         TripletSet(np.array([[0, 0, 2]]), sigma=0.0)
     ts = TripletSet(np.array([[0, 1, 2], [2, 1, 0]]), sigma=1.0)
     assert len(ts) == 2
-    assert ts.triplets[0] == Triplet(0, 1, 2)
 
 
 def test_experiment_config_validation():

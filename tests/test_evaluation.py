@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fairmetric.constraints import build_triplets
+from fairmetric.constraints import build_triplets, describe_triplets
 from fairmetric.core import (
     LOSS_KNN_L1,
     LOSS_KNN_L2,
@@ -15,9 +16,13 @@ from fairmetric.core import (
 from fairmetric.errors import ConfigurationError, EvaluationError
 from fairmetric.evaluation import (
     build_learner_menu,
+    counted_violation_loss,
+    fold_distances,
     knn_l1,
     knn_l2,
     knn_predict,
+    knn_predictions,
+    prepare_repeat,
     run_experiment,
     run_experiment_detailed,
     sigma_sweep,
@@ -94,6 +99,59 @@ def test_triplet_loss_rejects_empty_set():
     ds = make_dataset(np.random.default_rng(1), 10, 2)
     with pytest.raises(EvaluationError):
         triplet_violation_loss(euclidean_baseline(2), ds, TripletSet(np.empty((0, 3), int), 0.0))
+    flat = toy(ds.features, np.full(ds.n, 3))
+    with pytest.raises(EvaluationError):
+        counted_violation_loss(np.zeros((ds.n, ds.n)), describe_triplets(flat, 0.0))
+
+
+def test_counted_violation_loss_equals_enumerated_loss():
+    rng = np.random.default_rng(14)
+    for trial in range(6):
+        ds = make_dataset(rng, 25, 3)
+        features = ds.features.copy()
+        features[10:16] = features[0:6]  # duplicated rows give exact distance ties
+        ds = toy(features, ds.labels, scale=(1, 5))
+        metric = MahalanobisMetric(random_spd(rng, 3)) if trial % 2 else euclidean_baseline(3)
+        distances = fold_distances(metric, ds)
+        for variant in ("literal", "symmetric"):
+            for sigma in (0.0, 0.5, 1.0, 2.0):
+                full = build_triplets(ds, sigma, variant)
+                rule = describe_triplets(ds, sigma, variant)
+                assert rule.total == len(full)
+                if len(full):
+                    expected = triplet_violation_loss(metric, ds, full)
+                    assert counted_violation_loss(distances, rule) == expected
+
+
+def test_triplet_cell_absent_without_test_triplets():
+    rng = np.random.default_rng(15)
+    ds = make_dataset(rng, 60, 3)
+    menu = ("euclidean",)
+    tiny = small_config(test_size=2)  # n < 3: no triplets can be formed
+    report = run_experiment(tiny, ds, build_learner_menu(menu, tiny))
+    assert report.cell("euclidean", LOSS_TRIPLET) is None
+    assert report.cell("euclidean", LOSS_KNN_L1) is not None
+    flat = toy(ds.features, np.full(ds.n, 3), scale=(1, 5))  # one label: an empty set
+    cfg = small_config()
+    assert prepare_repeat(flat, cfg, 0).test_triplets is None
+    report = run_experiment(cfg, flat, build_learner_menu(menu, cfg))
+    assert report.cell("euclidean", LOSS_TRIPLET) is None
+    assert report.cell("euclidean", LOSS_KNN_L2) is not None
+
+
+def test_prepare_repeat_memory_stays_quadratic():
+    # 420 training rows with labels 1-5 hold about 12M literal triplets (~600 MB
+    # if enumerated); the sampler and the test-fold description need a few MB.
+    ds = make_dataset(np.random.default_rng(16), 600, 10)
+    cfg = ExperimentConfig(train_size=420, test_size=180)
+    tracemalloc.start()
+    try:
+        data = prepare_repeat(ds, cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data.train_triplets) == cfg.triplet_subsample
+    assert peak < 64 * 2**20
 
 
 def test_knn_predict_constant_labels():
@@ -137,6 +195,16 @@ def test_knn_matches_brute_force():
         assert knn_predict(metric, train, x, k) == pytest.approx(
             brute_knn(metric, train, x, k), rel=1e-10
         )
+
+
+def test_knn_predictions_match_row_by_row():
+    rng = np.random.default_rng(17)
+    train = toy(np.vstack([rng.normal(size=(12, 2)), [[1.0, 0.0], [-1.0, 0.0]]]), np.arange(14) % 10 + 1)
+    queries = np.vstack([rng.normal(size=(6, 2)), train.features[3], [[0.0, 0.0]]])
+    metric = MahalanobisMetric(random_spd(rng, 2))
+    for k in (1, 3, 14):
+        batched = knn_predictions(metric, train, queries, k)
+        assert batched.tolist() == [knn_predict(metric, train, row, k) for row in queries]
 
 
 def test_knn_losses_perfect_predictor():

@@ -1,24 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
-from fairmetric.errors import ConfigurationError, InvariantError, NumericalError
-from fairmetric.numerics import covariance, logdet, psd_project, safe_inverse
+from fairmetric.errors import ConfigurationError, InvariantError
+from fairmetric.numerics import covariance, psd_project, safe_inverse
 
 from conftest import random_spd
-
-
-def brute_det(a):
-    """Determinant via the permutation expansion; independent of np.linalg."""
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += (-1) ** j * a[0, j] * brute_det(minor)
-    return total
 
 
 def test_psd_project_diagonal_clamp():
@@ -83,27 +69,6 @@ def test_safe_inverse_times_input_is_identity_when_clean():
         inv, floored = safe_inverse(a)
         assert not floored
         assert np.linalg.norm(inv @ a - np.eye(4), "fro") < 1e-6
-
-
-def test_logdet_examples():
-    assert logdet(np.eye(3)) == pytest.approx(0.0, abs=1e-12)
-    assert logdet(np.diag([math.e, math.e])) == pytest.approx(2.0)
-    assert logdet(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(math.log(3.0))
-
-
-def test_logdet_matches_brute_force_determinant():
-    rng = np.random.default_rng(3)
-    for d in (2, 3):
-        for _ in range(20):
-            a = random_spd(rng, d, jitter=0.5)
-            assert logdet(a) == pytest.approx(math.log(brute_det(a)), rel=1e-8)
-
-
-def test_logdet_rejects_indefinite():
-    with pytest.raises(NumericalError):
-        logdet(np.diag([1.0, -1.0]))
-    with pytest.raises(NumericalError):
-        logdet(np.diag([1.0, 0.0]))
 
 
 def test_covariance_identical_rows_is_zero():
