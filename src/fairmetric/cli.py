@@ -18,12 +18,13 @@ import configparser
 import csv
 import re
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .constraints import build_triplets
-from .core import COMPAS_SCALE, EvalReport, ExperimentConfig, LabeledDataset
+from .core import COMPAS_SCALE, CellStats, EvalReport, ExperimentConfig, LabeledDataset
 from .errors import ConfigurationError, FairmetricError, IngestionError, NumericalError
 from .evaluation import (
     DEFAULT_MENU,
@@ -154,18 +155,20 @@ _ALLOWED_KEYS = {
 }
 
 
+_CONFIG_KEY_ALIASES = {"rng_seed": "seed"}  # ExperimentConfig field -> config key
+
+
+@dataclass(frozen=True)
 class RunSpec:
-    def __init__(self, mode, defendants, survey, label_source, label_mode, menu, config,
-                 sigma_train_list, sigma_test_list):
-        self.mode = mode
-        self.defendants = defendants
-        self.survey = survey
-        self.label_source = label_source
-        self.label_mode = label_mode
-        self.menu = menu
-        self.config = config
-        self.sigma_train_list = sigma_train_list
-        self.sigma_test_list = sigma_test_list
+    mode: str
+    defendants: Path
+    survey: Path | None
+    label_source: str
+    label_mode: str
+    menu: tuple[str, ...]
+    config: ExperimentConfig
+    sigma_train_list: tuple[float, ...]
+    sigma_test_list: tuple[float, ...]
 
 
 def _typed(section: str, key: str, raw: str, cast):
@@ -175,11 +178,40 @@ def _typed(section: str, key: str, raw: str, cast):
         raise ConfigurationError(f"config [{section}] {key}: cannot parse {raw!r}") from None
 
 
-def _float_list(section: str, key: str, raw: str) -> list[float]:
+def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
     items = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not items:
         raise ConfigurationError(f"config [{section}] {key}: empty list")
-    return [_typed(section, key, tok, float) for tok in items]
+    return tuple(_typed(section, key, tok, float) for tok in items)
+
+
+def _learner_names(raw: str) -> tuple[str, ...]:
+    menu = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    if not menu:
+        raise ConfigurationError("config [experiment] menu: empty list")
+    for name in menu:
+        if name not in DEFAULT_MENU:
+            raise ConfigurationError(
+                f"config [experiment] menu: unknown learner {name!r} "
+                f"(known: {', '.join(DEFAULT_MENU)})"
+            )
+        if menu.count(name) > 1:
+            raise ConfigurationError(f"config [experiment] menu: learner {name!r} repeated")
+    return menu
+
+
+def _experiment_config(parser: configparser.ConfigParser, overrides: dict) -> ExperimentConfig:
+    """Each field from its command-line override, else its config key, else its default."""
+    values = {}
+    for spec in fields(ExperimentConfig):
+        key = _CONFIG_KEY_ALIASES.get(spec.name, spec.name)
+        section = next(s for s, keys in _ALLOWED_KEYS.items() if key in keys)
+        if overrides.get(key) is not None:
+            values[spec.name] = overrides[key]
+        elif parser.has_option(section, key):
+            raw = parser.get(section, key)
+            values[spec.name] = _typed(section, key, raw, type(spec.default))
+    return ExperimentConfig(**values)
 
 
 def read_run_spec(config_path, overrides: dict | None = None) -> RunSpec:
@@ -222,37 +254,8 @@ def read_run_spec(config_path, overrides: dict | None = None) -> RunSpec:
     mode = get("experiment", "mode", "figure1")
     if mode not in ("figure1", "sweep"):
         raise ConfigurationError(f"config [experiment] mode must be figure1|sweep, got {mode!r}")
-    menu_raw = get("experiment", "menu", ", ".join(DEFAULT_MENU))
-    menu = tuple(tok.strip() for tok in menu_raw.split(",") if tok.strip())
-
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = _typed("experiment", "seed", get("experiment", "seed", "0"), int)
-    variant = overrides.get("triplet_variant") or get("experiment", "triplet_variant", "literal")
-
-    config = ExperimentConfig(
-        train_size=_typed("experiment", "train_size", get("experiment", "train_size", "140"), int),
-        test_size=_typed("experiment", "test_size", get("experiment", "test_size", "60"), int),
-        n_repeats=_typed("experiment", "n_repeats", get("experiment", "n_repeats", "10"), int),
-        k_neighbors=_typed("experiment", "k_neighbors", get("experiment", "k_neighbors", "5"), int),
-        sigma_train=_typed("experiment", "sigma_train", get("experiment", "sigma_train", "0"), float),
-        sigma_test=_typed("experiment", "sigma_test", get("experiment", "sigma_test", "0"), float),
-        alpha=_typed("learners", "alpha", get("learners", "alpha", "0.01"), float),
-        triplet_subsample=_typed(
-            "experiment", "triplet_subsample", get("experiment", "triplet_subsample", "5000"), int
-        ),
-        rng_seed=seed,
-        triplet_variant=variant,
-        mmc_form=get("learners", "mmc_form", "full"),
-        lmnn_k_targets=_typed("learners", "lmnn_k_targets", get("learners", "lmnn_k_targets", "3"), int),
-        lmnn_mu=_typed("learners", "lmnn_mu", get("learners", "lmnn_mu", "0.5"), float),
-        lsml_max_iter=_typed("learners", "lsml_max_iter", get("learners", "lsml_max_iter", "1000"), int),
-        lsml_tol=_typed("learners", "lsml_tol", get("learners", "lsml_tol", "1e-6"), float),
-        lmnn_max_iter=_typed("learners", "lmnn_max_iter", get("learners", "lmnn_max_iter", "300"), int),
-        lmnn_tol=_typed("learners", "lmnn_tol", get("learners", "lmnn_tol", "1e-6"), float),
-        mmc_max_iter=_typed("learners", "mmc_max_iter", get("learners", "mmc_max_iter", "300"), int),
-        mmc_tol=_typed("learners", "mmc_tol", get("learners", "mmc_tol", "1e-6"), float),
-    )
+    menu = _learner_names(get("experiment", "menu", ", ".join(DEFAULT_MENU)))
+    config = _experiment_config(parser, overrides)
     sweep_train = get("sweep", "sigma_train_list", "0, 2")
     sweep_test = get("sweep", "sigma_test_list", "0, 2, 4, 6")
     return RunSpec(
@@ -280,10 +283,17 @@ def _load_run_dataset(spec: RunSpec) -> LabeledDataset:
 # Report rendering
 
 
-def _fmt_cell(mean, std) -> str:
-    if mean is None:
+def _fmt_cell(cell: CellStats | None) -> str:
+    if cell is None:
         return "N/A"
-    return f"{mean:.4f} ± {std:.4f}"
+    return f"{cell.mean:.4f} ± {cell.std:.4f}"
+
+
+def _stat_fields(cell: CellStats | None) -> list[str]:
+    """The mean, std and n_repeats fields of a report or sweep CSV row."""
+    if cell is None:
+        return ["", "", "0"]
+    return [repr(cell.mean), repr(cell.std), str(cell.n_repeats)]
 
 
 def render_report_text(report: EvalReport) -> str:
@@ -291,10 +301,7 @@ def render_report_text(report: EvalReport) -> str:
     lines = ["per-loss mean ± sample standard deviation over repeats", ""]
     lines.append("metric".ljust(12) + "".join(name.rjust(width) for name in report.loss_names))
     for metric in report.metric_names:
-        cells = []
-        for loss in report.loss_names:
-            cell = report.cell(metric, loss)
-            cells.append(_fmt_cell(cell.mean, cell.std) if cell else "N/A")
+        cells = [_fmt_cell(report.cell(metric, loss)) for loss in report.loss_names]
         lines.append(metric.ljust(12) + "".join(c.rjust(width) for c in cells))
     lines.append("")
     for key in sorted(report.provenance):
@@ -306,11 +313,7 @@ def report_csv_rows(report: EvalReport) -> list[list[str]]:
     rows = [["metric", "loss", "mean", "std", "n_repeats"]]
     for metric in report.metric_names:
         for loss in report.loss_names:
-            cell = report.cell(metric, loss)
-            if cell is None:
-                rows.append([metric, loss, "", "", "0"])
-            else:
-                rows.append([metric, loss, repr(cell.mean), repr(cell.std), str(cell.n_repeats)])
+            rows.append([metric, loss, *_stat_fields(report.cell(metric, loss))])
     return rows
 
 
@@ -319,10 +322,7 @@ def render_sweep_text(result: SweepResult) -> str:
     lines = ["triplet-violation loss, mean ± sample standard deviation over repeats", ""]
     lines.append("sigma_t".ljust(10) + "".join(c.rjust(width) for c in result.columns))
     for sigma_t in result.sigma_test_values:
-        cells = []
-        for name in result.columns:
-            cell = result.cells[(sigma_t, name)]
-            cells.append(_fmt_cell(cell.mean, cell.std))
+        cells = [_fmt_cell(result.cells[(sigma_t, name)]) for name in result.columns]
         lines.append(f"{sigma_t:g}".ljust(10) + "".join(c.rjust(width) for c in cells))
     lines.append("")
     for key in sorted(result.provenance):
@@ -334,13 +334,7 @@ def sweep_csv_rows(result: SweepResult) -> list[list[str]]:
     rows = [["sigma_test", "metric", "mean", "std", "n_repeats"]]
     for sigma_t in result.sigma_test_values:
         for name in result.columns:
-            cell = result.cells[(sigma_t, name)]
-            if cell.is_missing:
-                rows.append([f"{sigma_t:g}", name, "", "", "0"])
-            else:
-                rows.append(
-                    [f"{sigma_t:g}", name, repr(cell.mean), repr(cell.std), str(cell.n_repeats)]
-                )
+            rows.append([f"{sigma_t:g}", name, *_stat_fields(result.cells[(sigma_t, name)])])
     return rows
 
 
@@ -413,7 +407,7 @@ def cmd_experiment(config_path, out_dir="out", overrides=None, threads=1) -> int
         result = sigma_sweep(
             spec.config, dataset, spec.sigma_train_list, spec.sigma_test_list, threads=threads
         )
-        if all(cell.is_missing for cell in result.cells.values()):
+        if all(cell is None for cell in result.cells.values()):
             raise NumericalError("every sweep cell is empty; no report produced")
         _write_csv(out_dir / "sweep.csv", sweep_csv_rows(result))
         _write_text(out_dir / "sweep.txt", render_sweep_text(result))

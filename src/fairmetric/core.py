@@ -308,10 +308,21 @@ class ExperimentConfig:
             "n_repeats": self.n_repeats,
             "k_neighbors": self.k_neighbors,
             "triplet_subsample": self.triplet_subsample,
+            "lmnn_k_targets": self.lmnn_k_targets,
+            "lsml_max_iter": self.lsml_max_iter,
+            "lmnn_max_iter": self.lmnn_max_iter,
+            "mmc_max_iter": self.mmc_max_iter,
         }
         for name, value in positive.items():
             if value < 1:
                 raise ConfigurationError(f"{name} must be positive, got {value}")
+        for name in ("lsml_tol", "lmnn_tol", "mmc_tol"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.k_neighbors > self.train_size:
+            raise ConfigurationError(
+                f"k_neighbors = {self.k_neighbors} exceeds train_size = {self.train_size}"
+            )
         if self.alpha <= 0:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
         if self.sigma_train < 0 or self.sigma_test < 0:

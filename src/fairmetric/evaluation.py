@@ -40,7 +40,6 @@ from .errors import ConfigurationError, EvaluationError, FairmetricError
 from .ingest import standardize
 from .numerics import quad_forms
 from .learners import (
-    MMCOptions,
     OptimizerOptions,
     OptimizerTrace,
     euclidean_baseline,
@@ -230,7 +229,7 @@ def _learner_entry(name: str, config: ExperimentConfig):
         opts = OptimizerOptions(max_iter=config.lmnn_max_iter, tol=config.lmnn_tol)
         return lambda data: fit_lmnn(data.train, config.lmnn_k_targets, config.lmnn_mu, opts)
     if name == "mmc":
-        opts = MMCOptions(max_iter=config.mmc_max_iter, tol=config.mmc_tol)
+        opts = OptimizerOptions(max_iter=config.mmc_max_iter, tol=config.mmc_tol)
         return lambda data: fit_mmc(data.train, data.train_pairs, config.mmc_form, opts)
     if name == "lsml":
         opts = OptimizerOptions(max_iter=config.lsml_max_iter, tol=config.lsml_tol)
@@ -238,7 +237,7 @@ def _learner_entry(name: str, config: ExperimentConfig):
     raise ConfigurationError(f"unknown learner {name!r}")
 
 
-DEFAULT_MENU = ("euclidean", "precision", "lmnn", "mmc", "lsml")
+DEFAULT_MENU = ("euclidean", "precision", "lmnn", "mmc", "lsml")  # every learner, report order
 
 
 def build_learner_menu(names, config: ExperimentConfig):
@@ -273,23 +272,36 @@ def _run_one_repeat(dataset, config, menu, repeat) -> RepeatOutcome:
     return outcome
 
 
+def _cell_stats(values) -> CellStats | None:
+    """Mean and sample standard deviation of per-repeat losses; None when there are none."""
+    if not values:
+        return None
+    arr = np.asarray(values, dtype=float)
+    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    return CellStats(float(arr.mean()), std, arr.size)
+
+
 def aggregate_cells(
     outcomes: list[RepeatOutcome], metric_names, loss_names=LOSS_NAMES
 ) -> dict[tuple[str, str], CellStats]:
     cells: dict[tuple[str, str], CellStats] = {}
     for metric in metric_names:
         for loss in loss_names:
-            values = [
-                o.losses[metric][loss]
-                for o in outcomes
-                if metric in o.losses and loss in o.losses[metric]
-            ]
-            if not values:
-                continue
-            arr = np.asarray(values, dtype=float)
-            std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            cells[(metric, loss)] = CellStats(float(arr.mean()), std, arr.size)
+            cell = _cell_stats(
+                [o.losses[metric][loss] for o in outcomes if loss in o.losses.get(metric, {})]
+            )
+            if cell is not None:
+                cells[(metric, loss)] = cell
     return cells
+
+
+def _map_repeats(fn, n_repeats: int, threads: int) -> list:
+    """[fn(0), ..., fn(n_repeats - 1)], on `threads` worker threads when threads > 1."""
+    if threads > 1:
+        # looked up at call time: the benchmark's tracer swaps in its own executor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(n_repeats)))
+    return [fn(r) for r in range(n_repeats)]
 
 
 def run_experiment_detailed(
@@ -299,12 +311,9 @@ def run_experiment_detailed(
     threads: int = 1,
 ) -> ExperimentResult:
     menu = learner_menu if learner_menu is not None else build_learner_menu(DEFAULT_MENU, config)
-    repeats = range(config.n_repeats)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda r: _run_one_repeat(dataset, config, menu, r), repeats))
-    else:
-        outcomes = [_run_one_repeat(dataset, config, menu, r) for r in repeats]
+    outcomes = _map_repeats(
+        lambda r: _run_one_repeat(dataset, config, menu, r), config.n_repeats, threads
+    )
     cells = aggregate_cells(outcomes, tuple(menu))
     report = EvalReport(
         cells=cells,
@@ -333,22 +342,13 @@ def run_experiment(
 # Sigma sweep (train-threshold columns vs test-threshold rows)
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    mean: float | None
-    std: float | None
-    n_repeats: int
-
-    @property
-    def is_missing(self) -> bool:
-        return self.mean is None
-
-
 @dataclass
 class SweepResult:
+    """Cells are None where no repeat had a test triplet at that sigma."""
+
     sigma_test_values: tuple[float, ...]
     columns: tuple[str, ...]
-    cells: dict[tuple[float, str], SweepCell]
+    cells: dict[tuple[float, str], CellStats | None]
     provenance: dict[str, str]
     metrics: dict[tuple[int, str], MahalanobisMetric]
 
@@ -391,30 +391,20 @@ def sigma_sweep(
                     losses[(sigma_t, name)] = counted_violation_loss(distances, rule)
         return repeat, fitted, losses
 
-    repeats = range(config.n_repeats)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_repeat, repeats))
-    else:
-        results = [run_repeat(r) for r in repeats]
-
-    metrics: dict[tuple[int, str], MahalanobisMetric] = {}
-    cells: dict[tuple[float, str], SweepCell] = {}
-    for repeat, fitted, _ in results:
-        for name, metric in fitted.items():
-            if name != "euclidean":
-                metrics[(repeat, name)] = metric
-    for sigma_t in sigma_test_list:
-        for name in columns:
-            values = [
-                losses[(sigma_t, name)] for _, _, losses in results if (sigma_t, name) in losses
-            ]
-            if not values:
-                cells[(sigma_t, name)] = SweepCell(None, None, 0)
-                continue
-            arr = np.asarray(values, dtype=float)
-            std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            cells[(sigma_t, name)] = SweepCell(float(arr.mean()), std, arr.size)
+    results = _map_repeats(run_repeat, config.n_repeats, threads)
+    metrics = {
+        (repeat, name): metric
+        for repeat, fitted, _ in results
+        for name, metric in fitted.items()
+        if name != "euclidean"
+    }
+    cells = {
+        (sigma_t, name): _cell_stats(
+            [losses[(sigma_t, name)] for _, _, losses in results if (sigma_t, name) in losses]
+        )
+        for sigma_t in sigma_test_list
+        for name in columns
+    }
     return SweepResult(
         sigma_test_values=tuple(sigma_test_list),
         columns=columns,

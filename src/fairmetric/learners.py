@@ -54,6 +54,9 @@ from .numerics import (
 
 DEGENERATE_TRACE = 1e-8
 ZERO_DISTANCE = 1e-15
+INIT_STEP = 1.0  # first (and every reset) line-search step of projected descent
+MIN_STEP = 1e-14  # a line search that halves below this gives up
+MAX_PROJECTION_CYCLES = 100  # MMC full form: cap on alternating cone/half-space projections
 
 
 @dataclass(frozen=True)
@@ -78,14 +81,6 @@ class OptimizerTrace:
 class OptimizerOptions:
     max_iter: int = 1000
     tol: float = 1e-6
-    init_step: float = 1.0
-    min_step: float = 1e-14
-
-
-@dataclass(frozen=True)
-class MMCOptions(OptimizerOptions):
-    max_iter: int = 300
-    max_projection_cycles: int = 100
 
 
 def _projected_descent(x0, fun, grad, project, opts: OptimizerOptions):
@@ -98,7 +93,7 @@ def _projected_descent(x0, fun, grad, project, opts: OptimizerOptions):
 
     def line_search(x, f, g, start):
         t = start
-        while t >= opts.min_step:
+        while t >= MIN_STEP:
             cand, n_proj = project(x - t * g)
             if cand is None:  # projection refused the point: treat as infeasible
                 t *= 0.5
@@ -115,14 +110,14 @@ def _projected_descent(x0, fun, grad, project, opts: OptimizerOptions):
     f = fun(x)
     values = [f]
     projection_count = n_proj
-    step = opts.init_step
+    step = INIT_STEP
     small_streak = 0
     converged = False
     for _ in range(opts.max_iter - 1):
         g = grad(x)
         cand, fc, t, n_proj = line_search(x, f, g, step)
-        if cand is None and step < opts.init_step:
-            cand, fc, t, n_proj = line_search(x, f, g, opts.init_step)
+        if cand is None and step < INIT_STEP:
+            cand, fc, t, n_proj = line_search(x, f, g, INIT_STEP)
         if cand is None:
             converged = True  # stationary within float resolution
             break
@@ -135,7 +130,7 @@ def _projected_descent(x0, fun, grad, project, opts: OptimizerOptions):
             if small_streak >= 2:
                 converged = True
                 break
-            step = opts.init_step
+            step = INIT_STEP
         else:
             small_streak = 0
             step = t * 2.0
@@ -432,7 +427,7 @@ def _pair_diffs(train: LabeledDataset, pairs: PairSets):
     return vs, vd
 
 
-def _fit_mmc_diagonal(vs, vd, opts: MMCOptions):
+def _fit_mmc_diagonal(vs, vd, opts: OptimizerOptions):
     d = vs.shape[1]
     sim_col = np.einsum("ij,ij->j", vs, vs)
     dis_sq = vd * vd
@@ -464,7 +459,7 @@ def _fit_mmc_diagonal(vs, vd, opts: MMCOptions):
     return MahalanobisMetric.from_diagonal(w), trace
 
 
-def _fit_mmc_full(vs, vd, opts: MMCOptions):
+def _fit_mmc_full(vs, vd, opts: OptimizerOptions):
     d = vs.shape[1]
     xs = vs.T @ vs  # <M, xs> = similar-pair squared-distance sum, linear in M
     xs_norm2 = float((xs * xs).sum())
@@ -487,8 +482,8 @@ def _fit_mmc_full(vs, vd, opts: MMCOptions):
         return -g
 
     def project(m):
-        count = 0
-        for _ in range(opts.max_projection_cycles):
+        altered = 0
+        for _ in range(MAX_PROJECTION_CYCLES):
             m = 0.5 * (m + m.T)
             changed = False
             w, v = np.linalg.eigh(m)
@@ -501,10 +496,9 @@ def _fit_mmc_full(vs, vd, opts: MMCOptions):
                 if val > 1.0 + 1e-12:
                     m = m - ((val - 1.0) / xs_norm2) * xs
                     changed = True
-            if changed:
-                count += 1
-            else:
+            if not changed:
                 break
+            altered = 1
         # the alternation may stop short of the intersection; finish with an
         # exact feasibility step (clip, then scale down, which stays in the cone)
         m = psd_project(0.5 * (m + m.T))
@@ -512,7 +506,7 @@ def _fit_mmc_full(vs, vd, opts: MMCOptions):
             val = float((m * xs).sum())
             if val > 1.0:
                 m = m / val
-        return m, count
+        return m, altered
 
     m0 = np.eye(d)
     init_val = float((m0 * xs).sum())
@@ -535,12 +529,12 @@ def fit_mmc(
     train: LabeledDataset,
     pairs: PairSets,
     form: str = "full",
-    opts: MMCOptions | None = None,
+    opts: OptimizerOptions | None = None,
 ) -> tuple[MahalanobisMetric, OptimizerTrace]:
     """Mahalanobis metric for clustering from similar/dissimilar pairs."""
     if form not in ("full", "diagonal"):
         raise ConfigurationError(f"unknown MMC form {form!r}")
-    opts = opts or MMCOptions()
+    opts = opts or OptimizerOptions(max_iter=300)
     vs, vd = _pair_diffs(train, pairs)
     if form == "diagonal":
         return _fit_mmc_diagonal(vs, vd, opts)

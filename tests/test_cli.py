@@ -1,14 +1,18 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from fairmetric.cli import (
+    _ALLOWED_KEYS,
     cmd_ingest,
     load_encoded_defendants,
     main,
     read_run_spec,
 )
-from fairmetric.core import COMPAS_SCALE
+from fairmetric.core import COMPAS_SCALE, ExperimentConfig
 from fairmetric.errors import ConfigurationError
+from fairmetric.evaluation import DEFAULT_MENU
 
 CHARGES = ("violent", "property", "drug", "other")
 
@@ -253,6 +257,65 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg.write_text("[experiment]\nmystery = 1\n", encoding="utf-8")
     with pytest.raises(ConfigurationError, match="unknown key"):
         read_run_spec(cfg)
+
+
+def write_minimal_config(path, defendants="defendants_encoded.csv", **sections):
+    """[data] with only `defendants`, plus the given {section: {key: value}} entries."""
+    lines = ["[data]", f"defendants = {defendants}"]
+    for section, entries in sections.items():
+        lines += [f"[{section}]"] + [f"{key} = {value}" for key, value in entries.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_config_with_only_data_section_takes_every_default(tmp_path):
+    spec = read_run_spec(write_minimal_config(tmp_path / "exp.ini"))
+    assert spec.config == ExperimentConfig()
+    assert spec.menu == DEFAULT_MENU
+
+
+NON_DEFAULT_STRINGS = {"literal": "symmetric", "full": "diagonal"}
+
+
+@pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
+def test_every_config_field_is_read_from_its_key(tmp_path, field):
+    key = "seed" if field.name == "rng_seed" else field.name
+    (section,) = [s for s, keys in _ALLOWED_KEYS.items() if key in keys]
+    default = field.default
+    if isinstance(default, str):
+        value = NON_DEFAULT_STRINGS[default]
+    elif isinstance(default, int):
+        value = default + 1
+    else:
+        value = default / 2 if default else 0.5
+    cfg = write_minimal_config(tmp_path / "exp.ini", **{section: {key: value}})
+    config = read_run_spec(cfg).config
+    assert getattr(config, field.name) == value
+    assert replace(config, **{field.name: default}) == ExperimentConfig()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("experiment", "k_neighbors", "30"),  # train_size 25
+        ("learners", "lmnn_k_targets", "0"),
+        ("learners", "lsml_max_iter", "0"),
+        ("learners", "mmc_tol", "-1e-6"),
+        ("experiment", "menu", ","),
+        ("experiment", "menu", "euclidean, euclidean"),
+        ("experiment", "menu", "euclidean, lsmll"),
+    ],
+)
+def test_experiment_rejects_bad_config_values_with_exit_1(ingested, capsys, section, key, value):
+    tmp_path, out, _ = ingested
+    entries = {"experiment": {"train_size": 25, "test_size": 10, "n_repeats": 1}}
+    entries.setdefault(section, {})[key] = value
+    cfg = write_minimal_config(tmp_path / "exp.ini", out / "defendants_encoded.csv", **entries)
+    with pytest.raises(ConfigurationError):
+        read_run_spec(cfg)
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -133,6 +133,19 @@ def test_experiment_config_validation():
         ExperimentConfig(train_size=0)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(triplet_variant="nope")
+    for bad in (
+        {"k_neighbors": 6, "train_size": 5},
+        {"lmnn_k_targets": 0},
+        {"lsml_max_iter": 0},
+        {"lmnn_max_iter": 0},
+        {"mmc_max_iter": 0},
+        {"lsml_tol": -1e-6},
+        {"lmnn_tol": -1e-6},
+        {"mmc_tol": -1e-6},
+    ):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**bad)
+    ExperimentConfig(k_neighbors=5, train_size=5, lsml_tol=0.0)
     cfg = ExperimentConfig()
     assert (cfg.train_size, cfg.test_size, cfg.n_repeats, cfg.k_neighbors) == (140, 60, 10, 5)
     assert cfg.alpha == 0.01

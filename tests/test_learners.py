@@ -366,6 +366,21 @@ def test_trace_length_matches_iterations():
     assert trace.iterations <= 5
 
 
+def test_projection_count_is_at_most_one_per_iteration():
+    # seed 22 makes every learner project at least once; the MMC full form
+    # alternates cone and half-space projections several times per iteration
+    ds = make_dataset(np.random.default_rng(22), 50, 4)
+    pairs = build_pairs(ds)
+    for name, fit in (
+        ("lsml", lambda: fit_lsml(ds, build_triplets(ds, 0.0), 0.01)),
+        ("lmnn", lambda: fit_lmnn(ds, 3)),
+        ("mmc_full", lambda: fit_mmc(ds, pairs, "full")),
+        ("mmc_diag", lambda: fit_mmc(ds, pairs, "diagonal")),
+    ):
+        trace = fit()[1]
+        assert 0 < trace.projection_count <= trace.iterations, name
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
