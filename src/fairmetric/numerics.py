@@ -25,18 +25,27 @@ def check_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL, what: str = "matri
     return a
 
 
+def eigen_clip(a: np.ndarray, floor: float = 0.0):
+    """Eigenvalue clip of the symmetric part S of `a`.
+
+    Returns the Frobenius-nearest matrix to S with all eigenvalues >= floor
+    (S itself when none is below the floor) and S's eigenvalues and
+    eigenvectors, so callers can tell whether the clip changed anything.
+    """
+    a = 0.5 * (a + a.T)
+    w, v = np.linalg.eigh(a)
+    if w[0] >= floor:
+        return a, w, v
+    out = (v * np.maximum(w, floor)) @ v.T
+    return 0.5 * (out + out.T), w, v
+
+
 def psd_project(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Frobenius-nearest matrix with all eigenvalues >= floor.
 
     With the default floor of 0 this is projection onto the PSD cone.
     """
-    a = check_symmetric(a)
-    w, v = np.linalg.eigh(a)
-    if w[0] >= floor:
-        return 0.5 * (a + a.T)
-    w = np.maximum(w, floor)
-    out = (v * w) @ v.T
-    return 0.5 * (out + out.T)
+    return eigen_clip(check_symmetric(a), floor)[0]
 
 
 def safe_inverse(a: np.ndarray, floor: float | None = None) -> tuple[np.ndarray, bool]:

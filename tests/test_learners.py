@@ -23,6 +23,7 @@ from fairmetric.learners import (
     lsml_gradient,
     lsml_objective,
     precision_baseline,
+    project_psd_cap,
     save_metric,
 )
 
@@ -178,6 +179,67 @@ def test_mmc_dissimilar_constraint_active(form):
         assert np.all(np.diag(metric.matrix) >= 0.0)
 
 
+def _clip(a):
+    w, v = np.linalg.eigh(a)
+    return (v * np.maximum(w, 0.0)) @ v.T
+
+
+def _cap_case(seed, scale, overshoot):
+    """A symmetric indefinite `a` whose clip has cap value `overshoot` against the
+    similar-pair matrix of a make_dataset fold with features times `scale`."""
+    rng = np.random.default_rng(seed)
+    ds = make_dataset(rng, 50, 4)
+    x = ds.features * scale
+    sim = build_pairs(ds).similar
+    vs = x[sim[:, 0]] - x[sim[:, 1]]
+    xs = vs.T @ vs
+    b = rng.normal(size=(4, 4))
+    a = b + b.T
+    return a * (overshoot / float((_clip(a) * xs).sum())), xs
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0])  # x100: ||xs||^2 is about 1e14
+@pytest.mark.parametrize("overshoot", [0.5, 1.0 + 1e-6, 3.0, 1e4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_project_psd_cap_is_the_exact_projection(seed, scale, overshoot):
+    a, xs = _cap_case(seed, scale, overshoot)
+    m, altered = project_psd_cap(a, xs)
+    assert altered
+    assert float(np.linalg.eigvalsh(m)[0]) >= -1e-12 * float(np.abs(m).max())
+    cap = float((m * xs).sum())
+    assert cap <= 1.0 + 1e-12
+    dist = np.linalg.norm(m - a)
+    clipped = _clip(a)
+    if overshoot <= 1.0:
+        assert np.allclose(m, clipped, rtol=0.0, atol=1e-12 * np.abs(a).max())
+        return
+    assert cap >= 1.0 - 1e-9  # the cap is active when the bare clip breaks it
+    assert dist <= np.linalg.norm(clipped / overshoot - a)  # clip, then rescale
+    # M(lam) = clip(a - lam * xs) on a dense grid up to the first feasible power of two
+    lam_hi = (overshoot - 1.0) / float((xs * xs).sum())
+    while float((_clip(a - lam_hi * xs) * xs).sum()) > 1.0:
+        lam_hi *= 2.0
+    grid = [_clip(a - lam * xs) for lam in np.linspace(0.0, lam_hi, 2001)]
+    feasible = [g for g in grid if float((g * xs).sum()) <= 1.0]
+    assert dist <= (1.0 + 1e-9) * min(np.linalg.norm(g - a) for g in feasible)
+
+
+def test_project_psd_cap_without_clip_is_one_scalar_step(monkeypatch):
+    # a = b + lam * xs with b PSD on the cap: the no-clip guess
+    # lam = (<a, xs> - 1) / ||xs||^2 is exact, so one eigh follows the bare clip
+    rng = np.random.default_rng(3)
+    xs = random_spd(rng, 4)
+    b = random_spd(rng, 4)
+    b = b / float((b * xs).sum())
+    a = b + (0.5 / float((xs * xs).sum())) * xs
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+    m, altered = project_psd_cap(a, xs)
+    assert altered and len(calls) == 2
+    assert np.allclose(m, b, rtol=0.0, atol=1e-9 * float(np.abs(b).max()))
+
+
 def test_mmc_full_trace_is_nondecreasing():
     rng = np.random.default_rng(6)
     ds = make_dataset(rng, 30, 3)
@@ -272,9 +334,9 @@ def test_lmnn_separated_clusters_have_no_active_hinge():
     g = x @ metric.matrix @ x.T
     s = np.diag(g)
     d2 = s[:, None] + s[None, :] - 2 * g
-    for (i, j), cand in zip(problem.target_pairs, problem.impostor_lists):
-        z = 1.0 + d2[i, j] - d2[i, cand]
-        assert np.all(z <= 1e-8)
+    for (i, j), impostors in zip(problem.target_pairs, problem.impostor_mask):
+        z = 1.0 + d2[i, j] - d2[i, impostors]
+        assert impostors.any() and np.all(z <= 1e-8)
 
 
 def test_lmnn_single_class_collapses_to_trace_guard():
@@ -293,6 +355,71 @@ def test_lmnn_singleton_class_lenient_vs_strict():
     assert metric.d == 2
     with pytest.raises(ConstraintError):
         fit_lmnn(ds, k_targets=2, strict=True)
+
+
+def _lmnn_oracle(x, labels, k, m, mu):
+    """LMNN by its definition, looping over anchor i, target j and impostor l.
+
+    Targets are the k nearest same-rating points under the Euclidean metric,
+    lower index first on ties. Returns the target pairs, the objective, and the
+    gradient assembled from the loop's count matrix c as
+    (1 - mu) * sum v_ij v_ij^T + mu * x^T (diag(row sums of s) - s) x, s = c + c^T.
+    """
+    n = len(labels)
+    pairs = []
+    for i in range(n):
+        same = [j for j in range(n) if j != i and labels[j] == labels[i]]
+        same.sort(key=lambda j: (float((x[j] - x[i]) @ (x[j] - x[i])), j))
+        pairs += [(i, j) for j in same[:k]]
+
+    def d2(a, b):
+        return float((x[a] - x[b]) @ m @ (x[a] - x[b]))
+
+    pull = push = 0.0
+    c = np.zeros((n, n))
+    for i, j in pairs:
+        pull += d2(i, j)
+        for l in range(n):
+            z = 1.0 + d2(i, j) - d2(i, l)
+            if labels[l] != labels[i] and z > 0.0:
+                push += z
+                c[i, j] += 1.0
+                c[i, l] -= 1.0
+    vp = np.array([x[i] - x[j] for i, j in pairs])
+    s = c + c.T
+    push_grad = x.T @ (np.diag(s.sum(axis=1)) - s) @ x
+    grad = (1.0 - mu) * (vp.T @ vp) + mu * 0.5 * (push_grad + push_grad.T)
+    return np.array(pairs), (1.0 - mu) * pull + mu * push, push, 0.5 * (grad + grad.T)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        # a singleton class (its row is skipped) and classes with 2 and 3 members,
+        # fewer than k + 1
+        [1] * 8 + [2] * 6 + [3] * 2 + [4] + [5] * 3,
+        [2] * 8,  # one class: no impostors
+        list(np.random.default_rng(20).integers(1, 6, 40)),
+    ],
+    ids=["small_classes", "single_class", "random"],
+)
+@pytest.mark.parametrize("mu", [0.5, 0.2])
+def test_lmnn_kernels_match_triple_loop_oracle(labels, mu):
+    rng = np.random.default_rng(len(labels))
+    x = rng.normal(size=(len(labels), 3))
+    ds = toy(x, labels, scale=(1, 5))
+    if min(np.unique(labels, return_counts=True)[1]) == 1:
+        with pytest.warns(SmallClassWarning):
+            problem = lmnn_problem(ds, 3)
+    else:
+        problem = lmnn_problem(ds, 3)
+    for _ in range(3):
+        m = random_spd(rng, 3) / 3.0
+        pairs, objective, push, gradient = _lmnn_oracle(x, labels, 3, m, mu)
+        assert (push > 0.0) == (len(set(labels)) > 1)
+        assert np.array_equal(problem.target_pairs, pairs)
+        assert lmnn_objective(m, problem, mu) == pytest.approx(objective, rel=1e-12)
+        assert np.array_equal(lmnn_gradient(m, problem, mu), gradient)
 
 
 def test_lmnn_gradient_matches_finite_differences():
@@ -367,8 +494,8 @@ def test_trace_length_matches_iterations():
 
 
 def test_projection_count_is_at_most_one_per_iteration():
-    # seed 22 makes every learner project at least once; the MMC full form
-    # alternates cone and half-space projections several times per iteration
+    # seed 22 makes every learner project at least once; the MMC full form's
+    # projection clips several times per call (its search over lam) but counts once
     ds = make_dataset(np.random.default_rng(22), 50, 4)
     pairs = build_pairs(ds)
     for name, fit in (
