@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -23,8 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraints import build_triplets
-from .core import COMPAS_SCALE, CellStats, EvalReport, ExperimentConfig, LabeledDataset
+from .constraints import describe_triplets, triplet_blocks
+from .core import (
+    COMPAS_SCALE,
+    TRIPLET_VARIANTS,
+    CellStats,
+    EvalReport,
+    ExperimentConfig,
+    LabeledDataset,
+)
 from .errors import ConfigurationError, FairmetricError, IngestionError, NumericalError
 from .evaluation import (
     DEFAULT_MENU,
@@ -445,10 +453,12 @@ def cmd_report_survey(survey_path, out_dir="out", confidence_threshold=4) -> int
 
 def cmd_dump_triplets(data_path, sigma, variant, out_path) -> int:
     dataset = load_encoded_defendants(data_path)
-    triplets = build_triplets(dataset, sigma, variant)
-    rows = [["a", "b", "c"]] + [[str(a), str(b), str(c)] for a, b, c in triplets.indices]
-    _write_csv(Path(out_path), rows)
-    print(f"wrote {len(triplets)} triplets to {out_path}")
+    total = describe_triplets(dataset, sigma, variant).total  # checks the arguments up front
+    # the set grows as n^3, so rows are written one anchor's block at a time
+    blocks = triplet_blocks(dataset, sigma, variant)
+    rows = itertools.chain.from_iterable(block.tolist() for block in blocks)
+    _write_csv(Path(out_path), itertools.chain([["a", "b", "c"]], rows))
+    print(f"wrote {total} triplets to {out_path}")
     return 0
 
 
@@ -478,7 +488,7 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--out-dir", default="out")
     p_exp.add_argument("--label-mode", default=None,
                        help="per_respondent:<id> | pooled_median | pooled_rounded_mean")
-    p_exp.add_argument("--triplet-variant", choices=("literal", "symmetric"), default=None)
+    p_exp.add_argument("--triplet-variant", choices=TRIPLET_VARIANTS, default=None)
 
     p_rep = sub.add_parser("report-survey", help="reproduce the survey analysis tables")
     p_rep.add_argument("--survey", required=True)
@@ -488,7 +498,7 @@ def _build_parser() -> _Parser:
     p_dump = sub.add_parser("dump-triplets", help="write a triplet constraint set as CSV")
     p_dump.add_argument("--data", required=True, help="canonical encoded defendants CSV")
     p_dump.add_argument("--sigma", type=float, required=True)
-    p_dump.add_argument("--triplet-variant", choices=("literal", "symmetric"), default="literal")
+    p_dump.add_argument("--triplet-variant", choices=TRIPLET_VARIANTS, default="literal")
     p_dump.add_argument("--out", required=True)
     return parser
 

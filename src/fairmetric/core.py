@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError
+from .numerics import SYMMETRY_TOL
 
-SYMMETRY_TOL = 1e-9
 PSD_TOL = 1e-8  # |lambda_min| slack tolerated as float noise
 NEGATIVE_FORM_TOL = -1e-8  # quadratic-form values above this are clamped to 0
+TRIPLET_VARIANTS = ("literal", "symmetric")
+MMC_FORMS = ("full", "diagonal")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -37,10 +39,6 @@ class RatingScale:
 
     def contains(self, value: int) -> bool:
         return self.min <= value <= self.max
-
-    @property
-    def width(self) -> int:
-        return self.max - self.min
 
 
 SURVEY_SCALE = RatingScale(1, 5)
@@ -327,9 +325,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
         if self.sigma_train < 0 or self.sigma_test < 0:
             raise ConfigurationError("sigma_train and sigma_test must be nonnegative")
-        if self.triplet_variant not in ("literal", "symmetric"):
+        if self.triplet_variant not in TRIPLET_VARIANTS:
             raise ConfigurationError(f"unknown triplet variant {self.triplet_variant!r}")
-        if self.mmc_form not in ("full", "diagonal"):
+        if self.mmc_form not in MMC_FORMS:
             raise ConfigurationError(f"unknown MMC form {self.mmc_form!r}")
         if not 0.0 < self.lmnn_mu < 1.0:
             raise ConfigurationError(f"lmnn_mu must lie in (0, 1), got {self.lmnn_mu}")

@@ -71,20 +71,32 @@ def triplet_violation_loss(
     return float(np.mean(d_ab > d_ac))
 
 
+def cross_distances(metric: MahalanobisMetric, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """(len(xa), len(xb)) d_M between the rows of xa and xb, as `triplet_violation_loss` computes it.
+
+    Swapping xa and xb negates each difference, which leaves its quadratic form exact.
+    """
+    diff = (xa[:, None, :] - xb[None, :, :]).reshape(-1, xa.shape[1])
+    quad = quad_forms(diff, metric.matrix).reshape(xa.shape[0], xb.shape[0])
+    return np.sqrt(np.maximum(quad, 0.0))
+
+
 def fold_distances(metric: MahalanobisMetric, fold: LabeledDataset) -> np.ndarray:
-    """(n, n) d_M between the rows of a fold, with `triplet_violation_loss`'s arithmetic."""
-    rows = np.arange(fold.n)
-    flat = _pair_distances(metric, fold.features, np.repeat(rows, fold.n), np.tile(rows, fold.n))
-    return flat.reshape(fold.n, fold.n)
+    """(n, n) d_M between the rows of a fold; its diagonal is exactly 0."""
+    return cross_distances(metric, fold.features, fold.features)
 
 
 def counted_violation_loss(distances: np.ndarray, rule: TripletRule) -> float:
-    """`triplet_violation_loss` over the rule's triplet set, counted per anchor."""
+    """`triplet_violation_loss` over the rule's triplet set, counted per anchor.
+
+    `distances` is the fold's `fold_distances`, whose zero diagonal the per-label masks rely on.
+    """
     if rule.total == 0:
         raise EvaluationError("cannot score an empty triplet set")
     violations = 0
-    for d, valid in zip(distances, rule.anchor_masks()):
-        violations += int(np.count_nonzero(valid & (d[:, None] > d[None, :])))
+    for anchors, valid in rule.label_masks():
+        for d in distances[anchors]:
+            violations += int(np.count_nonzero(valid & (d[:, None] > d[None, :])))
     return violations / rule.total
 
 
@@ -101,8 +113,7 @@ def knn_predictions(metric: MahalanobisMetric, train: LabeledDataset, queries, k
     q = np.asarray(queries, dtype=float)
     if q.shape[1] != train.d:
         raise ConfigurationError(f"query has dimension {q.shape[1]}, train has {train.d}")
-    diff = (train.features[None, :, :] - q[:, None, :]).reshape(-1, train.d)
-    dists = np.sqrt(np.maximum(quad_forms(diff, metric.matrix), 0.0)).reshape(q.shape[0], train.n)
+    dists = cross_distances(metric, q, train.features)
     nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
     near_labels = train.labels[nearest].astype(float)
     near_dists = np.take_along_axis(dists, nearest, axis=1)

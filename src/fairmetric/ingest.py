@@ -32,7 +32,6 @@ from .core import COMPAS_SCALE, SURVEY_SCALE, LabeledDataset
 from .errors import ConfigurationError, IngestionError
 
 COLUMN_KINDS = ("numeric", "categorical", "binary")
-LABEL_MODES = ("per_respondent", "pooled_median", "pooled_rounded_mean")
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .core import LabeledDataset, MahalanobisMetric, PairSets, TripletSet
+from .core import MMC_FORMS, LabeledDataset, MahalanobisMetric, PairSets, TripletSet
 from .errors import (
     ConfigurationError,
     ConditionWarning,
@@ -65,13 +65,16 @@ class OptimizerTrace:
     """Accepted objective values per iteration (index 0 is the starting point).
 
     projection_count counts iterations where the feasibility projection actually
-    altered the iterate.
+    altered the iterate; evaluations and gradients count every call of the
+    objective (line-search trials included) and of its gradient.
     """
 
     iterations: int
     objective_values: tuple[float, ...]
     converged: bool
     projection_count: int
+    evaluations: int
+    gradients: int
 
     def __post_init__(self):
         if len(self.objective_values) != self.iterations:
@@ -89,10 +92,13 @@ def _projected_descent(x0, fun, grad, project, opts: OptimizerOptions):
 
     Convergence needs two consecutive sub-tolerance improvements, the second
     from a fresh full-size step, so a collapsed step memory cannot end the run
-    while a good descent direction is still available.
+    while a good descent direction is still available. Returns the final
+    iterate and its OptimizerTrace.
     """
+    evaluations = 1  # the starting point's
 
     def line_search(x, f, g, start):
+        nonlocal evaluations
         t = start
         while t >= MIN_STEP:
             cand, n_proj = project(x - t * g)
@@ -100,6 +106,7 @@ def _projected_descent(x0, fun, grad, project, opts: OptimizerOptions):
                 t *= 0.5
                 continue
             fc = fun(cand)
+            evaluations += 1
             if fc < f:
                 return cand, fc, t, n_proj
             t *= 0.5
@@ -114,8 +121,10 @@ def _projected_descent(x0, fun, grad, project, opts: OptimizerOptions):
     step = INIT_STEP
     small_streak = 0
     converged = False
+    gradients = 0
     for _ in range(opts.max_iter - 1):
         g = grad(x)
+        gradients += 1
         cand, fc, t, n_proj = line_search(x, f, g, step)
         if cand is None and step < INIT_STEP:
             cand, fc, t, n_proj = line_search(x, f, g, INIT_STEP)
@@ -135,7 +144,10 @@ def _projected_descent(x0, fun, grad, project, opts: OptimizerOptions):
         else:
             small_streak = 0
             step = t * 2.0
-    return x, values, converged, projection_count
+    trace = OptimizerTrace(
+        len(values), tuple(values), converged, projection_count, evaluations, gradients
+    )
+    return x, trace
 
 
 def _finalize_metric(m: np.ndarray) -> MahalanobisMetric:
@@ -265,10 +277,7 @@ def fit_lsml(
     def grad(m):
         return _lsml_grad(m, vab, vac, alpha)
 
-    m, values, converged, n_proj = _projected_descent(
-        np.eye(train.d), fun, grad, _clip_to_floored_cone, opts
-    )
-    trace = OptimizerTrace(len(values), tuple(values), converged, n_proj)
+    m, trace = _projected_descent(np.eye(train.d), fun, grad, _clip_to_floored_cone, opts)
     return _finalize_metric(m), trace
 
 
@@ -401,10 +410,7 @@ def fit_lmnn(
     def grad(m):
         return lmnn_gradient(m, problem, mu)
 
-    m, values, converged, n_proj = _projected_descent(
-        np.eye(train.d), fun, grad, _clip_to_cone, opts
-    )
-    trace = OptimizerTrace(len(values), tuple(values), converged, n_proj)
+    m, trace = _projected_descent(np.eye(train.d), fun, grad, _clip_to_cone, opts)
     return _finalize_metric(m), trace
 
 
@@ -448,13 +454,12 @@ def _fit_mmc_diagonal(vs, vd, opts: OptimizerOptions):
         clipped = np.maximum(w, 0.0)
         return clipped, int(bool(np.any(w < 0.0)))
 
-    w, values, converged, n_proj = _projected_descent(np.ones(d), fun, grad, project, opts)
+    w, trace = _projected_descent(np.ones(d), fun, grad, project, opts)
     w = np.maximum(w, 0.0)
     total = float(np.sqrt(np.maximum(dis_sq @ w, 0.0)).sum())
     if total <= 0.0:
         raise NumericalError("dissimilar pairs have zero distance under every nonneg weighting")
     w = w / total**2  # scale so the dissimilar-distance sum is exactly 1
-    trace = OptimizerTrace(len(values), tuple(values), converged, n_proj)
     return MahalanobisMetric.from_diagonal(w), trace
 
 
@@ -536,9 +541,7 @@ def _fit_mmc_full(vs, vd, opts: OptimizerOptions):
     init_val = float((m0 * xs).sum())
     if init_val > 1.0:
         m0 = m0 / init_val
-    m, neg_values, converged, n_proj = _projected_descent(
-        m0, fun, grad, lambda m: project_psd_cap(m, xs), opts
-    )
+    m, trace = _projected_descent(m0, fun, grad, lambda m: project_psd_cap(m, xs), opts)
     # projection first: rescaling by a positive scalar preserves the cone, so the
     # dissimilar constraint ends up active with equality to float precision
     m = psd_project(0.5 * (m + m.T))
@@ -546,8 +549,8 @@ def _fit_mmc_full(vs, vd, opts: OptimizerOptions):
     if total <= 0.0:
         raise NumericalError("dissimilar-distance sum collapsed to zero in MMC")
     m = m / total**2
-    values = tuple(-v for v in neg_values)  # ascent trace of the dissimilar sum
-    trace = OptimizerTrace(len(values), values, converged, n_proj)
+    # ascent trace of the dissimilar sum
+    trace = replace(trace, objective_values=tuple(-v for v in trace.objective_values))
     return MahalanobisMetric(m), trace
 
 
@@ -558,7 +561,7 @@ def fit_mmc(
     opts: OptimizerOptions | None = None,
 ) -> tuple[MahalanobisMetric, OptimizerTrace]:
     """Mahalanobis metric for clustering from similar/dissimilar pairs."""
-    if form not in ("full", "diagonal"):
+    if form not in MMC_FORMS:
         raise ConfigurationError(f"unknown MMC form {form!r}")
     opts = opts or OptimizerOptions(max_iter=300)
     vs, vd = _pair_diffs(train, pairs)

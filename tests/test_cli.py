@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,8 +10,10 @@ from fairmetric.cli import (
     load_encoded_defendants,
     main,
     read_run_spec,
+    write_encoded_defendants,
 )
-from fairmetric.core import COMPAS_SCALE, ExperimentConfig
+from fairmetric.constraints import build_triplets
+from fairmetric.core import COMPAS_SCALE, ExperimentConfig, LabeledDataset
 from fairmetric.errors import ConfigurationError
 from fairmetric.evaluation import DEFAULT_MENU
 
@@ -367,3 +370,33 @@ def test_dump_triplets(ingested, tmp_path):
     lines = dest.read_text().splitlines()
     assert lines[0] == "a,b,c"
     assert len(lines) > 1
+
+
+def test_dump_triplets_streams_the_canonical_set(tmp_path):
+    # 80 rows of deciles hold about 81k literal triplets at sigma 0; as one
+    # array plus one list of strings they took 21 MB, one anchor at a time < 1 MB
+    rng = np.random.default_rng(20)
+    data = tmp_path / "defendants_encoded.csv"
+    write_encoded_defendants(
+        LabeledDataset(
+            features=rng.normal(size=(80, 2)),
+            labels=rng.integers(1, 11, size=80),
+            scale=COMPAS_SCALE,
+            feature_names=("f0", "f1"),
+        ),
+        data,
+    )
+    dest = tmp_path / "triplets.csv"
+    tracemalloc.start()
+    try:
+        code = main(["dump-triplets", "--data", str(data), "--sigma", "0", "--out", str(dest)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    expected = build_triplets(load_encoded_defendants(data), 0.0).indices
+    assert len(expected) > 50_000
+    lines = dest.read_text().splitlines()
+    assert lines[0] == "a,b,c"
+    assert lines[1:] == [f"{a},{b},{c}" for a, b, c in expected.tolist()]
+    assert peak < 4 * 2**20

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fairmetric.constraints import (
+    _valid_c,
+    _valid_c_counts,
     build_pairs,
     build_triplets,
     sample_triplets,
@@ -162,6 +164,21 @@ def test_sample_triplets_equals_subsampled_enumeration(variant, sigma):
             assert np.array_equal(got.indices, expected.indices)
             assert got.sigma == expected.sigma
     assert len(build_triplets(datasets[-2], sigma, variant)) == 0
+
+
+@pytest.mark.parametrize("variant", ["literal", "symmetric"])
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 2.0])
+def test_valid_c_counts_are_the_rule_summed(variant, sigma):
+    rng = np.random.default_rng(6)
+    folds = [make_dataset(rng, int(rng.integers(3, 31)), 2) for _ in range(6)]
+    folds.append(toy(np.zeros((5, 1)), [3, 3, 3, 3, 3]))  # a single label
+    folds.append(toy(np.zeros((3, 1)), [1, 2, 4]))  # n = 3
+    folds.append(toy(np.zeros((3, 1)), [2, 2, 2]))
+    for ds in folds:
+        labels = ds.labels.astype(float)
+        a, b = np.indices((ds.n, ds.n))
+        summed = np.where(a == b, 0, _valid_c(labels, sigma, variant, a, b).sum(axis=-1))
+        assert np.array_equal(_valid_c_counts(labels, sigma, variant), summed)
 
 
 def test_sample_triplets_rejects_what_build_and_subsample_reject():

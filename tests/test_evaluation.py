@@ -17,6 +17,7 @@ from fairmetric.errors import ConfigurationError, EvaluationError
 from fairmetric.evaluation import (
     build_learner_menu,
     counted_violation_loss,
+    cross_distances,
     fold_distances,
     knn_l1,
     knn_l2,
@@ -31,6 +32,7 @@ from fairmetric.evaluation import (
 )
 from fairmetric.ingest import standardize
 from fairmetric.learners import euclidean_baseline
+from fairmetric.numerics import quad_forms
 
 from conftest import make_dataset, random_spd, toy
 
@@ -205,6 +207,22 @@ def test_knn_predictions_match_row_by_row():
     for k in (1, 3, 14):
         batched = knn_predictions(metric, train, queries, k)
         assert batched.tolist() == [knn_predict(metric, train, row, k) for row in queries]
+
+
+def test_cross_distances_is_exact_both_ways_round():
+    rng = np.random.default_rng(18)
+    for trial in range(6):
+        d = int(rng.integers(1, 6))
+        train = rng.normal(size=(int(rng.integers(1, 40)), d))
+        q = rng.normal(size=(int(rng.integers(1, 40)), d))
+        shared = min(len(train), len(q)) // 2
+        q[:shared] = train[:shared]  # zero distances
+        metric = MahalanobisMetric(random_spd(rng, d)) if trial % 2 else euclidean_baseline(d)
+        got = cross_distances(metric, q, train)
+        assert np.array_equal(got, cross_distances(metric, train, q).T)
+        diff = (train[None, :, :] - q[:, None, :]).reshape(-1, d)
+        reference = np.sqrt(np.maximum(quad_forms(diff, metric.matrix), 0.0))
+        assert np.array_equal(got, reference.reshape(len(q), len(train)))
 
 
 def test_knn_losses_perfect_predictor():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairmetric import learners
 from fairmetric.constraints import build_pairs, build_triplets
 from fairmetric.core import (
     LabeledDataset,
@@ -506,6 +507,48 @@ def test_projection_count_is_at_most_one_per_iteration():
     ):
         trace = fit()[1]
         assert 0 < trace.projection_count <= trace.iterations, name
+
+
+def test_trace_counts_every_objective_and_gradient_call(monkeypatch):
+    engine = learners._projected_descent
+    logs = []
+
+    def counting(x0, fun, grad, project, opts):
+        log = {"values": [], "gradients": 0}
+
+        def counted_fun(x):
+            log["values"].append(fun(x))
+            return log["values"][-1]
+
+        def counted_grad(x):
+            log["gradients"] += 1
+            return grad(x)
+
+        logs.append(log)
+        return engine(x0, counted_fun, counted_grad, project, opts)
+
+    monkeypatch.setattr(learners, "_projected_descent", counting)
+    ds = make_dataset(np.random.default_rng(22), 50, 4)
+    pairs = build_pairs(ds)
+    for name, fit, sign in (
+        ("lsml", lambda: fit_lsml(ds, build_triplets(ds, 0.0), 0.01), 1.0),
+        ("lmnn", lambda: fit_lmnn(ds, 3), 1.0),
+        ("mmc_full", lambda: fit_mmc(ds, pairs, "full"), -1.0),  # traces the ascent
+        ("mmc_diag", lambda: fit_mmc(ds, pairs, "diagonal"), 1.0),
+    ):
+        trace = fit()[1]
+        log = logs[-1]
+        assert trace.evaluations == len(log["values"]), name
+        assert trace.gradients == log["gradients"], name
+        # a trial is accepted exactly when it improves on the last accepted value
+        accepted = log["values"][:1]
+        for value in log["values"][1:]:
+            if value < accepted[-1]:
+                accepted.append(value)
+        assert trace.objective_values == tuple(sign * v for v in accepted), name
+        assert trace.iterations == len(accepted), name
+        # one gradient per accepted step, plus one for a final line search that fails
+        assert trace.gradients in (trace.iterations - 1, trace.iterations), name
 
 
 # ---------------------------------------------------------------------------
