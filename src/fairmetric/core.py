@@ -121,7 +121,6 @@ class MahalanobisMetric:
     """Symmetric PSD matrix M defining d_M(x, y) = sqrt((x-y)^T M (x-y))."""
 
     matrix: np.ndarray
-    form: str = "full"  # "full" | "diagonal"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -135,8 +134,6 @@ class MahalanobisMetric:
         lam_min = float(np.linalg.eigvalsh(m)[0])
         if lam_min < -PSD_TOL:
             raise InvariantError(f"metric matrix not PSD: lambda_min = {lam_min:.3e}")
-        if self.form not in ("full", "diagonal"):
-            raise ConfigurationError(f"unknown metric form {self.form!r}")
         object.__setattr__(self, "matrix", _readonly(m))
 
     @property
@@ -154,7 +151,7 @@ class MahalanobisMetric:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1:
             raise ConfigurationError("diagonal weights must be a vector")
-        return cls(np.diag(w), form="diagonal")
+        return cls(np.diag(w))
 
 
 def squared_distance(metric: MahalanobisMetric, x, y) -> float:

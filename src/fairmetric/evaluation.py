@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import TripletRule, build_pairs, describe_triplets, sample_triplets
-# unused here, but the benchmark's tracer wraps these two by name in this module
-from .constraints import build_triplets, subsample_triplets  # noqa: F401
+from .constraints import TripletRule, describe_triplets, sample_triplets
+# unused here, but the benchmark's tracer wraps these three by name in this module
+from .constraints import build_pairs, build_triplets, subsample_triplets  # noqa: F401
 from .core import (
     LOSS_KNN_L1,
     LOSS_KNN_L2,
@@ -32,7 +32,6 @@ from .core import (
     ExperimentConfig,
     LabeledDataset,
     MahalanobisMetric,
-    PairSets,
     TripletSet,
     subseed,
 )
@@ -162,7 +161,6 @@ class RepeatData:
     repeat: int
     train: LabeledDataset
     test: LabeledDataset
-    train_pairs: PairSets
     train_triplets: TripletSet
     test_triplets: TripletRule | None
 
@@ -225,7 +223,6 @@ def prepare_repeat(dataset: LabeledDataset, config: ExperimentConfig, repeat: in
         repeat=repeat,
         train=train,
         test=test,
-        train_pairs=build_pairs(train),
         train_triplets=train_triplets,
         test_triplets=test_triplets,
     )
@@ -241,7 +238,7 @@ def _learner_entry(name: str, config: ExperimentConfig):
         return lambda data: fit_lmnn(data.train, config.lmnn_k_targets, config.lmnn_mu, opts)
     if name == "mmc":
         opts = OptimizerOptions(max_iter=config.mmc_max_iter, tol=config.mmc_tol)
-        return lambda data: fit_mmc(data.train, data.train_pairs, config.mmc_form, opts)
+        return lambda data: fit_mmc(data.train, config.mmc_form, opts)
     if name == "lsml":
         opts = OptimizerOptions(max_iter=config.lsml_max_iter, tol=config.lsml_tol)
         return lambda data: fit_lsml(data.train, data.train_triplets, config.alpha, opts)

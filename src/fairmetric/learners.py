@@ -16,12 +16,16 @@ Objectives (X is the training matrix, d_M the Mahalanobis distance):
                        [1 + d^2_M(i,j) - d^2_M(i,l)]_+,
          with target neighbors fixed under the Euclidean metric up front.
 
-  MMC    minimize sum over similar pairs of d^2_M subject to
-         sum over dissimilar pairs of d_M >= 1 and M PSD. The full form runs
-         gradient ascent on the dissimilar-distance sum against the linear
-         similar-sum cap, projecting each step exactly onto the PSD cone cut
-         by that cap (project_psd_cap); the diagonal form minimizes
-             g(w) = sum_sim d^2_w - log(sum_dis d_w)
+  MMC    equal ratings make a similar pair (indicator S), unequal ones a
+         dissimilar pair; no pair set is stored. With the Laplacian
+         L(W) = diag(W 1) - W, X^T L(W) X sums W_ij (x_i - x_j)(x_i - x_j)^T
+         over pairs i<j. MMC minimizes <M, X^T L(S) X> subject to sum over
+         dissimilar pairs of d_M >= 1 and M PSD; that sum has gradient
+         X^T L(W) X with W_ij = 1 / (2 d_M(i,j)) on the dissimilar pairs. The
+         full form runs gradient ascent on it against the linear similar-sum
+         cap, projecting each step exactly onto the PSD cone cut by that cap
+         (project_psd_cap); the diagonal form minimizes
+             g(w) = <diag(w), X^T L(S) X> - log(sum_dis d_w)
          over nonnegative axis weights. Either way the returned matrix is
          rescaled so the dissimilar-distance sum equals 1.
 """
@@ -35,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MMC_FORMS, LabeledDataset, MahalanobisMetric, PairSets, TripletSet
+from .core import MMC_FORMS, LabeledDataset, MahalanobisMetric, TripletSet
 from .errors import (
     ConfigurationError,
     ConditionWarning,
@@ -340,9 +344,18 @@ def lmnn_problem(train: LabeledDataset, k_targets: int, strict: bool = False) ->
 
 
 def _pairwise_sq(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared distances (s_i + s_j) - 2 g_ij from the Gram matrix g = x M x^T, s = diag(g)."""
     g = x @ m @ x.T
-    s = np.diag(g)
-    return s[:, None] + s[None, :] - 2.0 * g
+    s = np.diag(g).copy()
+    g *= 2.0
+    return np.subtract(np.add.outer(s, s), g, out=g)
+
+
+def _laplacian_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x^T (diag(w 1) - w) x, unsymmetrized; see the module docstring."""
+    lap = np.diag(w.sum(axis=1))
+    lap -= w
+    return x.T @ lap @ x
 
 
 def _hinge_margins(m: np.ndarray, problem: LmnnProblem):
@@ -379,9 +392,7 @@ def lmnn_gradient(m: np.ndarray, problem: LmnnProblem, mu: float) -> np.ndarray:
     for rank in range(sizes.max()):
         has = sizes > rank
         c[anchors[has]] -= active[starts[has] + rank]
-    s = c + c.T
-    lap = np.diag(s.sum(axis=1)) - s
-    push = x.T @ lap @ x
+    push = _laplacian_form(x, c + c.T)
     grad = (1.0 - mu) * problem.pull_gram + mu * 0.5 * (push + push.T)
     return 0.5 * (grad + grad.T)
 
@@ -418,49 +429,57 @@ def fit_lmnn(
 # MMC
 
 
-def _pair_diffs(train: LabeledDataset, pairs: PairSets):
-    if pairs.n_similar == 0:
+def _mmc_pairs(train: LabeledDataset):
+    """xs = X^T L(same rating) X and the (n, n) 0/1 mask of unequal ratings.
+
+    Rows with equal features are left out of the mask: the Gram form can leave
+    them a d^2 near 1e-16 * |x|^2 for 0, and 0.5 / d would swamp the gradient.
+    """
+    x, labels = train.features, train.labels
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    if not same.any():
         raise ConstraintError("MMC needs at least one similar pair")
-    if pairs.n_dissimilar == 0:
+    dissimilar = labels[:, None] != labels[None, :]
+    if not dissimilar.any():
         raise ConstraintError("MMC needs at least one dissimilar pair")
-    hi = max(int(pairs.similar.max()), int(pairs.dissimilar.max()))
-    if hi >= train.n:
-        raise ConfigurationError("pair indices exceed dataset size")
-    x = train.features
-    vs = x[pairs.similar[:, 0]] - x[pairs.similar[:, 1]]
-    vd = x[pairs.dissimilar[:, 0]] - x[pairs.dissimilar[:, 1]]
-    return vs, vd
+    _, row = np.unique(x, axis=0, return_inverse=True)
+    dissimilar &= row[:, None] != row[None, :]
+    xs = _laplacian_form(x, same.astype(float))
+    return 0.5 * (xs + xs.T), dissimilar.astype(float)
 
 
-def _fit_mmc_diagonal(vs, vd, opts: OptimizerOptions):
-    d = vs.shape[1]
-    sim_col = np.einsum("ij,ij->j", vs, vs)
-    dis_sq = vd * vd
+def _dissimilar_sum(m: np.ndarray, x: np.ndarray, dissimilar: np.ndarray):
+    """Sum of d_M over the dissimilar pairs, and the (n, n) matrix of d_M."""
+    dist = _pairwise_sq(m, x)
+    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+    return 0.5 * float(dist.ravel() @ dissimilar.ravel()), dist  # the mask holds each pair twice
+
+
+def _dissimilar_ascent(dist: np.ndarray, x: np.ndarray, dissimilar: np.ndarray) -> np.ndarray:
+    """Gradient in M of the dissimilar-distance sum: Laplacian weights 1 / (2 d_M) per pair."""
+    w = 0.5 / np.maximum(dist, ZERO_DISTANCE)
+    w *= dissimilar
+    w *= dist > ZERO_DISTANCE
+    return _laplacian_form(x, w)
+
+
+def _fit_mmc_diagonal(x, xs, dissimilar, opts: OptimizerOptions):
+    sim_col = np.diag(xs)  # similar-pair squared-distance sum per axis
 
     def fun(w):
-        dw = dis_sq @ w
-        total = float(np.sqrt(np.maximum(dw, 0.0)).sum())
-        if total <= 0.0:
-            return math.inf
-        return float(sim_col @ w) - math.log(total)
+        total, _ = _dissimilar_sum(np.diag(w), x, dissimilar)
+        return float(sim_col @ w) - math.log(total) if total > 0.0 else math.inf
 
     def grad(w):
-        dist = np.sqrt(np.maximum(dis_sq @ w, 0.0))
-        total = float(dist.sum())
-        inv2d = np.where(dist > ZERO_DISTANCE, 0.5 / np.maximum(dist, ZERO_DISTANCE), 0.0)
-        return sim_col - (dis_sq.T @ inv2d) / max(total, ZERO_DISTANCE)
+        total, dist = _dissimilar_sum(np.diag(w), x, dissimilar)
+        return sim_col - np.diag(_dissimilar_ascent(dist, x, dissimilar)) / max(total, ZERO_DISTANCE)
 
     def project(w):
-        clipped = np.maximum(w, 0.0)
-        return clipped, int(bool(np.any(w < 0.0)))
+        return np.maximum(w, 0.0), int(bool(np.any(w < 0.0)))
 
-    w, trace = _projected_descent(np.ones(d), fun, grad, project, opts)
-    w = np.maximum(w, 0.0)
-    total = float(np.sqrt(np.maximum(dis_sq @ w, 0.0)).sum())
-    if total <= 0.0:
-        raise NumericalError("dissimilar pairs have zero distance under every nonneg weighting")
-    w = w / total**2  # scale so the dissimilar-distance sum is exactly 1
-    return MahalanobisMetric.from_diagonal(w), trace
+    w, trace = _projected_descent(np.ones(x.shape[1]), fun, grad, project, opts)
+    return np.diag(np.maximum(w, 0.0)), trace
 
 
 def project_psd_cap(a: np.ndarray, xs: np.ndarray):
@@ -521,53 +540,42 @@ def project_psd_cap(a: np.ndarray, xs: np.ndarray):
         lam += step
 
 
-def _fit_mmc_full(vs, vd, opts: OptimizerOptions):
-    d = vs.shape[1]
-    xs = vs.T @ vs  # <M, xs> = similar-pair squared-distance sum, linear in M
-
-    def dissimilar_sum(m):
-        return float(np.sqrt(np.maximum(quad_forms(vd, m), 0.0)).sum())
-
+def _fit_mmc_full(x, xs, dissimilar, opts: OptimizerOptions):
     def fun(m):
-        return -dissimilar_sum(m)
+        return -_dissimilar_sum(m, x, dissimilar)[0]
 
     def grad(m):
-        dist = np.sqrt(np.maximum(quad_forms(vd, m), 0.0))
-        w = np.where(dist > ZERO_DISTANCE, 0.5 / np.maximum(dist, ZERO_DISTANCE), 0.0)
-        g = (vd * w[:, None]).T @ vd
+        g = _dissimilar_ascent(_dissimilar_sum(m, x, dissimilar)[1], x, dissimilar)
         return -0.5 * (g + g.T)
 
-    m0 = np.eye(d)
+    m0 = np.eye(x.shape[1])
     init_val = float((m0 * xs).sum())
     if init_val > 1.0:
         m0 = m0 / init_val
     m, trace = _projected_descent(m0, fun, grad, lambda m: project_psd_cap(m, xs), opts)
-    # projection first: rescaling by a positive scalar preserves the cone, so the
-    # dissimilar constraint ends up active with equality to float precision
-    m = psd_project(0.5 * (m + m.T))
-    total = dissimilar_sum(m)
-    if total <= 0.0:
-        raise NumericalError("dissimilar-distance sum collapsed to zero in MMC")
-    m = m / total**2
     # ascent trace of the dissimilar sum
     trace = replace(trace, objective_values=tuple(-v for v in trace.objective_values))
-    return MahalanobisMetric(m), trace
+    # projection first: rescaling by a positive scalar preserves the cone, so the
+    # dissimilar constraint ends up active with equality to float precision
+    return psd_project(0.5 * (m + m.T)), trace
 
 
 def fit_mmc(
     train: LabeledDataset,
-    pairs: PairSets,
     form: str = "full",
     opts: OptimizerOptions | None = None,
 ) -> tuple[MahalanobisMetric, OptimizerTrace]:
-    """Mahalanobis metric for clustering from similar/dissimilar pairs."""
+    """Mahalanobis metric for clustering from the pairs the ratings define."""
     if form not in MMC_FORMS:
         raise ConfigurationError(f"unknown MMC form {form!r}")
     opts = opts or OptimizerOptions(max_iter=300)
-    vs, vd = _pair_diffs(train, pairs)
-    if form == "diagonal":
-        return _fit_mmc_diagonal(vs, vd, opts)
-    return _fit_mmc_full(vs, vd, opts)
+    xs, dissimilar = _mmc_pairs(train)
+    fit = _fit_mmc_diagonal if form == "diagonal" else _fit_mmc_full
+    m, trace = fit(train.features, xs, dissimilar, opts)
+    total, _ = _dissimilar_sum(m, train.features, dissimilar)
+    if total <= 0.0:
+        raise NumericalError("dissimilar-distance sum collapsed to zero in MMC")
+    return MahalanobisMetric(m / total**2), trace  # the dissimilar sum is now 1
 
 
 # ---------------------------------------------------------------------------

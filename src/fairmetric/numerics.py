@@ -15,50 +15,46 @@ RELATIVE_EIG_FLOOR = 1e-10  # fraction of lambda_max treated as numerically zero
 ABSOLUTE_EIG_FLOOR = 1e-15  # fallback when the spectrum is entirely nonpositive
 
 
-def check_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL, what: str = "matrix") -> np.ndarray:
+def check_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvariantError(f"{what} must be square, got shape {a.shape}")
+        raise InvariantError(f"matrix must be square, got shape {a.shape}")
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if asym > tol:
-        raise InvariantError(f"{what} asymmetric: max |A - A^T| = {asym:.3e}")
+    if asym > SYMMETRY_TOL:
+        raise InvariantError(f"matrix asymmetric: max |A - A^T| = {asym:.3e}")
     return a
 
 
-def eigen_clip(a: np.ndarray, floor: float = 0.0):
+def eigen_clip(a: np.ndarray):
     """Eigenvalue clip of the symmetric part S of `a`.
 
-    Returns the Frobenius-nearest matrix to S with all eigenvalues >= floor
-    (S itself when none is below the floor) and S's eigenvalues and
-    eigenvectors, so callers can tell whether the clip changed anything.
+    Returns the Frobenius-nearest PSD matrix to S (S itself when it is PSD)
+    and S's eigenvalues and eigenvectors, so callers can tell whether the clip
+    changed anything.
     """
     a = 0.5 * (a + a.T)
     w, v = np.linalg.eigh(a)
-    if w[0] >= floor:
+    if w[0] >= 0.0:
         return a, w, v
-    out = (v * np.maximum(w, floor)) @ v.T
+    out = (v * np.maximum(w, 0.0)) @ v.T
     return 0.5 * (out + out.T), w, v
 
 
-def psd_project(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Frobenius-nearest matrix with all eigenvalues >= floor.
-
-    With the default floor of 0 this is projection onto the PSD cone.
-    """
-    return eigen_clip(check_symmetric(a), floor)[0]
+def psd_project(a: np.ndarray) -> np.ndarray:
+    """Projection onto the PSD cone: the Frobenius-nearest PSD matrix."""
+    return eigen_clip(check_symmetric(a))[0]
 
 
-def safe_inverse(a: np.ndarray, floor: float | None = None) -> tuple[np.ndarray, bool]:
+def safe_inverse(a: np.ndarray) -> tuple[np.ndarray, bool]:
     """Eigenvalue-floored inverse of a symmetric PSD matrix.
 
-    Eigenvalues below `floor` (default RELATIVE_EIG_FLOOR * lambda_max) are raised
-    to the floor before inverting, which makes the inverse total. Returns the
-    inverse and a flag that is True when flooring occurred (ill-conditioned input).
+    Eigenvalues below RELATIVE_EIG_FLOOR * lambda_max (else ABSOLUTE_EIG_FLOOR)
+    are raised to that floor before inverting, which makes the inverse total.
+    Returns the inverse and a flag that is True when flooring occurred.
     """
     a = check_symmetric(a)
     w, v = np.linalg.eigh(a)
-    if floor is None:
-        floor = RELATIVE_EIG_FLOOR * float(w[-1])
+    floor = RELATIVE_EIG_FLOOR * float(w[-1])
     if floor <= 0.0:
         floor = ABSOLUTE_EIG_FLOOR
     floored = bool(np.any(w < floor))

@@ -369,8 +369,8 @@ def _fit_everything(rng):
         fits.append((ds, "euclidean", euclidean_baseline(ds.d), pairs))
         fits.append((ds, "precision", precision_baseline(ds), pairs))
         fits.append((ds, "lmnn", fit_lmnn(ds, 2)[0], pairs))
-        fits.append((ds, "mmc_full", fit_mmc(ds, pairs, "full")[0], pairs))
-        fits.append((ds, "mmc_diag", fit_mmc(ds, pairs, "diagonal")[0], pairs))
+        fits.append((ds, "mmc_full", fit_mmc(ds, "full")[0], pairs))
+        fits.append((ds, "mmc_diag", fit_mmc(ds, "diagonal")[0], pairs))
         fits.append((ds, "lsml", fit_lsml(ds, triplets, 0.01)[0], pairs))
     return fits
 
@@ -410,12 +410,12 @@ def test_criterion_9_mmc_feasibility():
     for _ in range(5):
         ds = make_dataset(rng, 30, 3)
         pairs = build_pairs(ds)
-        full_metric, _ = fit_mmc(ds, pairs, "full")
+        full_metric, _ = fit_mmc(ds, "full")
         vd = ds.features[pairs.dissimilar[:, 0]] - ds.features[pairs.dissimilar[:, 1]]
         q = np.einsum("ij,jk,ik->i", vd, full_metric.matrix, vd)
         total = float(np.sqrt(np.maximum(q, 0.0)).sum())
         worst_gap = max(worst_gap, abs(total - 1.0))
-        diag_metric, _ = fit_mmc(ds, pairs, "diagonal")
+        diag_metric, _ = fit_mmc(ds, "diagonal")
         weights_ok &= bool(np.all(np.diag(diag_metric.matrix) >= 0.0))
     report(
         "C9",

@@ -6,7 +6,6 @@ from fairmetric.constraints import build_pairs, build_triplets
 from fairmetric.core import (
     LabeledDataset,
     MahalanobisMetric,
-    PairSets,
     RatingScale,
     TripletSet,
 )
@@ -110,18 +109,13 @@ def test_precision_baseline_warns_on_singular_covariance():
 # MMC
 
 
-def _mmc_1d_problem():
-    ds = toy(np.array([[0.0], [0.1], [10.0]]), [1, 1, 2])
-    pairs = PairSets(similar=np.array([[0, 1]]), dissimilar=np.array([[0, 2]]))
-    return ds, pairs
-
-
 @pytest.mark.parametrize("form", ["diagonal", "full"])
 def test_mmc_1d_analytic_weight(form):
-    # the dissimilar-sum normalization pins sqrt(w) * 10 = 1, so w = 0.01
-    ds, pairs = _mmc_1d_problem()
-    metric, trace = fit_mmc(ds, pairs, form=form)
-    assert metric.matrix[0, 0] == pytest.approx(0.01, abs=1e-9)
+    # labels [1, 1, 2]: (0, 1) is similar, and (0, 2) and (1, 2) are dissimilar at
+    # 10 and 9.9, so the dissimilar-sum normalization pins sqrt(w) * 19.9 = 1
+    ds = toy(np.array([[0.0], [0.1], [10.0]]), [1, 1, 2])
+    metric, trace = fit_mmc(ds, form=form)
+    assert metric.matrix[0, 0] == pytest.approx(1.0 / 19.9**2, abs=1e-9)
     assert trace.iterations == len(trace.objective_values)
 
 
@@ -133,12 +127,12 @@ def test_mmc_diagonal_kills_noise_axis():
     x[half:, 0] = rng.normal(6.0, 0.4, half)
     x[:, 1] = rng.normal(0.0, 1.0, n)  # same noise for both classes
     ds = toy(x, [1] * half + [2] * half)
-    pairs = build_pairs(ds)
-    metric, _ = fit_mmc(ds, pairs, form="diagonal")
+    metric, _ = fit_mmc(ds, form="diagonal")
     w = np.diag(metric.matrix)
     assert w[1] <= 0.05 * w[0]
 
     # grid-search oracle on the diagonal objective agrees the optimum has w1 = 0
+    pairs = build_pairs(ds)
     vs = x[pairs.similar[:, 0]] - x[pairs.similar[:, 1]]
     vd = x[pairs.dissimilar[:, 0]] - x[pairs.dissimilar[:, 1]]
     sim_col = (vs**2).sum(axis=0)
@@ -156,11 +150,80 @@ def test_mmc_diagonal_kills_noise_axis():
 
 def test_mmc_single_class_raises():
     ds = toy(np.random.default_rng(4).normal(size=(6, 2)), [2] * 6)
+    with pytest.raises(ConstraintError):
+        fit_mmc(ds, form="full")
+    with pytest.raises(ConstraintError):
+        fit_mmc(ds, form="diagonal")
+
+
+def test_mmc_distinct_labels_raise():
+    # every rating differs, so there is no similar pair
+    ds = toy(np.random.default_rng(4).normal(size=(5, 2)), [1, 2, 3, 4, 5])
+    with pytest.raises(ConstraintError):
+        fit_mmc(ds, form="full")
+    with pytest.raises(ConstraintError):
+        fit_mmc(ds, form="diagonal")
+
+
+def _mmc_objective(monkeypatch, ds, form):
+    """The objective and gradient that fit_mmc hands to the optimizer."""
+    engine, captured = learners._projected_descent, []
+
+    def capture(x0, fun, grad, project, opts):
+        captured.append((fun, grad))
+        return engine(x0, fun, grad, project, opts)
+
+    monkeypatch.setattr(learners, "_projected_descent", capture)
+    fit_mmc(ds, form, OptimizerOptions(max_iter=2))
+    return captured[0]
+
+
+def _mmc_pair_oracle(ds, form):
+    """The same objective and gradient, summed over build_pairs' pair differences."""
     pairs = build_pairs(ds)
-    with pytest.raises(ConstraintError):
-        fit_mmc(ds, pairs, form="full")
-    with pytest.raises(ConstraintError):
-        fit_mmc(ds, pairs, form="diagonal")
+    x = ds.features
+    vs = x[pairs.similar[:, 0]] - x[pairs.similar[:, 1]]
+    vd = x[pairs.dissimilar[:, 0]] - x[pairs.dissimilar[:, 1]]
+
+    def dissimilar(m):  # the distance sum and its gradient in M
+        dist = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", vd, m, vd), 0.0))
+        inv2d = np.where(dist > 0.0, 0.5 / np.where(dist > 0.0, dist, 1.0), 0.0)
+        return float(dist.sum()), (vd * inv2d[:, None]).T @ vd
+
+    if form == "full":
+        return (lambda m: -dissimilar(m)[0]), (lambda m: -dissimilar(m)[1])
+    sim_col = (vs**2).sum(axis=0)
+
+    def grad(w):
+        total, g = dissimilar(np.diag(w))
+        return sim_col - np.diag(g) / total
+
+    return (lambda w: float(sim_col @ w) - np.log(dissimilar(np.diag(w))[0])), grad
+
+
+def _duplicated_fold(rng):
+    # 260 rows that repeat 5 feature rows under random ratings: most dissimilar
+    # pairs have equal features. At this size the Gram form leaves some of them
+    # a distance near 1e-8 instead of 0 (full form, OpenBLAS), which the
+    # duplicate mask must drop for the oracle to match.
+    base = rng.normal(size=(5, 4))
+    return toy(base[np.arange(260) % 5], rng.integers(1, 6, 260), scale=(1, 5))
+
+
+@pytest.mark.parametrize("fold", ["random", "duplicated"])
+@pytest.mark.parametrize("form", ["diagonal", "full"])
+def test_mmc_gram_kernel_matches_pair_oracle(monkeypatch, form, fold):
+    rng = np.random.default_rng(0)
+    folds = [make_dataset(rng, n, 4) for n in (60, 140)] if fold == "random" else [_duplicated_fold(rng)]
+    for ds in folds:
+        fun, grad = _mmc_objective(monkeypatch, ds, form)
+        oracle_fun, oracle_grad = _mmc_pair_oracle(ds, form)
+        for _ in range(3):
+            point = random_spd(rng, 4) if form == "full" else rng.uniform(0.1, 2.0, 4)
+            want = oracle_fun(point)
+            assert abs(fun(point) - want) <= 1e-12 * abs(want)
+            want = oracle_grad(point)
+            assert np.abs(grad(point) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _dissimilar_sum(metric, ds, pairs):
@@ -173,9 +236,8 @@ def _dissimilar_sum(metric, ds, pairs):
 def test_mmc_dissimilar_constraint_active(form):
     rng = np.random.default_rng(5)
     ds = make_dataset(rng, 40, 3)
-    pairs = build_pairs(ds)
-    metric, _ = fit_mmc(ds, pairs, form=form)
-    assert _dissimilar_sum(metric, ds, pairs) == pytest.approx(1.0, abs=1e-3)
+    metric, _ = fit_mmc(ds, form=form)
+    assert _dissimilar_sum(metric, ds, build_pairs(ds)) == pytest.approx(1.0, abs=1e-3)
     if form == "diagonal":
         assert np.all(np.diag(metric.matrix) >= 0.0)
 
@@ -244,7 +306,7 @@ def test_project_psd_cap_without_clip_is_one_scalar_step(monkeypatch):
 def test_mmc_full_trace_is_nondecreasing():
     rng = np.random.default_rng(6)
     ds = make_dataset(rng, 30, 3)
-    metric, trace = fit_mmc(ds, build_pairs(ds), form="full")
+    metric, trace = fit_mmc(ds, form="full")
     diffs = np.diff(np.asarray(trace.objective_values))
     assert np.all(diffs >= -1e-9)
 
@@ -252,7 +314,7 @@ def test_mmc_full_trace_is_nondecreasing():
 def test_mmc_diagonal_trace_is_nonincreasing():
     rng = np.random.default_rng(7)
     ds = make_dataset(rng, 30, 3)
-    _, trace = fit_mmc(ds, build_pairs(ds), form="diagonal")
+    _, trace = fit_mmc(ds, form="diagonal")
     diffs = np.diff(np.asarray(trace.objective_values))
     assert np.all(diffs <= 1e-9)
 
@@ -455,8 +517,8 @@ def _fit_all(ds):
         "euclidean": euclidean_baseline(ds.d),
         "precision": precision_baseline(ds),
         "lmnn": fit_lmnn(ds, k_targets=2)[0],
-        "mmc_full": fit_mmc(ds, build_pairs(ds), "full")[0],
-        "mmc_diag": fit_mmc(ds, build_pairs(ds), "diagonal")[0],
+        "mmc_full": fit_mmc(ds, "full")[0],
+        "mmc_diag": fit_mmc(ds, "diagonal")[0],
         "lsml": fit_lsml(ds, build_triplets(ds, 0.0), 0.01)[0],
     }
     return fits
@@ -475,13 +537,12 @@ def test_every_learner_returns_valid_metric():
 def test_learners_are_deterministic():
     rng = np.random.default_rng(17)
     ds = make_dataset(rng, 25, 3)
-    pairs = build_pairs(ds)
     triplets = build_triplets(ds, 1.0)
     for fit in (
         lambda: fit_lsml(ds, triplets, 0.01)[0].matrix,
         lambda: fit_lmnn(ds, 2)[0].matrix,
-        lambda: fit_mmc(ds, pairs, "full")[0].matrix,
-        lambda: fit_mmc(ds, pairs, "diagonal")[0].matrix,
+        lambda: fit_mmc(ds, "full")[0].matrix,
+        lambda: fit_mmc(ds, "diagonal")[0].matrix,
     ):
         assert np.array_equal(fit(), fit())
 
@@ -498,12 +559,11 @@ def test_projection_count_is_at_most_one_per_iteration():
     # seed 22 makes every learner project at least once; the MMC full form's
     # projection clips several times per call (its search over lam) but counts once
     ds = make_dataset(np.random.default_rng(22), 50, 4)
-    pairs = build_pairs(ds)
     for name, fit in (
         ("lsml", lambda: fit_lsml(ds, build_triplets(ds, 0.0), 0.01)),
         ("lmnn", lambda: fit_lmnn(ds, 3)),
-        ("mmc_full", lambda: fit_mmc(ds, pairs, "full")),
-        ("mmc_diag", lambda: fit_mmc(ds, pairs, "diagonal")),
+        ("mmc_full", lambda: fit_mmc(ds, "full")),
+        ("mmc_diag", lambda: fit_mmc(ds, "diagonal")),
     ):
         trace = fit()[1]
         assert 0 < trace.projection_count <= trace.iterations, name
@@ -529,12 +589,11 @@ def test_trace_counts_every_objective_and_gradient_call(monkeypatch):
 
     monkeypatch.setattr(learners, "_projected_descent", counting)
     ds = make_dataset(np.random.default_rng(22), 50, 4)
-    pairs = build_pairs(ds)
     for name, fit, sign in (
         ("lsml", lambda: fit_lsml(ds, build_triplets(ds, 0.0), 0.01), 1.0),
         ("lmnn", lambda: fit_lmnn(ds, 3), 1.0),
-        ("mmc_full", lambda: fit_mmc(ds, pairs, "full"), -1.0),  # traces the ascent
-        ("mmc_diag", lambda: fit_mmc(ds, pairs, "diagonal"), 1.0),
+        ("mmc_full", lambda: fit_mmc(ds, "full"), -1.0),  # traces the ascent
+        ("mmc_diag", lambda: fit_mmc(ds, "diagonal"), 1.0),
     ):
         trace = fit()[1]
         log = logs[-1]

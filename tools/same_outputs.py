@@ -11,7 +11,9 @@ output file, the exit status and stdout must match. `dump-triplets` runs
 too, once per variant, on the first `smoke_figure1` dataset of each seed.
 
 Prints each difference and exits 1 on any difference or any failed run, 0
-when everything matches. Reads `perfbench/` and writes nothing under it; all
+when everything matches. A differing metric file (`metrics/.../*.txt`) is
+shown as its largest entry difference, relative to its largest entry; any
+other file as the lines that differ, old -> new. Reads `perfbench/` and writes nothing under it; all
 files go to a temporary directory that is removed at the end.
 """
 
@@ -24,6 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # importing the fixtures must leave no cache under perfbench/
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -35,6 +39,7 @@ RUN_CLI = "import sys; from fairmetric.cli import main; sys.exit(main(sys.argv[1
 STATUS = "<exit status and stdout>"  # compared along with the files; no file has this name
 DUMPS = (("literal", "0"), ("symmetric", "1"))  # (variant, sigma) for dump-triplets
 DUMP_WORKLOAD = "smoke_figure1"
+MAX_LINES = 10  # differing lines shown per file
 
 
 def run_cli(src: Path, args: list[str], out_dir: Path) -> dict[str, bytes]:
@@ -53,6 +58,32 @@ def run_cli(src: Path, args: list[str], out_dir: Path) -> dict[str, bytes]:
     return outputs
 
 
+def describe(name: str, old: bytes, new: bytes) -> list[str]:
+    """How `new` differs from `old`: for a metric file its largest entry
+    difference, relative to its largest entry; else the differing lines (CSV
+    rows), old -> new."""
+    old_lines = old.decode(errors="replace").splitlines()
+    new_lines = new.decode(errors="replace").splitlines()
+    if name.startswith("metrics") and name.endswith(".txt"):
+        a = np.array([float(v) for line in old_lines[1:] for v in line.split()])
+        b = np.array([float(v) for line in new_lines[1:] for v in line.split()])
+        if a.shape != b.shape:
+            return [f"{a.size} entries -> {b.size} entries"]
+        # relative to the largest entry: entries near zero carry only rounding noise
+        at = int(np.argmax(np.abs(a - b)))
+        rel = abs(a[at] - b[at]) / max(float(np.abs(a).max()), np.finfo(float).tiny)
+        return [f"largest entry difference {rel:.3e}, relative to the largest entry "
+                f"(entry {at}: {float(a[at])!r} -> {float(b[at])!r})"]
+    width = max(len(old_lines), len(new_lines))
+    old_lines += ["<none>"] * (width - len(old_lines))
+    new_lines += ["<none>"] * (width - len(new_lines))
+    moved = [(i, a, b) for i, (a, b) in enumerate(zip(old_lines, new_lines)) if a != b]
+    shown = [f"line {i + 1}: {a} -> {b}" for i, a, b in moved[:MAX_LINES]]
+    if len(moved) > MAX_LINES:
+        shown.append(f"... and {len(moved) - MAX_LINES} more differing lines")
+    return shown
+
+
 def compare(label: str, args: list[str], trees: dict[str, Path], work: Path) -> tuple[int, list[str]]:
     """Run `args` from both trees; return the number of files compared and the problems found."""
     old, new = (run_cli(src, args, work / side / label) for side, src in trees.items())
@@ -61,7 +92,8 @@ def compare(label: str, args: list[str], trees: dict[str, Path], work: Path) -> 
         if name not in old or name not in new:
             problems.append(f"{label}: {name} written by one tree only")
         elif old[name] != new[name]:
-            problems.append(f"{label}: {name} differs")
+            details = "".join(f"\n    {line}" for line in describe(name, old[name], new[name]))
+            problems.append(f"{label}: {name} differs{details}")
     for side, outputs in zip(trees, (old, new)):
         if not outputs[STATUS].startswith(b"exit 0\n"):
             problems.append(f"{label}: the {side} tree's run failed")
