@@ -1,9 +1,21 @@
 """Metric learners: LMNN, MMC, LSML, plus the Euclidean and precision baselines.
 
-All iterative learners share one backtracking projected-gradient engine and are
-deterministic: same data, constraints, and options give the same metric. Each
-fit returns the learned metric together with an OptimizerTrace of accepted
-objective values.
+All iterative learners share one engine, monotone spectral projected gradient
+(SPG; Birgin, Martinez & Raydan, SIAM J. Optim. 2000), and are deterministic:
+same data, constraints, and options give the same metric. Each iteration
+projects once at the Barzilai-Borwein step lam, d = P(x - lam g) - x, halving
+lam while d is no descent direction, then backtracks along the segment
+x + t d, t <= 1, to the Armijo rule f(x + t d) <= f(x) + 1e-4 t <g, d>. Every
+feasible set here is convex, so the segment needs no projection. A fit stops,
+converged, after two consecutive relative decreases (f - f_new) / max(|f|, 1)
+of at most `tol`, or when no step reaches the Armijo rule before it rounds to
+x. Each fit returns the learned metric together with an OptimizerTrace of the
+objective values at its iterates.
+
+LSML's trials cost O(m + d) for m triplets: along a segment the triplet quad
+forms are affine in t, and one eigendecomposition per iterate gives
+logdet(M + tD) for every t (see _lsml_local). The other objectives are
+evaluated afresh at each trial.
 
 Objectives (X is the training matrix, d_M the Mahalanobis distance):
 
@@ -59,18 +71,19 @@ from .numerics import (
 
 DEGENERATE_TRACE = 1e-8
 ZERO_DISTANCE = 1e-15
-INIT_STEP = 1.0  # first (and every reset) line-search step of projected descent
-MIN_STEP = 1e-14  # a line search that halves below this gives up
+STEP_RANGE = (1e-30, 1e30)  # Barzilai-Borwein step clip [lambda_min, lambda_max]
+ARMIJO = 1e-4  # sufficient decrease, as a fraction of the directional derivative t <g, d>
 CAP_TOL = 1e-9  # MMC full form: an active similar-sum cap ends in [1 - CAP_TOL, 1]
 
 
 @dataclass(frozen=True)
 class OptimizerTrace:
-    """Accepted objective values per iteration (index 0 is the starting point).
+    """Objective values at the iterates (index 0 is the starting point).
 
-    projection_count counts iterations where the feasibility projection actually
-    altered the iterate; evaluations and gradients count every call of the
-    objective (line-search trials included) and of its gradient.
+    projection_count counts the starting point and the iterations whose
+    projection actually altered the projected point. evaluations counts every
+    objective value computed: one per iterate and one per line-search trial
+    phi(t). gradients counts the iterates, each of which also yields a gradient.
     """
 
     iterations: int
@@ -91,67 +104,103 @@ class OptimizerOptions:
     tol: float = 1e-6
 
 
-def _projected_descent(x0, fun, grad, project, opts: OptimizerOptions):
-    """Backtracking projected gradient descent; accepts only strictly improving steps.
+def _clip_step(lam: float) -> float:
+    return min(max(lam, STEP_RANGE[0]), STEP_RANGE[1])
 
-    Convergence needs two consecutive sub-tolerance improvements, the second
-    from a fresh full-size step, so a collapsed step memory cannot end the run
-    while a good descent direction is still available. Returns the final
+
+def _descent_direction(x, g, lam, project):
+    """d = P(x - lam g) - x, halving lam until <g, d> < 0.
+
+    A step that does not descend is too long for the projection's kinks or
+    lost in its float noise, not a sign of stationarity. Returns d, <g, d>
+    and the projection's flag, or None once x - lam g rounds to x: then x is
+    stationary within float resolution.
+    """
+    while True:
+        trial = x - lam * g
+        if np.array_equal(trial, x):
+            return None
+        p, changed = project(trial)
+        d = p - x
+        slope = float(np.vdot(g, d))
+        if slope < 0.0:
+            return d, slope, changed
+        lam *= 0.5
+
+
+def _armijo(phi, x, d, f, slope):
+    """Backtrack from t = 1 to the first t with phi(t) <= f + ARMIJO * t * slope.
+
+    A rejected t gives way to the minimizer of the quadratic through f, slope
+    and phi(t) when that lies in [0.1 t, 0.9 t], else to t / 2 (Birgin,
+    Martinez & Raydan). Returns t and the trials made; t is None once x + t d
+    rounds to x.
+    """
+    t, trials = 1.0, 0
+    while True:
+        trials += 1
+        value = phi(t)
+        if value <= f + ARMIJO * t * slope:
+            return t, trials
+        quadratic = -0.5 * t * t * slope / (value - f - t * slope)  # 0 when value is inf
+        t = quadratic if 0.1 * t <= quadratic <= 0.9 * t else 0.5 * t
+        if np.array_equal(x + t * d, x):
+            return None, trials
+
+
+def _spg(x0, local, project, opts: OptimizerOptions):
+    """Monotone spectral projected gradient, as the module docstring describes.
+
+    local(x) returns (f, g, along) at a feasible x, where along(d) returns
+    phi(t) = f(x + t d). project(x) returns the projection of x onto the
+    (convex) feasible set and 1 if it altered x, else 0. Returns the final
     iterate and its OptimizerTrace.
     """
-    evaluations = 1  # the starting point's
-
-    def line_search(x, f, g, start):
-        nonlocal evaluations
-        t = start
-        while t >= MIN_STEP:
-            cand, n_proj = project(x - t * g)
-            if cand is None:  # projection refused the point: treat as infeasible
-                t *= 0.5
-                continue
-            fc = fun(cand)
-            evaluations += 1
-            if fc < f:
-                return cand, fc, t, n_proj
-            t *= 0.5
-        return None, f, 0.0, 0
-
-    x, n_proj = project(np.array(x0, dtype=float))
-    if x is None:
-        raise ConfigurationError("infeasible starting point for projected descent")
-    f = fun(x)
-    values = [f]
-    projection_count = n_proj
-    step = INIT_STEP
+    x, projection_count = project(np.array(x0, dtype=float))
+    f, g, along = local(x)
+    values, evaluations = [f], 1
+    # the first step is 1 / |P(x - g) - x|_inf, as in Birgin, Martinez & Raydan
+    scale = float(np.abs(project(x - g)[0] - x).max())
+    lam = _clip_step(1.0 / scale) if scale > 0.0 else STEP_RANGE[1]
     small_streak = 0
     converged = False
-    gradients = 0
     for _ in range(opts.max_iter - 1):
-        g = grad(x)
-        gradients += 1
-        cand, fc, t, n_proj = line_search(x, f, g, step)
-        if cand is None and step < INIT_STEP:
-            cand, fc, t, n_proj = line_search(x, f, g, INIT_STEP)
-        if cand is None:
-            converged = True  # stationary within float resolution
+        direction = _descent_direction(x, g, lam, project)
+        if direction is None:
+            converged = True
             break
-        rel_change = (f - fc) / max(abs(f), 1.0)
-        x, f = cand, fc
+        d, slope, changed = direction
+        t, trials = _armijo(along(d), x, d, f, slope)
+        evaluations += trials
+        if t is None:
+            converged = True  # no sufficient decrease within float resolution
+            break
+        x_new = x + t * d
+        f_new, g_new, along = local(x_new)
+        evaluations += 1
+        s, y = x_new - x, g_new - g
+        sy = float(np.vdot(s, y))
+        lam = _clip_step(float(np.vdot(s, s)) / sy) if sy > 0.0 else STEP_RANGE[1]
+        rel_change = (f - f_new) / max(abs(f), 1.0)
+        x, f, g = x_new, f_new, g_new
         values.append(f)
-        projection_count += n_proj
+        projection_count += changed
         if rel_change <= opts.tol:
             small_streak += 1
             if small_streak >= 2:
                 converged = True
                 break
-            step = INIT_STEP
         else:
             small_streak = 0
-            step = t * 2.0
     trace = OptimizerTrace(
-        len(values), tuple(values), converged, projection_count, evaluations, gradients
+        len(values), tuple(values), converged, projection_count, evaluations, len(values)
     )
     return x, trace
+
+
+def _along_line(fun, x):
+    """along(d) -> phi(t) = fun(x + t d), for an objective with no cheaper form on a segment."""
+    return lambda d: lambda t: fun(x + t * d)
 
 
 def _finalize_metric(m: np.ndarray) -> MahalanobisMetric:
@@ -200,60 +249,85 @@ def _triplet_diffs(train: LabeledDataset, triplets: TripletSet):
     return vab, vac
 
 
-def _hinge_residuals(m: np.ndarray, vab: np.ndarray, vac: np.ndarray):
-    dab = np.sqrt(np.maximum(quad_forms(vab, m), 0.0))
-    dac = np.sqrt(np.maximum(quad_forms(vac, m), 0.0))
-    return dab, dac, dab - dac
-
-
-def _floored_log_eigvals(m: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    floor = max(RELATIVE_EIG_FLOOR * float(w[-1]), ABSOLUTE_EIG_FLOOR)
-    return np.log(np.maximum(w, floor))
-
-
 def lsml_objective(m: np.ndarray, train: LabeledDataset, triplets: TripletSet, alpha: float) -> float:
     vab, vac = _triplet_diffs(train, triplets)
-    return _lsml_value(np.asarray(m, dtype=float), vab, vac, alpha)
+    return _lsml_local(np.asarray(m, dtype=float), vab, vac, alpha)[0]
 
 
 def lsml_gradient(m: np.ndarray, train: LabeledDataset, triplets: TripletSet, alpha: float) -> np.ndarray:
     vab, vac = _triplet_diffs(train, triplets)
-    return _lsml_grad(np.asarray(m, dtype=float), vab, vac, alpha)
+    return _lsml_local(np.asarray(m, dtype=float), vab, vac, alpha)[1]
 
 
-def _lsml_value(m, vab, vac, alpha):
-    _, _, resid = _hinge_residuals(m, vab, vac)
-    hinge = float(np.sum(np.square(np.maximum(resid, 0.0))))
-    logdet_floored = float(np.sum(_floored_log_eigvals(m)))
-    d_ld = float(np.trace(m)) - logdet_floored - m.shape[0]
-    return alpha * d_ld + hinge
+def _lsml_value(qab, qac, trace, logdet, alpha, d):
+    """LSML's objective from the triplet quad forms, tr(M) and logdet(M)."""
+    resid = np.sqrt(np.maximum(qab, 0.0)) - np.sqrt(np.maximum(qac, 0.0))
+    return alpha * (trace - logdet - d) + float(np.sum(np.square(np.maximum(resid, 0.0))))
 
 
-def _lsml_grad(m, vab, vac, alpha):
+def _lsml_local(m, vab, vac, alpha):
+    """LSML's value and gradient at m, and along(D) for the segment m + tD.
+
+    One eigh of m = V W V^T, with W floored at RELATIVE_EIG_FLOOR * w_max
+    (and at least ABSOLUTE_EIG_FLOOR), gives logdet(m) and the gradient's
+    m^-1. On the segment the quad forms are affine, q(m + tD) = q(m) +
+    t q(D), and logdet(m + tD) = logdet(m) + sum log1p(t mu), with mu the
+    eigenvalues of W^-1/2 V^T D V W^-1/2. So along costs two quad forms and
+    one eigvalsh, and each trial phi(t) then O(m + d). A trial where 1 + t mu
+    is not positive beyond the rounding of mu is off the domain of logdet,
+    and phi returns inf there.
+    """
     d = m.shape[0]
-    dab, dac, resid = _hinge_residuals(m, vab, vac)
-    inv, _ = safe_inverse(0.5 * (m + m.T))
-    grad = alpha * (np.eye(d) - inv)
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    w = np.maximum(w, max(RELATIVE_EIG_FLOOR * float(w[-1]), ABSOLUTE_EIG_FLOOR))
+    logdet = float(np.log(w).sum())
+    trace = float(np.trace(m))
+    qab, qac = quad_forms(vab, m), quad_forms(vac, m)
+
+    dab, dac = np.sqrt(np.maximum(qab, 0.0)), np.sqrt(np.maximum(qac, 0.0))
+    resid = dab - dac
+    grad = alpha * (np.eye(d) - (v / w) @ v.T)
     active = resid > 0
     if np.any(active):
         wab = np.where(active & (dab > ZERO_DISTANCE), resid / np.maximum(dab, ZERO_DISTANCE), 0.0)
         wac = np.where(active & (dac > ZERO_DISTANCE), resid / np.maximum(dac, ZERO_DISTANCE), 0.0)
         grad = grad + (vab * wab[:, None]).T @ vab - (vac * wac[:, None]).T @ vac
-    return 0.5 * (grad + grad.T)
+
+    def along(step):
+        sab, sac = quad_forms(vab, step), quad_forms(vac, step)
+        scaled = v / np.sqrt(w)
+        mu = np.linalg.eigvalsh(scaled.T @ step @ scaled)
+        step_trace = float(np.trace(step))
+        resolution = d * np.finfo(float).eps
+
+        def phi(t):
+            if 1.0 + t * mu[0] <= resolution * (1.0 + t * max(-mu[0], mu[-1])):
+                return math.inf
+            return _lsml_value(
+                qab + t * sab,
+                qac + t * sac,
+                trace + t * step_trace,
+                logdet + float(np.log1p(t * mu).sum()),
+                alpha,
+                d,
+            )
+
+        return phi
+
+    return _lsml_value(qab, qac, trace, logdet, alpha, d), 0.5 * (grad + grad.T), along
 
 
 def _clip_to_floored_cone(m: np.ndarray):
-    """Eigenvalue clip with the relative floor that keeps the logdet term finite.
+    """Eigenvalue clip onto LSML's cone {M : lambda_min(M) >= RELATIVE_EIG_FLOOR * lambda_max(M)}.
 
-    A candidate whose whole spectrum is nonpositive is a grossly overshot step;
-    flooring it would produce an isotropic near-zero matrix whose capped logdet
-    looks spuriously attractive, so such points are rejected instead (None).
+    The cone is convex, as lambda_min is concave and lambda_max convex. A
+    matrix with no positive eigenvalue maps to ABSOLUTE_EIG_FLOOR * I, a point
+    of the cone where logdet stays finite.
     """
     m = 0.5 * (m + m.T)
     w, v = np.linalg.eigh(m)
     if w[-1] <= 0.0:
-        return None, 0
+        return ABSOLUTE_EIG_FLOOR * np.eye(m.shape[0]), 1
     floor = RELATIVE_EIG_FLOOR * float(w[-1])
     if w[0] >= floor:
         return m, 0
@@ -274,14 +348,9 @@ def fit_lsml(
         raise ConfigurationError(f"alpha must be > 0, got {alpha}")
     opts = opts or OptimizerOptions()
     vab, vac = _triplet_diffs(train, triplets)
-
-    def fun(m):
-        return _lsml_value(m, vab, vac, alpha)
-
-    def grad(m):
-        return _lsml_grad(m, vab, vac, alpha)
-
-    m, trace = _projected_descent(np.eye(train.d), fun, grad, _clip_to_floored_cone, opts)
+    m, trace = _spg(
+        np.eye(train.d), lambda m: _lsml_local(m, vab, vac, alpha), _clip_to_floored_cone, opts
+    )
     return _finalize_metric(m), trace
 
 
@@ -368,17 +437,23 @@ def _hinge_margins(m: np.ndarray, problem: LmnnProblem):
 
 
 def lmnn_objective(m: np.ndarray, problem: LmnnProblem, mu: float) -> float:
-    d2, z = _hinge_margins(m, problem)
+    return _lmnn_value(*_hinge_margins(m, problem), problem, mu)
+
+
+def lmnn_gradient(m: np.ndarray, problem: LmnnProblem, mu: float) -> np.ndarray:
+    return _lmnn_grad(_hinge_margins(m, problem)[1], problem, mu)
+
+
+def _lmnn_value(d2, z, problem: LmnnProblem, mu: float) -> float:
     tp = problem.target_pairs
     pull = float(d2[tp[:, 0], tp[:, 1]].sum())
     push = float(z[problem.impostor_mask & (z > 0)].sum())
     return (1.0 - mu) * pull + mu * push
 
 
-def lmnn_gradient(m: np.ndarray, problem: LmnnProblem, mu: float) -> np.ndarray:
+def _lmnn_grad(z, problem: LmnnProblem, mu: float) -> np.ndarray:
     x = problem.features
     n = x.shape[0]
-    _, z = _hinge_margins(m, problem)
     active = problem.impostor_mask & (z > 0)
     i, j = problem.target_pairs.T
     # c[i, j] counts the active impostors of pair (i, j), and c[i, l] is minus
@@ -415,13 +490,12 @@ def fit_lmnn(
     opts = opts or OptimizerOptions(max_iter=300)
     problem = lmnn_problem(train, k_targets, strict=strict)
 
-    def fun(m):
-        return lmnn_objective(m, problem, mu)
+    def local(m):
+        d2, z = _hinge_margins(m, problem)
+        along = _along_line(lambda p: lmnn_objective(p, problem, mu), m)
+        return _lmnn_value(d2, z, problem, mu), _lmnn_grad(z, problem, mu), along
 
-    def grad(m):
-        return lmnn_gradient(m, problem, mu)
-
-    m, trace = _projected_descent(np.eye(train.d), fun, grad, _clip_to_cone, opts)
+    m, trace = _spg(np.eye(train.d), local, _clip_to_cone, opts)
     return _finalize_metric(m), trace
 
 
@@ -467,18 +541,19 @@ def _dissimilar_ascent(dist: np.ndarray, x: np.ndarray, dissimilar: np.ndarray) 
 def _fit_mmc_diagonal(x, xs, dissimilar, opts: OptimizerOptions):
     sim_col = np.diag(xs)  # similar-pair squared-distance sum per axis
 
-    def fun(w):
-        total, _ = _dissimilar_sum(np.diag(w), x, dissimilar)
+    def value(w, total):
         return float(sim_col @ w) - math.log(total) if total > 0.0 else math.inf
 
-    def grad(w):
+    def local(w):
         total, dist = _dissimilar_sum(np.diag(w), x, dissimilar)
-        return sim_col - np.diag(_dissimilar_ascent(dist, x, dissimilar)) / max(total, ZERO_DISTANCE)
+        grad = sim_col - np.diag(_dissimilar_ascent(dist, x, dissimilar)) / max(total, ZERO_DISTANCE)
+        along = _along_line(lambda p: value(p, _dissimilar_sum(np.diag(p), x, dissimilar)[0]), w)
+        return value(w, total), grad, along
 
     def project(w):
         return np.maximum(w, 0.0), int(bool(np.any(w < 0.0)))
 
-    w, trace = _projected_descent(np.ones(x.shape[1]), fun, grad, project, opts)
+    w, trace = _spg(np.ones(x.shape[1]), local, project, opts)
     return np.diag(np.maximum(w, 0.0)), trace
 
 
@@ -541,18 +616,17 @@ def project_psd_cap(a: np.ndarray, xs: np.ndarray):
 
 
 def _fit_mmc_full(x, xs, dissimilar, opts: OptimizerOptions):
-    def fun(m):
-        return -_dissimilar_sum(m, x, dissimilar)[0]
-
-    def grad(m):
-        g = _dissimilar_ascent(_dissimilar_sum(m, x, dissimilar)[1], x, dissimilar)
-        return -0.5 * (g + g.T)
+    def local(m):
+        total, dist = _dissimilar_sum(m, x, dissimilar)
+        g = _dissimilar_ascent(dist, x, dissimilar)
+        along = _along_line(lambda p: -_dissimilar_sum(p, x, dissimilar)[0], m)
+        return -total, -0.5 * (g + g.T), along
 
     m0 = np.eye(x.shape[1])
     init_val = float((m0 * xs).sum())
     if init_val > 1.0:
         m0 = m0 / init_val
-    m, trace = _projected_descent(m0, fun, grad, lambda m: project_psd_cap(m, xs), opts)
+    m, trace = _spg(m0, local, lambda m: project_psd_cap(m, xs), opts)
     # ascent trace of the dissimilar sum
     trace = replace(trace, objective_values=tuple(-v for v in trace.objective_values))
     # projection first: rescaling by a positive scalar preserves the cone, so the

@@ -167,15 +167,16 @@ def test_mmc_distinct_labels_raise():
 
 def _mmc_objective(monkeypatch, ds, form):
     """The objective and gradient that fit_mmc hands to the optimizer."""
-    engine, captured = learners._projected_descent, []
+    engine, captured = learners._spg, []
 
-    def capture(x0, fun, grad, project, opts):
-        captured.append((fun, grad))
-        return engine(x0, fun, grad, project, opts)
+    def capture(x0, local, project, opts):
+        captured.append(local)
+        return engine(x0, local, project, opts)
 
-    monkeypatch.setattr(learners, "_projected_descent", capture)
+    monkeypatch.setattr(learners, "_spg", capture)
     fit_mmc(ds, form, OptimizerOptions(max_iter=2))
-    return captured[0]
+    local = captured[0]
+    return (lambda x: local(x)[0]), (lambda x: local(x)[1])
 
 
 def _mmc_pair_oracle(ds, form):
@@ -319,6 +320,13 @@ def test_mmc_diagonal_trace_is_nonincreasing():
     assert np.all(diffs <= 1e-9)
 
 
+@pytest.mark.parametrize("seed", [20, 24])
+def test_mmc_diagonal_converges_well_before_max_iter(seed):
+    _, trace = fit_mmc(make_dataset(np.random.default_rng(seed), 50, 4), "diagonal")
+    assert trace.converged
+    assert trace.iterations < 100
+
+
 # ---------------------------------------------------------------------------
 # LSML
 
@@ -381,6 +389,45 @@ def test_lsml_trace_is_nonincreasing_and_empty_set_rejected():
     assert np.all(diffs <= 1e-9)
     with pytest.raises(ConstraintError):
         fit_lsml(ds, TripletSet(np.empty((0, 3), dtype=int), 0.0), alpha=0.01)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lsml_metric_is_off_the_eigenvalue_floor(seed):
+    # the minimizer is well conditioned; a fit that stalls on the floored cone's
+    # boundary ends with lambda_min / lambda_max at RELATIVE_EIG_FLOOR
+    ds = make_dataset(np.random.default_rng(seed), 30, 3)
+    metric, trace = fit_lsml(ds, build_triplets(ds, 0.0), alpha=0.01)
+    w = np.linalg.eigvalsh(metric.matrix)
+    assert trace.converged
+    assert w[0] / w[-1] > 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lsml_segment_matches_objective(seed):
+    # phi(t) on the segment m + t d, d = P(m - lam g) - m, against a direct
+    # evaluation at m + t d; the largest lam puts the segment's end on the floor
+    rng = np.random.default_rng(seed)
+    ds = make_dataset(rng, 30, 4)
+    triplets = build_triplets(ds, 0.0)
+    vab, vac = learners._triplet_diffs(ds, triplets)
+    alpha, eps = 0.01, np.finfo(float).eps
+    for scale in (1e-3, 1e-1, 10.0):
+        m = random_spd(rng, 4)
+        _, g, along = learners._lsml_local(m, vab, vac, alpha)
+        end, floored = learners._clip_to_floored_cone(m - scale / np.abs(g).max() * g)
+        d = end - m
+        phi = along(d)
+        w = np.linalg.eigvalsh(end)
+        if scale == 10.0:
+            assert floored and w[0] / w[-1] < 1.01 * learners.RELATIVE_EIG_FLOOR
+            assert phi(2.0) == np.inf  # past the floor: logdet is undefined
+        for t in (1e-8, 0.5, 1.0 - 1e-9, 1.0):
+            point = m + t * d
+            want = lsml_objective(point, ds, triplets, alpha)
+            # the smallest eigenvalue of m + t d, and with it logdet, is resolved
+            # only to about eps * cond(m) * cond(m + t d): at the floor, ~1e-6
+            resolution = alpha * 4 * eps * np.linalg.cond(m) * np.linalg.cond(point)
+            assert abs(phi(t) - want) <= 1e-12 * abs(want) + resolution
 
 
 # ---------------------------------------------------------------------------
@@ -570,24 +617,34 @@ def test_projection_count_is_at_most_one_per_iteration():
 
 
 def test_trace_counts_every_objective_and_gradient_call(monkeypatch):
-    engine = learners._projected_descent
+    engine = learners._spg
     logs = []
 
-    def counting(x0, fun, grad, project, opts):
-        log = {"values": [], "gradients": 0}
+    def counting(x0, local, project, opts):
+        # iterates: the value at each iterate; trials: (index of the iterate
+        # searched from, its value, <g, d>, t, phi(t)) for each trial
+        log = {"iterates": [], "trials": []}
 
-        def counted_fun(x):
-            log["values"].append(fun(x))
-            return log["values"][-1]
+        def counted_local(x):
+            f, g, along = local(x)
+            log["iterates"].append(f)
 
-        def counted_grad(x):
-            log["gradients"] += 1
-            return grad(x)
+            def counted_along(d):
+                phi = along(d)
+                slope = float(np.vdot(g, d))
+
+                def counted_phi(t):
+                    log["trials"].append((len(log["iterates"]) - 1, f, slope, t, phi(t)))
+                    return log["trials"][-1][-1]
+
+                return counted_phi
+
+            return f, g, counted_along
 
         logs.append(log)
-        return engine(x0, counted_fun, counted_grad, project, opts)
+        return engine(x0, counted_local, project, opts)
 
-    monkeypatch.setattr(learners, "_projected_descent", counting)
+    monkeypatch.setattr(learners, "_spg", counting)
     ds = make_dataset(np.random.default_rng(22), 50, 4)
     for name, fit, sign in (
         ("lsml", lambda: fit_lsml(ds, build_triplets(ds, 0.0), 0.01), 1.0),
@@ -597,17 +654,20 @@ def test_trace_counts_every_objective_and_gradient_call(monkeypatch):
     ):
         trace = fit()[1]
         log = logs[-1]
-        assert trace.evaluations == len(log["values"]), name
-        assert trace.gradients == log["gradients"], name
-        # a trial is accepted exactly when it improves on the last accepted value
-        accepted = log["values"][:1]
-        for value in log["values"][1:]:
-            if value < accepted[-1]:
-                accepted.append(value)
-        assert trace.objective_values == tuple(sign * v for v in accepted), name
-        assert trace.iterations == len(accepted), name
-        # one gradient per accepted step, plus one for a final line search that fails
-        assert trace.gradients in (trace.iterations - 1, trace.iterations), name
+        # each iterate costs one evaluation and one gradient, each trial one evaluation
+        assert trace.evaluations == len(log["iterates"]) + len(log["trials"]), name
+        assert trace.gradients == len(log["iterates"]), name
+        assert trace.objective_values == tuple(sign * v for v in log["iterates"]), name
+        assert trace.iterations == len(log["iterates"]), name
+        assert np.all(np.diff(log["iterates"]) < 0.0), name
+        # the last trial from each iterate but the final one is the accepted
+        # step, and it meets the Armijo rule; every earlier trial fails it
+        for k in range(len(log["iterates"]) - 1):
+            trials = [trial for trial in log["trials"] if trial[0] == k]
+            *rejected, (_, f, slope, t, value) = trials
+            assert value <= f + learners.ARMIJO * t * slope, name
+            for _, f, slope, t, value in rejected:
+                assert not value <= f + learners.ARMIJO * t * slope, name
 
 
 # ---------------------------------------------------------------------------
