@@ -32,6 +32,7 @@ from .core import (
     EvalReport,
     ExperimentConfig,
     LabeledDataset,
+    require_finite,
 )
 from .errors import ConfigurationError, FairmetricError, IngestionError, NumericalError
 from .evaluation import (
@@ -190,7 +191,10 @@ def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
     items = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not items:
         raise ConfigurationError(f"config [{section}] {key}: empty list")
-    return tuple(_typed(section, key, tok, float) for tok in items)
+    values = tuple(_typed(section, key, tok, float) for tok in items)
+    for value in values:
+        require_finite(f"config [{section}] {key}", value)
+    return values
 
 
 def _learner_names(raw: str) -> tuple[str, ...]:

@@ -268,6 +268,12 @@ class EvalReport:
         return self.cells.get((metric, loss))
 
 
+def require_finite(name: str, value: float) -> None:
+    """Reject nan and inf, which pass every range check: comparisons with nan are false."""
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """All knobs of the split/repeat protocol and the learners.
@@ -297,6 +303,9 @@ class ExperimentConfig:
     mmc_tol: float = 1e-6
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float):
+                require_finite(name, value)
         positive = {
             "train_size": self.train_size,
             "test_size": self.test_size,

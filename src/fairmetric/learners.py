@@ -21,12 +21,18 @@ Objectives (X is the training matrix, d_M the Mahalanobis distance):
 
   LSML   J(M) = alpha * (tr(M) - logdet(M) - d)
                + sum over triplets (a,b,c) of max(0, d_M(a,b) - d_M(a,c))^2,
-         minimized from M = I; the logdet anchors M at the identity prior.
+         where the logdet anchors M at the identity prior. Along the ray cI the
+         triplet distances scale by sqrt(c) and the prior is 0 at I, so
+         J(cI) = alpha d (c - log c - 1) + c J(I), least at
+             c* = alpha d / (alpha d + J(I)),
+         which lies in (0, 1] and is 1 when I violates no triplet. The
+         minimization starts at c* I, near the optimum's scale, not at I.
 
   LMNN   eps(M) = (1-mu) * sum over target pairs of d^2_M(i,j)
                 + mu * sum over (i,j,l), y_l != y_i, of
                        [1 + d^2_M(i,j) - d^2_M(i,l)]_+,
-         with target neighbors fixed under the Euclidean metric up front.
+         with target neighbors fixed under the Euclidean metric up front,
+         minimized from M = I.
 
   MMC    equal ratings make a similar pair (indicator S), unequal ones a
          dissimilar pair; no pair set is stored. With the Laplacian
@@ -38,8 +44,11 @@ Objectives (X is the training matrix, d_M the Mahalanobis distance):
          cap, projecting each step exactly onto the PSD cone cut by that cap
          (project_psd_cap); the diagonal form minimizes
              g(w) = <diag(w), X^T L(S) X> - log(sum_dis d_w)
-         over nonnegative axis weights. Either way the returned matrix is
-         rescaled so the dissimilar-distance sum equals 1.
+         over nonnegative axis weights. The full form starts at I, scaled
+         down onto the cap when I breaks it; the diagonal form at the
+         minimizer of g on the ray c 1, c = 1 / (2 tr(X^T L(S) X)), or at 1
+         when that trace is 0. Either way the returned matrix is rescaled so the
+         dissimilar-distance sum equals 1.
 """
 
 from __future__ import annotations
@@ -348,9 +357,14 @@ def fit_lsml(
         raise ConfigurationError(f"alpha must be > 0, got {alpha}")
     opts = opts or OptimizerOptions()
     vab, vac = _triplet_diffs(train, triplets)
-    m, trace = _spg(
-        np.eye(train.d), lambda m: _lsml_local(m, vab, vac, alpha), _clip_to_floored_cone, opts
-    )
+
+    def local(m):
+        return _lsml_local(m, vab, vac, alpha)
+
+    # start at c* I, the minimizer of J on the ray cI (see the module docstring)
+    prior_weight = alpha * train.d
+    start = prior_weight / (prior_weight + local(np.eye(train.d))[0])
+    m, trace = _spg(start * np.eye(train.d), local, _clip_to_floored_cone, opts)
     return _finalize_metric(m), trace
 
 
@@ -553,7 +567,11 @@ def _fit_mmc_diagonal(x, xs, dissimilar, opts: OptimizerOptions):
     def project(w):
         return np.maximum(w, 0.0), int(bool(np.any(w < 0.0)))
 
-    w, trace = _spg(np.ones(x.shape[1]), local, project, opts)
+    # g(c 1) = c tr(xs) - log(c) / 2 - log(sum_dis d_1) is least at c = 1 / (2 tr(xs)); at
+    # tr(xs) = 0 every similar pair has equal features and g has no minimum on the ray
+    similar_trace = float(sim_col.sum())
+    start = 0.5 / similar_trace if similar_trace > 0.0 else 1.0
+    w, trace = _spg(np.full(x.shape[1], start), local, project, opts)
     return np.diag(np.maximum(w, 0.0)), trace
 
 

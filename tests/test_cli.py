@@ -307,6 +307,14 @@ def test_every_config_field_is_read_from_its_key(tmp_path, field):
         ("experiment", "menu", ","),
         ("experiment", "menu", "euclidean, euclidean"),
         ("experiment", "menu", "euclidean, lsmll"),
+        ("learners", "alpha", "nan"),
+        ("learners", "alpha", "inf"),
+        ("experiment", "sigma_train", "nan"),
+        ("experiment", "sigma_test", "inf"),
+        ("learners", "lsml_tol", "nan"),
+        ("learners", "mmc_tol", "inf"),
+        ("sweep", "sigma_train_list", "0, nan"),
+        ("sweep", "sigma_test_list", "-inf, 2"),
     ],
 )
 def test_experiment_rejects_bad_config_values_with_exit_1(ingested, capsys, section, key, value):

@@ -142,6 +142,13 @@ def test_experiment_config_validation():
         {"lsml_tol": -1e-6},
         {"lmnn_tol": -1e-6},
         {"mmc_tol": -1e-6},
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+        {"sigma_train": float("nan")},
+        {"sigma_test": float("inf")},
+        {"lsml_tol": float("nan")},
+        {"lmnn_tol": float("inf")},
+        {"mmc_tol": float("nan")},
     ):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**bad)

@@ -327,6 +327,29 @@ def test_mmc_diagonal_converges_well_before_max_iter(seed):
     assert trace.iterations < 100
 
 
+@pytest.mark.parametrize("seed", [20, 24])
+def test_mmc_diagonal_starts_at_the_ray_minimizer(seed):
+    # g(c 1) = c tr(xs) - log(c) / 2 - log sum_dis d_1 is least at c = 1 / (2 tr(xs))
+    ds = make_dataset(np.random.default_rng(seed), 50, 4)
+    g = _mmc_pair_oracle(ds, "diagonal")[0]
+    pairs = build_pairs(ds)
+    vs = ds.features[pairs.similar[:, 0]] - ds.features[pairs.similar[:, 1]]
+    start = np.full(4, 0.5 / float((vs**2).sum()))
+    _, trace = fit_mmc(ds, "diagonal")
+    first = trace.objective_values[0]
+    assert abs(first - g(start)) <= 1e-12 * abs(first)
+    for c in (0.5, 0.9, 1.1, 2.0):
+        assert first <= g(c * start)
+
+
+def test_mmc_diagonal_starts_at_ones_when_similar_pairs_coincide():
+    # every similar pair has equal features: tr(xs) = 0 and g has no minimum on the ray
+    ds = toy([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [3.0, 1.0]], [1, 1, 2, 2, 3])
+    _, trace = fit_mmc(ds, "diagonal", OptimizerOptions(max_iter=2))
+    want = _mmc_pair_oracle(ds, "diagonal")[0](np.ones(2))
+    assert abs(trace.objective_values[0] - want) <= 1e-12 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # LSML
 
@@ -400,6 +423,23 @@ def test_lsml_metric_is_off_the_eigenvalue_floor(seed):
     w = np.linalg.eigvalsh(metric.matrix)
     assert trace.converged
     assert w[0] / w[-1] > 1e-3
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lsml_starts_at_the_ray_minimizer(seed):
+    # J(cI) = alpha d (c - log c - 1) + c J(I) is least at c* = alpha d / (alpha d + J(I)),
+    # which is about the optimum's scale: from I the fit takes 36-40 iterations here
+    ds = make_dataset(np.random.default_rng(seed), 30, 3)
+    triplets = build_triplets(ds, 0.0)
+    alpha = 0.01
+    start = alpha * 3 / (alpha * 3 + lsml_objective(np.eye(3), ds, triplets, alpha))
+    _, trace = fit_lsml(ds, triplets, alpha=alpha)
+    first = trace.objective_values[0]
+    assert first == lsml_objective(start * np.eye(3), ds, triplets, alpha)
+    for c in (0.5, 0.9, 1.1, 2.0):
+        assert first <= lsml_objective(c * start * np.eye(3), ds, triplets, alpha)
+    assert trace.converged
+    assert trace.iterations < 25
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,0 +1,174 @@
+"""Compare every iterative learner's fits between two fairmetric source trees.
+
+    python3 tools/fit_gate.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding a `fairmetric` package, such as
+the `src/` of two checkouts. The folds are `make_dataset(default_rng(seed), n,
+10)` of `tests/conftest.py` (labels drawn before features), for seeds 1-12 and
+n in {140, 420}. On each fold, each tree fits LSML on `sample_triplets(fold,
+0.0, 5000, seed, "literal")`, LMNN, MMC full and MMC diagonal, all with their
+defaults, in its own subprocess with one BLAS thread; the trees run one after
+the other.
+
+Prints one row per learner and n: the worst and best relative objective change
+(new - old) / |old| over the folds, + = worse; the unconverged fits; and the
+summed iterations, objective evaluations and fit time, old -> new. LSML and
+LMNN are scored by their objectives at the returned metric, and both MMC forms
+by the scale-invariant sum over similar pairs of d^2 over the squared sum over
+dissimilar pairs of d; all three are minimized. Exits 1 if any fit raises or
+a tree's run fails, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+import traceback
+from pathlib import Path
+
+import numpy as np
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SEEDS = range(1, 13)
+SIZES = (140, 420)
+DIM = 10
+TRIPLETS = 5000
+LEARNERS = ("lsml", "lmnn", "mmc_full", "mmc_diagonal")
+
+
+def _fold(seed: int, n: int):
+    from fairmetric.core import LabeledDataset, RatingScale
+
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(1, 6, size=n)  # the order of tests/conftest.py's make_dataset
+    return LabeledDataset(
+        features=rng.normal(size=(n, DIM)),
+        labels=labels,
+        scale=RatingScale(1, 5),
+        feature_names=tuple(f"f{i}" for i in range(DIM)),
+        source_tag="test",
+    )
+
+
+def _mmc_ratio(m: np.ndarray, ds) -> float:
+    """Similar-pair sum of d^2 over the squared dissimilar-pair sum of d: MMC's objective, free of scale."""
+    x = ds.features
+    g = x @ m @ x.T
+    s = np.diag(g)
+    d2 = np.maximum(s[:, None] + s[None, :] - 2.0 * g, 0.0)
+    same = ds.labels[:, None] == ds.labels[None, :]
+    upper = np.triu(np.ones_like(same), 1)
+    return float(d2[same & upper].sum()) / float(np.sqrt(d2[~same & upper]).sum()) ** 2
+
+
+def _fit(learner: str, ds, seed: int):
+    """Fit `learner` on `ds`; return its score at the returned metric, its trace and the fit time."""
+    from fairmetric import learners
+    from fairmetric.constraints import sample_triplets
+
+    triplets = sample_triplets(ds, 0.0, TRIPLETS, seed, "literal") if learner == "lsml" else None
+    start = time.perf_counter()
+    if learner == "lsml":
+        metric, trace = learners.fit_lsml(ds, triplets)
+    elif learner == "lmnn":
+        metric, trace = learners.fit_lmnn(ds)
+    else:
+        metric, trace = learners.fit_mmc(ds, learner.removeprefix("mmc_"))
+    elapsed = time.perf_counter() - start
+    m = metric.matrix
+    if learner == "lsml":
+        return learners.lsml_objective(m, ds, triplets, 0.01), trace, elapsed
+    if learner == "lmnn":
+        return learners.lmnn_objective(m, learners.lmnn_problem(ds, 3), 0.5), trace, elapsed
+    return _mmc_ratio(m, ds), trace, elapsed
+
+
+def worker() -> None:
+    """Fit every (learner, n, seed) with the fairmetric on sys.path; print one JSON record per fit."""
+    for learner in LEARNERS:
+        for n in SIZES:
+            for seed in SEEDS:
+                record = {"learner": learner, "n": n, "seed": seed}
+                try:
+                    objective, trace, elapsed = _fit(learner, _fold(seed, n), seed)
+                except Exception as exc:  # reported, and the gate fails
+                    traceback.print_exc()
+                    record["error"] = f"{type(exc).__name__}: {exc}"
+                else:
+                    record.update(
+                        objective=objective,
+                        converged=trace.converged,
+                        iterations=trace.iterations,
+                        evaluations=trace.evaluations,
+                        fit_s=elapsed,
+                    )
+                print(json.dumps(record), flush=True)
+
+
+def run_tree(src: Path) -> dict[tuple, dict] | None:
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_THREADS})
+    done = subprocess.run([sys.executable, __file__, "--worker"], env=env, capture_output=True, text=True)
+    sys.stderr.write(done.stderr)
+    if done.returncode != 0:
+        return None
+    records = [json.loads(line) for line in done.stdout.splitlines()]
+    return {(r["learner"], r["n"], r["seed"]): r for r in records}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    args = parser.parse_args(argv)
+    trees = {"old": args.old_src.resolve(), "new": args.new_src.resolve()}
+    for side, src in trees.items():
+        if not (src / "fairmetric" / "__init__.py").is_file():
+            parser.error(f"{side} source tree {src} holds no fairmetric package")
+    results = {}
+    for side, src in trees.items():
+        results[side] = run_tree(src)
+        if results[side] is None:
+            print(f"fit_gate: the {side} tree's run failed", file=sys.stderr)
+            return 1
+    old, new = results["old"], results["new"]
+    failed = [(side, key, r["error"]) for side, rs in results.items() for key, r in rs.items() if "error" in r]
+    for side, (learner, n, seed), error in failed:
+        print(f"fit_gate: {side} {learner} n={n} seed={seed} raised {error}", file=sys.stderr)
+
+    print(f"{len(SEEDS)} seeds per row; objective change (new - old) / |old|, + = worse")
+    header = ("learner", "n", "worst", "best", "unconverged", "iterations", "evaluations", "fit_s")
+    print("  ".join(f"{h:>13}" for h in header))
+    for learner in LEARNERS:
+        for n in SIZES:
+            keys = [(learner, n, seed) for seed in SEEDS]
+            if any("error" in old[k] or "error" in new[k] for k in keys):
+                print(f"{learner:>13}  {n:>13}  (a fit raised)")
+                continue
+            change = [(new[k]["objective"] - old[k]["objective"]) / abs(old[k]["objective"]) for k in keys]
+
+            def total(side, field):
+                return sum(side[k][field] for k in keys)
+
+            cells = (
+                learner,
+                n,
+                f"{max(change):+.2e}",
+                f"{min(change):+.2e}",
+                f"{sum(not old[k]['converged'] for k in keys)} -> {sum(not new[k]['converged'] for k in keys)}",
+                f"{total(old, 'iterations')} -> {total(new, 'iterations')}",
+                f"{total(old, 'evaluations')} -> {total(new, 'evaluations')}",
+                f"{total(old, 'fit_s'):.2f} -> {total(new, 'fit_s'):.2f}",
+            )
+            print("  ".join(f"{c:>13}" for c in cells))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        worker()
+    else:
+        sys.exit(main())
