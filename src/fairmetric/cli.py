@@ -194,6 +194,8 @@ def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
     values = tuple(_typed(section, key, tok, float) for tok in items)
     for value in values:
         require_finite(f"config [{section}] {key}", value)
+        if value < 0:
+            raise ConfigurationError(f"config [{section}] {key}: must be nonnegative, got {value}")
     return values
 
 
@@ -354,11 +356,14 @@ def _file_safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_")
 
 
-def _write_fitted_metrics(out_dir: Path, items) -> None:
-    for (repeat, name), metric in items:
-        path = out_dir / "metrics" / f"repeat_{repeat:02d}" / f"{_file_safe(name)}.txt"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_metric(metric, path)
+def _write_fitted_metrics(out_dir: Path, outcomes, names) -> None:
+    """Save each repeat's metric of every named menu entry whose fit succeeded."""
+    for outcome in outcomes:
+        repeat_dir = out_dir / "metrics" / f"repeat_{outcome.repeat:02d}"
+        for name in names:
+            if name in outcome.metrics:
+                repeat_dir.mkdir(parents=True, exist_ok=True)
+                save_metric(outcome.metrics[name], repeat_dir / f"{_file_safe(name)}.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +428,8 @@ def cmd_experiment(config_path, out_dir="out", overrides=None, threads=1) -> int
             raise NumericalError("every sweep cell is empty; no report produced")
         _write_csv(out_dir / "sweep.csv", sweep_csv_rows(result))
         _write_text(out_dir / "sweep.txt", render_sweep_text(result))
-        _write_fitted_metrics(out_dir, sorted(result.metrics.items()))
+        # the Euclidean column is no fit, so the sweep saves only the LSML metrics
+        _write_fitted_metrics(out_dir, result.outcomes, result.columns[1:])
         print(render_sweep_text(result), end="")
         return 0
     menu = build_learner_menu(spec.menu, spec.config)
@@ -432,11 +438,7 @@ def cmd_experiment(config_path, out_dir="out", overrides=None, threads=1) -> int
         raise NumericalError("every learner failed on every repeat; no report produced")
     _write_csv(out_dir / "report.csv", report_csv_rows(result.report))
     _write_text(out_dir / "report.txt", render_report_text(result.report))
-    items = []
-    for outcome in result.outcomes:
-        for name, metric in outcome.metrics.items():
-            items.append(((outcome.repeat, name), metric))
-    _write_fitted_metrics(out_dir, items)
+    _write_fitted_metrics(out_dir, result.outcomes, result.report.metric_names)
     print(render_report_text(result.report), end="")
     return 0
 
@@ -515,6 +517,8 @@ def main(argv=None) -> int:
             cmd_ingest(args.defendants, args.survey, args.schema, args.out_dir)
             return 0
         if args.command == "experiment":
+            if args.threads < 1:
+                parser.error(f"argument --threads: must be at least 1, got {args.threads}")
             overrides = {
                 "seed": args.seed,
                 "label_mode": args.label_mode,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRIPLET_VARIANTS, LabeledDataset, PairSets, TripletSet
+from .core import TRIPLET_VARIANTS, LabeledDataset, PairSets, TripletSet, require_finite
 from .errors import ConfigurationError
 
 DECODE_BLOCK = 1024  # sampled ranks decoded at once, bounding the (block, n) masks
@@ -54,6 +54,7 @@ def _valid_c(labels: np.ndarray, sigma: float, variant: str, a, b) -> np.ndarray
 def _triplet_labels(dataset: LabeledDataset, sigma: float, variant: str) -> np.ndarray:
     if dataset.n < 3:
         raise ConfigurationError(f"triplet construction needs n >= 3, got n={dataset.n}")
+    require_finite("sigma", sigma)
     if sigma < 0:
         raise ConfigurationError(f"sigma must be nonnegative, got {sigma}")
     if variant not in TRIPLET_VARIANTS:

@@ -5,7 +5,9 @@ train-fold statistics, build constraints on each fold with its own sigma, fit
 every learner on the train fold, and score each learned metric on the test fold
 with the triplet-violation loss and the two kNN losses. Repeats share splits
 across learners (paired comparison) and aggregate to mean and sample standard
-deviation.
+deviation. The sigma sweep runs the same repeat body, with one LSML menu entry
+per training sigma and one test-fold rule per test sigma, and scores only the
+triplet-violation loss.
 
 No triplet set is enumerated: training triplets are sampled by rank, the test
 set is kept as its rule and size, and the violation loss is counted per anchor
@@ -153,22 +155,23 @@ def knn_l2(metric: MahalanobisMetric, train: LabeledDataset, test: LabeledDatase
 
 @dataclass(frozen=True)
 class RepeatData:
-    """One repeat's folds and constraint sets (features already standardized).
+    """One repeat's folds (features already standardized) and the test fold's triplet rules.
 
-    `test_triplets` is None when the test fold has no triplets (or n < 3).
+    `test_rules` holds one rule per test sigma, or None where the test fold
+    has no triplet at that sigma (or n < 3).
     """
 
     repeat: int
     train: LabeledDataset
     test: LabeledDataset
-    train_triplets: TripletSet
-    test_triplets: TripletRule | None
+    test_rules: tuple[TripletRule | None, ...]
 
 
 @dataclass
 class RepeatOutcome:
     repeat: int
-    losses: dict[str, dict[str, float]] = field(default_factory=dict)
+    # entry name -> {loss name (figure1) or test sigma (sweep): loss}
+    losses: dict[str, dict] = field(default_factory=dict)
     metrics: dict[str, MahalanobisMetric] = field(default_factory=dict)
     traces: dict[str, OptimizerTrace | None] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
@@ -191,41 +194,35 @@ def split_indices(n: int, config: ExperimentConfig, repeat: int) -> tuple[np.nda
     return chosen[: config.train_size], chosen[config.train_size :]
 
 
-def prepare_fold(
-    dataset: LabeledDataset, config: ExperimentConfig, repeat: int, sigmas
-) -> tuple[LabeledDataset, LabeledDataset, list[TripletSet]]:
-    """Split, z-score both folds with train statistics, and sample train triplets per sigma."""
+def prepare_repeat(
+    dataset: LabeledDataset, config: ExperimentConfig, repeat: int, sigma_tests
+) -> RepeatData:
+    """Split, z-score both folds with train statistics, and describe the test triplets per sigma."""
     train_idx, test_idx = split_indices(dataset.n, config, repeat)
     train, stats = standardize(dataset.subset(train_idx))
     test, _ = standardize(dataset.subset(test_idx), stats)
-    triplets = [
-        sample_triplets(
-            train,
+    rules = []
+    for sigma in sigma_tests:
+        rule = describe_triplets(test, sigma, config.triplet_variant) if test.n >= 3 else None
+        rules.append(rule if rule is not None and rule.total else None)
+    return RepeatData(repeat=repeat, train=train, test=test, test_rules=tuple(rules))
+
+
+def _lsml_entry(config: ExperimentConfig, sigma: float):
+    """LSML on training triplets drawn at `sigma`; the draw's seed depends only on the repeat."""
+    opts = OptimizerOptions(max_iter=config.lsml_max_iter, tol=config.lsml_tol)
+
+    def fit(data: RepeatData):
+        triplets = sample_triplets(
+            data.train,
             sigma,
             config.triplet_subsample,
-            subseed(config.rng_seed, repeat, 1),
+            subseed(config.rng_seed, data.repeat, 1),
             config.triplet_variant,
         )
-        for sigma in sigmas
-    ]
-    return train, test, triplets
+        return fit_lsml(data.train, triplets, config.alpha, opts)
 
-
-def prepare_repeat(dataset: LabeledDataset, config: ExperimentConfig, repeat: int) -> RepeatData:
-    train, test, (train_triplets,) = prepare_fold(dataset, config, repeat, [config.sigma_train])
-    try:
-        test_triplets = describe_triplets(test, config.sigma_test, config.triplet_variant)
-    except ConfigurationError:
-        test_triplets = None
-    if test_triplets is not None and test_triplets.total == 0:
-        test_triplets = None
-    return RepeatData(
-        repeat=repeat,
-        train=train,
-        test=test,
-        train_triplets=train_triplets,
-        test_triplets=test_triplets,
-    )
+    return fit
 
 
 def _learner_entry(name: str, config: ExperimentConfig):
@@ -240,8 +237,7 @@ def _learner_entry(name: str, config: ExperimentConfig):
         opts = OptimizerOptions(max_iter=config.mmc_max_iter, tol=config.mmc_tol)
         return lambda data: fit_mmc(data.train, config.mmc_form, opts)
     if name == "lsml":
-        opts = OptimizerOptions(max_iter=config.lsml_max_iter, tol=config.lsml_tol)
-        return lambda data: fit_lsml(data.train, data.train_triplets, config.alpha, opts)
+        return _lsml_entry(config, config.sigma_train)
     raise ConfigurationError(f"unknown learner {name!r}")
 
 
@@ -252,21 +248,32 @@ def build_learner_menu(names, config: ExperimentConfig):
     return {name: _learner_entry(name, config) for name in names}
 
 
+def violation_losses(metric: MahalanobisMetric, data: RepeatData) -> dict[float, float]:
+    """Triplet-violation loss on the test fold at each test sigma that has a rule.
+
+    The fold's distance matrix is computed once and counted against every rule.
+    """
+    rules = [rule for rule in data.test_rules if rule is not None]
+    if not rules:
+        return {}
+    distances = fold_distances(metric, data.test)
+    return {rule.sigma: counted_violation_loss(distances, rule) for rule in rules}
+
+
 def score_metric(
     metric: MahalanobisMetric, data: RepeatData, k: int
 ) -> dict[str, float]:
-    losses: dict[str, float] = {}
-    if data.test_triplets is not None:
-        distances = fold_distances(metric, data.test)
-        losses[LOSS_TRIPLET] = counted_violation_loss(distances, data.test_triplets)
+    # figure1 describes one test sigma, so there is at most one violation loss
+    losses = {LOSS_TRIPLET: loss for loss in violation_losses(metric, data).values()}
     errors = _knn_errors(metric, data.train, data.test, k)
     losses[LOSS_KNN_L1] = float(np.mean(np.abs(errors)))
     losses[LOSS_KNN_L2] = float(np.mean(np.square(errors)))
     return losses
 
 
-def _run_one_repeat(dataset, config, menu, repeat) -> RepeatOutcome:
-    data = prepare_repeat(dataset, config, repeat)
+def _run_one_repeat(dataset, config, menu, sigma_tests, score, repeat) -> RepeatOutcome:
+    """Fit and score every menu entry on one repeat; a FairmetricError is that entry's failure."""
+    data = prepare_repeat(dataset, config, repeat, sigma_tests)
     outcome = RepeatOutcome(repeat=repeat)
     for name, fit in menu.items():
         try:
@@ -274,7 +281,7 @@ def _run_one_repeat(dataset, config, menu, repeat) -> RepeatOutcome:
             metric, trace = fitted if isinstance(fitted, tuple) else (fitted, None)
             outcome.metrics[name] = metric
             outcome.traces[name] = trace
-            outcome.losses[name] = score_metric(metric, data, config.k_neighbors)
+            outcome.losses[name] = score(metric, data)
         except FairmetricError as exc:
             outcome.failures[name] = str(exc)
     return outcome
@@ -319,8 +326,14 @@ def run_experiment_detailed(
     threads: int = 1,
 ) -> ExperimentResult:
     menu = learner_menu if learner_menu is not None else build_learner_menu(DEFAULT_MENU, config)
+
+    def score(metric, data):
+        return score_metric(metric, data, config.k_neighbors)
+
     outcomes = _map_repeats(
-        lambda r: _run_one_repeat(dataset, config, menu, r), config.n_repeats, threads
+        lambda r: _run_one_repeat(dataset, config, menu, (config.sigma_test,), score, r),
+        config.n_repeats,
+        threads,
     )
     cells = aggregate_cells(outcomes, tuple(menu))
     report = EvalReport(
@@ -352,13 +365,13 @@ def run_experiment(
 
 @dataclass
 class SweepResult:
-    """Cells are None where no repeat had a test triplet at that sigma."""
+    """Cells are None where no repeat scored them: no test triplet there, or every fit failed."""
 
     sigma_test_values: tuple[float, ...]
     columns: tuple[str, ...]
     cells: dict[tuple[float, str], CellStats | None]
     provenance: dict[str, str]
-    metrics: dict[tuple[int, str], MahalanobisMetric]
+    outcomes: list[RepeatOutcome]
 
 
 def lsml_column_name(sigma: float) -> str:
@@ -382,41 +395,18 @@ def sigma_sweep(
     if not sigma_train_list or not sigma_test_list:
         raise ConfigurationError("sigma sweep needs nonempty train and test sigma lists")
     columns = ("euclidean",) + tuple(lsml_column_name(s) for s in sigma_train_list)
-
-    def run_repeat(repeat: int):
-        train, test, triplet_sets = prepare_fold(dataset, config, repeat, sigma_train_list)
-        fitted: dict[str, MahalanobisMetric] = {"euclidean": euclidean_baseline(train.d)}
-        opts = OptimizerOptions(max_iter=config.lsml_max_iter, tol=config.lsml_tol)
-        for sigma, triplets in zip(sigma_train_list, triplet_sets):
-            metric, _ = fit_lsml(train, triplets, config.alpha, opts)
-            fitted[lsml_column_name(sigma)] = metric
-        rules = [describe_triplets(test, s, config.triplet_variant) for s in sigma_test_list]
-        losses: dict[tuple[float, str], float] = {}
-        for name, metric in fitted.items():
-            distances = fold_distances(metric, test)
-            for sigma_t, rule in zip(sigma_test_list, rules):
-                if rule.total:
-                    losses[(sigma_t, name)] = counted_violation_loss(distances, rule)
-        return repeat, fitted, losses
-
-    results = _map_repeats(run_repeat, config.n_repeats, threads)
-    metrics = {
-        (repeat, name): metric
-        for repeat, fitted, _ in results
-        for name, metric in fitted.items()
-        if name != "euclidean"
-    }
-    cells = {
-        (sigma_t, name): _cell_stats(
-            [losses[(sigma_t, name)] for _, _, losses in results if (sigma_t, name) in losses]
-        )
-        for sigma_t in sigma_test_list
-        for name in columns
-    }
+    menu = build_learner_menu(("euclidean",), config)
+    menu.update({lsml_column_name(s): _lsml_entry(config, s) for s in sigma_train_list})
+    outcomes = _map_repeats(
+        lambda r: _run_one_repeat(dataset, config, menu, sigma_test_list, violation_losses, r),
+        config.n_repeats,
+        threads,
+    )
+    cells = aggregate_cells(outcomes, columns, sigma_test_list)
     return SweepResult(
         sigma_test_values=tuple(sigma_test_list),
         columns=columns,
-        cells=cells,
+        cells={(t, name): cells.get((name, t)) for t in sigma_test_list for name in columns},
         provenance={
             "label_source": dataset.source_tag,
             "triplet_variant": config.triplet_variant,
@@ -424,5 +414,5 @@ def sigma_sweep(
             "loss": LOSS_TRIPLET,
             "dispersion": "sample standard deviation",
         },
-        metrics=metrics,
+        outcomes=outcomes,
     )

@@ -251,6 +251,41 @@ def test_experiment_threads_flag_is_deterministic(ingested):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_experiment_rejects_threads_below_1(ingested, capsys, threads):
+    tmp_path, out, _ = ingested
+    cfg = write_config(tmp_path / "exp.ini", out)
+    argv = ["experiment", "--config", str(cfg), "--threads", threads, "--out-dir", str(tmp_path / "run")]
+    assert main(argv) == 1
+    assert "usage: argument --threads" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def _sweep_rows(run_dir):
+    lines = (run_dir / "sweep.csv").read_text().splitlines()
+    return {tuple(line.split(",")[:2]): line for line in lines[1:]}
+
+
+def test_experiment_sweep_records_a_failed_column_as_na(ingested):
+    # deciles run 1-10, so no training triplet has S_b + 9 < S_c: LSML(sigma=9) cannot fit
+    tmp_path, out, _ = ingested
+    cfg = write_config(tmp_path / "exp.ini", out, mode="sweep")
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "one")]) == 0
+    text = cfg.read_text().replace("sigma_train_list = 0\n", "sigma_train_list = 0, 9\n")
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "two")]) == 0
+    one, two = _sweep_rows(tmp_path / "one"), _sweep_rows(tmp_path / "two")
+    for sigma_t in ("0", "2"):
+        assert two[(sigma_t, "lsml(sigma=9)")] == f"{sigma_t},lsml(sigma=9),,,0"
+    assert {key: row for key, row in two.items() if key[1] != "lsml(sigma=9)"} == one
+    assert "N/A" in (tmp_path / "two" / "sweep.txt").read_text()
+    for repeat_dir in ("repeat_00", "repeat_01"):
+        files = sorted(p.name for p in (tmp_path / "two" / "metrics" / repeat_dir).iterdir())
+        assert files == ["lsml_sigma_0.txt"]
+        name = f"metrics/{repeat_dir}/lsml_sigma_0.txt"
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 def test_experiment_missing_config_exits_1(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "none.ini")]) == 1
 
@@ -315,6 +350,8 @@ def test_every_config_field_is_read_from_its_key(tmp_path, field):
         ("learners", "mmc_tol", "inf"),
         ("sweep", "sigma_train_list", "0, nan"),
         ("sweep", "sigma_test_list", "-inf, 2"),
+        ("sweep", "sigma_train_list", "-1, 2"),
+        ("sweep", "sigma_test_list", "-1, 2"),
     ],
 )
 def test_experiment_rejects_bad_config_values_with_exit_1(ingested, capsys, section, key, value):
@@ -378,6 +415,16 @@ def test_dump_triplets(ingested, tmp_path):
     lines = dest.read_text().splitlines()
     assert lines[0] == "a,b,c"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_dump_triplets_rejects_a_sigma_that_is_not_finite(ingested, tmp_path, capsys, sigma):
+    _, out, _ = ingested
+    dest = tmp_path / "triplets.csv"
+    argv = ["dump-triplets", "--data", str(out / "defendants_encoded.csv"), "--sigma", sigma]
+    assert main(argv + ["--out", str(dest)]) == 1
+    assert "sigma must be finite" in capsys.readouterr().err
+    assert not dest.exists()
 
 
 def test_dump_triplets_streams_the_canonical_set(tmp_path):

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fairmetric.constraints import build_triplets, describe_triplets
+from fairmetric.constraints import build_triplets, describe_triplets, sample_triplets
 from fairmetric.core import (
     LOSS_KNN_L1,
     LOSS_KNN_L2,
@@ -12,6 +13,7 @@ from fairmetric.core import (
     ExperimentConfig,
     MahalanobisMetric,
     TripletSet,
+    subseed,
 )
 from fairmetric.errors import ConfigurationError, EvaluationError
 from fairmetric.evaluation import (
@@ -135,7 +137,7 @@ def test_triplet_cell_absent_without_test_triplets():
     assert report.cell("euclidean", LOSS_KNN_L1) is not None
     flat = toy(ds.features, np.full(ds.n, 3), scale=(1, 5))  # one label: an empty set
     cfg = small_config()
-    assert prepare_repeat(flat, cfg, 0).test_triplets is None
+    assert prepare_repeat(flat, cfg, 0, (cfg.sigma_test,)).test_rules == (None,)
     report = run_experiment(cfg, flat, build_learner_menu(menu, cfg))
     assert report.cell("euclidean", LOSS_TRIPLET) is None
     assert report.cell("euclidean", LOSS_KNN_L2) is not None
@@ -143,16 +145,19 @@ def test_triplet_cell_absent_without_test_triplets():
 
 def test_prepare_repeat_memory_stays_quadratic():
     # 420 training rows with labels 1-5 hold about 12M literal triplets (~600 MB
-    # if enumerated); the sampler and the test-fold description need a few MB.
+    # if enumerated); the test-fold description and LSML's draw need a few MB.
     ds = make_dataset(np.random.default_rng(16), 600, 10)
     cfg = ExperimentConfig(train_size=420, test_size=180)
     tracemalloc.start()
     try:
-        data = prepare_repeat(ds, cfg, 0)
+        data = prepare_repeat(ds, cfg, 0, (cfg.sigma_test,))
+        seed = subseed(cfg.rng_seed, data.repeat, 1)  # the LSML menu entry's draw
+        triplets = sample_triplets(data.train, cfg.sigma_train, cfg.triplet_subsample, seed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(data.train_triplets) == cfg.triplet_subsample
+    assert data.test_rules[0].total > 0
+    assert len(triplets) == cfg.triplet_subsample
     assert peak < 64 * 2**20
 
 
@@ -327,6 +332,10 @@ def test_threaded_experiment_matches_sequential():
     par = run_experiment_detailed(cfg, ds, build_learner_menu(menu_names, cfg), threads=3)
     for key in seq.report.cells:
         assert seq.report.cells[key] == par.report.cells[key]
+    seq = sigma_sweep(cfg, ds, [0.0, 2.0], [0.0, 2.0], threads=1)
+    par = sigma_sweep(cfg, ds, [0.0, 2.0], [0.0, 2.0], threads=3)
+    assert seq.cells == par.cells
+    assert any(cell is not None for cell in seq.cells.values())
 
 
 def test_paired_splits_across_learners():
@@ -404,3 +413,18 @@ def test_sigma_sweep_marks_unreachable_rows_missing():
     cfg = small_config(n_repeats=2, triplet_subsample=100)
     sweep = sigma_sweep(cfg, ds, [0.0], [50.0])
     assert sweep.cells[(50.0, "euclidean")] is None
+
+
+def test_sigma_sweep_cells_equal_figure1_cells():
+    # each sweep column is figure1's learner trained at its sigma, scored at sigma_t
+    rng = np.random.default_rng(11)
+    ds = make_dataset(rng, 70, 3, scale=(1, 10))
+    cfg = small_config(n_repeats=2, triplet_subsample=300)
+    sweep = sigma_sweep(cfg, ds, [0.0, 2.0], [0.0, 2.0])
+    for sigma in (0.0, 2.0):
+        for sigma_t in (0.0, 2.0):
+            one = replace(cfg, sigma_train=sigma, sigma_test=sigma_t)
+            report = run_experiment(one, ds, build_learner_menu(("euclidean", "lsml"), one))
+            lsml = sweep.cells[(sigma_t, f"lsml(sigma={sigma:g})")]
+            assert lsml is not None and lsml == report.cell("lsml", LOSS_TRIPLET)
+            assert sweep.cells[(sigma_t, "euclidean")] == report.cell("euclidean", LOSS_TRIPLET)
