@@ -17,6 +17,7 @@ import argparse
 import configparser
 import csv
 import itertools
+import math
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -28,7 +29,6 @@ from .constraints import describe_triplets, triplet_blocks
 from .core import (
     COMPAS_SCALE,
     TRIPLET_VARIANTS,
-    CellStats,
     EvalReport,
     ExperimentConfig,
     LabeledDataset,
@@ -37,8 +37,8 @@ from .core import (
 from .errors import ConfigurationError, FairmetricError, IngestionError, NumericalError
 from .evaluation import (
     DEFAULT_MENU,
-    SweepResult,
     build_learner_menu,
+    require_distinct_sigmas,
     run_experiment_detailed,
     sigma_sweep,
 )
@@ -95,18 +95,25 @@ def load_encoded_defendants(path) -> LabeledDataset:
                 f"{ENCODED_ID!r}, {ENCODED_LABEL!r}; run the ingest command first)"
             )
         names = header[2:]
-        ids: list[str] = []
+        ids: dict[str, None] = {}  # insertion-ordered, with O(1) membership
         labels: list[int] = []
         feats: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise IngestionError(f"{path}: row {lineno}: expected {len(header)} cells")
-            ids.append(row[0])
+            if row[0] in ids:
+                raise IngestionError(f"{path}: row {lineno}: duplicate id {row[0]!r}")
+            ids[row[0]] = None
             try:
                 labels.append(int(row[1]))
                 feats.append([float(v) for v in row[2:]])
             except ValueError:
                 raise IngestionError(f"{path}: row {lineno}: unparseable numeric cell") from None
+            if not COMPAS_SCALE.contains(labels[-1]):
+                raise IngestionError(f"{path}: row {lineno}: label {labels[-1]} outside 1-10")
+            if not all(map(math.isfinite, feats[-1])):
+                name = next(n for n, v in zip(names, feats[-1]) if not math.isfinite(v))
+                raise IngestionError(f"{path}: row {lineno}, column {name!r}: not a finite number")
     if len(feats) < 2:
         raise IngestionError(f"{path}: need at least 2 rows")
     return LabeledDataset(
@@ -196,6 +203,7 @@ def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
         require_finite(f"config [{section}] {key}", value)
         if value < 0:
             raise ConfigurationError(f"config [{section}] {key}: must be nonnegative, got {value}")
+    require_distinct_sigmas(f"config [{section}] {key}", values)
     return values
 
 
@@ -297,58 +305,56 @@ def _load_run_dataset(spec: RunSpec) -> LabeledDataset:
 # Report rendering
 
 
-def _fmt_cell(cell: CellStats | None) -> str:
-    if cell is None:
-        return "N/A"
-    return f"{cell.mean:.4f} ± {cell.std:.4f}"
+@dataclass(frozen=True)
+class ReportLayout:
+    """How one mode's `EvalReport` reads in its <stem>.txt and <stem>.csv files."""
+
+    stem: str
+    title: str
+    corner: str  # the text table's row-label header
+    label_width: int
+    cell_width: int
+    row_format: str  # str.format pattern of a row label, in both files
+    csv_header: tuple[str, ...]
+    unsaved: tuple[str, ...] = ()  # menu entries that get no metric file
 
 
-def _stat_fields(cell: CellStats | None) -> list[str]:
-    """The mean, std and n_repeats fields of a report or sweep CSV row."""
-    if cell is None:
-        return ["", "", "0"]
-    return [repr(cell.mean), repr(cell.std), str(cell.n_repeats)]
+LAYOUTS = {
+    "figure1": ReportLayout(
+        "report", "per-loss mean ± sample standard deviation over repeats", "metric", 12, 24,
+        "{}", ("metric", "loss", "mean", "std", "n_repeats"),
+    ),
+    "sweep": ReportLayout(
+        "sweep", "triplet-violation loss, mean ± sample standard deviation over repeats",
+        "sigma_t", 10, 22, "{:g}", ("sigma_test", "metric", "mean", "std", "n_repeats"),
+        unsaved=("euclidean",),  # the reference column is no fit
+    ),
+}
 
 
-def render_report_text(report: EvalReport) -> str:
-    width = 24
-    lines = ["per-loss mean ± sample standard deviation over repeats", ""]
-    lines.append("metric".ljust(12) + "".join(name.rjust(width) for name in report.loss_names))
-    for metric in report.metric_names:
-        cells = [_fmt_cell(report.cell(metric, loss)) for loss in report.loss_names]
-        lines.append(metric.ljust(12) + "".join(c.rjust(width) for c in cells))
+def render_report_text(report: EvalReport, layout: ReportLayout) -> str:
+    lines = [layout.title, ""]
+    header = [c.rjust(layout.cell_width) for c in report.columns]
+    lines.append(layout.corner.ljust(layout.label_width) + "".join(header))
+    for row in report.rows:
+        cells = [report.cell(row, col) for col in report.columns]
+        text = ["N/A" if c is None else f"{c.mean:.4f} ± {c.std:.4f}" for c in cells]
+        label = layout.row_format.format(row).ljust(layout.label_width)
+        lines.append(label + "".join(t.rjust(layout.cell_width) for t in text))
     lines.append("")
     for key in sorted(report.provenance):
         lines.append(f"{key}: {report.provenance[key]}")
     return "\n".join(lines) + "\n"
 
 
-def report_csv_rows(report: EvalReport) -> list[list[str]]:
-    rows = [["metric", "loss", "mean", "std", "n_repeats"]]
-    for metric in report.metric_names:
-        for loss in report.loss_names:
-            rows.append([metric, loss, *_stat_fields(report.cell(metric, loss))])
-    return rows
-
-
-def render_sweep_text(result: SweepResult) -> str:
-    width = 22
-    lines = ["triplet-violation loss, mean ± sample standard deviation over repeats", ""]
-    lines.append("sigma_t".ljust(10) + "".join(c.rjust(width) for c in result.columns))
-    for sigma_t in result.sigma_test_values:
-        cells = [_fmt_cell(result.cells[(sigma_t, name)]) for name in result.columns]
-        lines.append(f"{sigma_t:g}".ljust(10) + "".join(c.rjust(width) for c in cells))
-    lines.append("")
-    for key in sorted(result.provenance):
-        lines.append(f"{key}: {result.provenance[key]}")
-    return "\n".join(lines) + "\n"
-
-
-def sweep_csv_rows(result: SweepResult) -> list[list[str]]:
-    rows = [["sigma_test", "metric", "mean", "std", "n_repeats"]]
-    for sigma_t in result.sigma_test_values:
-        for name in result.columns:
-            rows.append([f"{sigma_t:g}", name, *_stat_fields(result.cells[(sigma_t, name)])])
+def report_csv_rows(report: EvalReport, layout: ReportLayout) -> list[list[str]]:
+    rows = [list(layout.csv_header)]
+    for row in report.rows:
+        label = layout.row_format.format(row)
+        for col in report.columns:
+            c = report.cell(row, col)
+            stats = ["", "", "0"] if c is None else [repr(c.mean), repr(c.std), str(c.n_repeats)]
+            rows.append([label, col, *stats])
     return rows
 
 
@@ -356,14 +362,14 @@ def _file_safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_")
 
 
-def _write_fitted_metrics(out_dir: Path, outcomes, names) -> None:
-    """Save each repeat's metric of every named menu entry whose fit succeeded."""
+def _write_fitted_metrics(out_dir: Path, outcomes, unsaved) -> None:
+    """Save each repeat's metric of every menu entry whose fit succeeded, except those `unsaved`."""
     for outcome in outcomes:
         repeat_dir = out_dir / "metrics" / f"repeat_{outcome.repeat:02d}"
-        for name in names:
-            if name in outcome.metrics:
+        for name, metric in outcome.metrics.items():
+            if name not in unsaved:
                 repeat_dir.mkdir(parents=True, exist_ok=True)
-                save_metric(outcome.metrics[name], repeat_dir / f"{_file_safe(name)}.txt")
+                save_metric(metric, repeat_dir / f"{_file_safe(name)}.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -419,27 +425,22 @@ def cmd_ingest(defendants_path, survey_path, schema_path, out_dir) -> dict:
 def cmd_experiment(config_path, out_dir="out", overrides=None, threads=1) -> int:
     spec = read_run_spec(config_path, overrides)
     dataset = _load_run_dataset(spec)
-    out_dir = Path(out_dir)
     if spec.mode == "sweep":
-        result = sigma_sweep(
+        report = sigma_sweep(
             spec.config, dataset, spec.sigma_train_list, spec.sigma_test_list, threads=threads
         )
-        if all(cell is None for cell in result.cells.values()):
-            raise NumericalError("every sweep cell is empty; no report produced")
-        _write_csv(out_dir / "sweep.csv", sweep_csv_rows(result))
-        _write_text(out_dir / "sweep.txt", render_sweep_text(result))
-        # the Euclidean column is no fit, so the sweep saves only the LSML metrics
-        _write_fitted_metrics(out_dir, result.outcomes, result.columns[1:])
-        print(render_sweep_text(result), end="")
-        return 0
-    menu = build_learner_menu(spec.menu, spec.config)
-    result = run_experiment_detailed(spec.config, dataset, menu, threads=threads)
-    if not result.report.cells:
-        raise NumericalError("every learner failed on every repeat; no report produced")
-    _write_csv(out_dir / "report.csv", report_csv_rows(result.report))
-    _write_text(out_dir / "report.txt", render_report_text(result.report))
-    _write_fitted_metrics(out_dir, result.outcomes, result.report.metric_names)
-    print(render_report_text(result.report), end="")
+    else:
+        menu = build_learner_menu(spec.menu, spec.config)
+        report = run_experiment_detailed(spec.config, dataset, menu, threads=threads)
+    if all(cell is None for cell in report.cells.values()):
+        raise NumericalError("every report cell is empty; no report produced")
+    layout = LAYOUTS[spec.mode]
+    out_dir = Path(out_dir)
+    text = render_report_text(report, layout)
+    _write_csv(out_dir / f"{layout.stem}.csv", report_csv_rows(report, layout))
+    _write_text(out_dir / f"{layout.stem}.txt", text)
+    _write_fitted_metrics(out_dir, report.outcomes, layout.unsaved)
+    print(text, end="")
     return 0
 
 

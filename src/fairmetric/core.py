@@ -248,24 +248,32 @@ LOSS_NAMES = (LOSS_TRIPLET, LOSS_KNN_L1, LOSS_KNN_L2)
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per (metric, loss) aggregate over repeats. Missing cells mean the learner failed."""
+    """Grid of per-cell aggregates over repeats, plus one `evaluation.RepeatOutcome` per repeat.
 
-    cells: dict[tuple[str, str], CellStats]
-    metric_names: tuple[str, ...]
-    loss_names: tuple[str, ...] = LOSS_NAMES
+    figure1: menu entries x losses. Sweep: test sigmas x menu entries, each cell
+    the loss `provenance["loss"]`. A cell is None where no repeat scored it.
+    """
+
+    cells: dict[tuple, CellStats | None]
+    rows: tuple
+    columns: tuple
     provenance: dict[str, str] = field(default_factory=dict)
+    outcomes: list = field(default_factory=list)
 
     def __post_init__(self):
-        for (metric, loss), cell in self.cells.items():
+        for (row, column), cell in self.cells.items():
+            if cell is None:
+                continue
+            loss = column if column in LOSS_NAMES else self.provenance.get("loss")
             if loss == LOSS_TRIPLET and not (0.0 <= cell.mean <= 1.0):
                 raise InvariantError(
-                    f"triplet loss mean {cell.mean} for {metric!r} outside [0, 1]"
+                    f"triplet loss mean {cell.mean} at ({row!r}, {column!r}) outside [0, 1]"
                 )
             if loss in (LOSS_KNN_L1, LOSS_KNN_L2) and cell.mean < 0:
-                raise InvariantError(f"kNN loss mean {cell.mean} for {metric!r} negative")
+                raise InvariantError(f"kNN loss mean {cell.mean} at ({row!r}, {column!r}) negative")
 
-    def cell(self, metric: str, loss: str) -> CellStats | None:
-        return self.cells.get((metric, loss))
+    def cell(self, row, column) -> CellStats | None:
+        return self.cells.get((row, column))
 
 
 def require_finite(name: str, value: float) -> None:

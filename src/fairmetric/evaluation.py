@@ -7,7 +7,9 @@ with the triplet-violation loss and the two kNN losses. Repeats share splits
 across learners (paired comparison) and aggregate to mean and sample standard
 deviation. The sigma sweep runs the same repeat body, with one LSML menu entry
 per training sigma and one test-fold rule per test sigma, and scores only the
-triplet-violation loss.
+triplet-violation loss. `run_experiment` and `sigma_sweep` both return one
+`EvalReport`: the grid of cells, its provenance, and per repeat each fit's
+metric, optimizer trace and failure reason.
 
 No triplet set is enumerated: training triplets are sampled by rank, the test
 set is kept as its rule and size, and the violation loss is counted per anchor
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -177,12 +180,6 @@ class RepeatOutcome:
     failures: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
-class ExperimentResult:
-    report: EvalReport
-    outcomes: list[RepeatOutcome]
-
-
 def split_indices(n: int, config: ExperimentConfig, repeat: int) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint train/test row indices for one repeat, derived from the root seed."""
     if config.train_size + config.test_size > n:
@@ -277,8 +274,7 @@ def _run_one_repeat(dataset, config, menu, sigma_tests, score, repeat) -> Repeat
     outcome = RepeatOutcome(repeat=repeat)
     for name, fit in menu.items():
         try:
-            fitted = fit(data)
-            metric, trace = fitted if isinstance(fitted, tuple) else (fitted, None)
+            metric, trace = fit(data)
             outcome.metrics[name] = metric
             outcome.traces[name] = trace
             outcome.losses[name] = score(metric, data)
@@ -296,18 +292,15 @@ def _cell_stats(values) -> CellStats | None:
     return CellStats(float(arr.mean()), std, arr.size)
 
 
-def aggregate_cells(
-    outcomes: list[RepeatOutcome], metric_names, loss_names=LOSS_NAMES
-) -> dict[tuple[str, str], CellStats]:
-    cells: dict[tuple[str, str], CellStats] = {}
-    for metric in metric_names:
-        for loss in loss_names:
-            cell = _cell_stats(
-                [o.losses[metric][loss] for o in outcomes if loss in o.losses.get(metric, {})]
-            )
-            if cell is not None:
-                cells[(metric, loss)] = cell
-    return cells
+def aggregate_cells(outcomes: list[RepeatOutcome], entries, keys) -> dict[tuple, CellStats | None]:
+    """(entry, key) -> `_cell_stats` of `losses[entry][key]` over the repeats that scored it."""
+    return {
+        (entry, key): _cell_stats(
+            [o.losses[entry][key] for o in outcomes if key in o.losses.get(entry, {})]
+        )
+        for entry in entries
+        for key in keys
+    }
 
 
 def _map_repeats(fn, n_repeats: int, threads: int) -> list:
@@ -319,27 +312,28 @@ def _map_repeats(fn, n_repeats: int, threads: int) -> list:
     return [fn(r) for r in range(n_repeats)]
 
 
-def run_experiment_detailed(
+def run_experiment(
     config: ExperimentConfig,
     dataset: LabeledDataset,
     learner_menu=None,
     threads: int = 1,
-) -> ExperimentResult:
+) -> EvalReport:
+    """Run the split/repeat protocol into a report of menu entries x losses.
+
+    `learner_menu` (default: every learner) maps each name to a function of a
+    `RepeatData` that returns `(metric, OptimizerTrace or None)`.
+    """
     menu = learner_menu if learner_menu is not None else build_learner_menu(DEFAULT_MENU, config)
-
-    def score(metric, data):
-        return score_metric(metric, data, config.k_neighbors)
-
+    score = partial(score_metric, k=config.k_neighbors)
     outcomes = _map_repeats(
         lambda r: _run_one_repeat(dataset, config, menu, (config.sigma_test,), score, r),
         config.n_repeats,
         threads,
     )
-    cells = aggregate_cells(outcomes, tuple(menu))
-    report = EvalReport(
-        cells=cells,
-        metric_names=tuple(menu),
-        loss_names=LOSS_NAMES,
+    return EvalReport(
+        cells=aggregate_cells(outcomes, tuple(menu), LOSS_NAMES),
+        rows=tuple(menu),
+        columns=LOSS_NAMES,
         provenance={
             "label_source": dataset.source_tag,
             "triplet_variant": config.triplet_variant,
@@ -348,34 +342,26 @@ def run_experiment_detailed(
             "seed": repr(config.rng_seed),
             "dispersion": "sample standard deviation",
         },
+        outcomes=outcomes,
     )
-    return ExperimentResult(report=report, outcomes=outcomes)
 
 
-def run_experiment(
-    config: ExperimentConfig, dataset: LabeledDataset, learner_menu=None
-) -> EvalReport:
-    """Run the full split/repeat protocol and aggregate per (metric, loss)."""
-    return run_experiment_detailed(config, dataset, learner_menu).report
+run_experiment_detailed = run_experiment  # the name the CLI calls, which the benchmark traces
 
 
 # ---------------------------------------------------------------------------
 # Sigma sweep (train-threshold columns vs test-threshold rows)
 
 
-@dataclass
-class SweepResult:
-    """Cells are None where no repeat scored them: no test triplet there, or every fit failed."""
-
-    sigma_test_values: tuple[float, ...]
-    columns: tuple[str, ...]
-    cells: dict[tuple[float, str], CellStats | None]
-    provenance: dict[str, str]
-    outcomes: list[RepeatOutcome]
-
-
 def lsml_column_name(sigma: float) -> str:
     return f"lsml(sigma={sigma:g})"
+
+
+def require_distinct_sigmas(name: str, sigmas) -> None:
+    """Reject sigmas that repeat, or read alike in the `:g` names of sweep rows and columns."""
+    labels = [f"{s:g}" for s in sigmas]
+    if len(set(labels)) < len(labels) or len(set(sigmas)) < len(labels):
+        raise ConfigurationError(f"{name}: entries must differ in 6 significant digits: {sigmas}")
 
 
 def sigma_sweep(
@@ -384,16 +370,19 @@ def sigma_sweep(
     sigma_train_list,
     sigma_test_list,
     threads: int = 1,
-) -> SweepResult:
+) -> EvalReport:
     """Triplet-violation loss of Euclidean vs LSML(sigma) across test thresholds.
 
-    All cells of one repeat share the same split, so columns are paired; the
-    Euclidean column varies only through the test-side triplet sets.
+    Rows are test sigmas, columns `euclidean` and one LSML entry per training
+    sigma. All cells of one repeat share the same split, so columns are paired;
+    the Euclidean column varies only through the test-side triplet sets.
     """
     sigma_train_list = [float(s) for s in sigma_train_list]
     sigma_test_list = [float(s) for s in sigma_test_list]
     if not sigma_train_list or not sigma_test_list:
         raise ConfigurationError("sigma sweep needs nonempty train and test sigma lists")
+    require_distinct_sigmas("sigma_train_list", sigma_train_list)
+    require_distinct_sigmas("sigma_test_list", sigma_test_list)
     columns = ("euclidean",) + tuple(lsml_column_name(s) for s in sigma_train_list)
     menu = build_learner_menu(("euclidean",), config)
     menu.update({lsml_column_name(s): _lsml_entry(config, s) for s in sigma_train_list})
@@ -403,10 +392,10 @@ def sigma_sweep(
         threads,
     )
     cells = aggregate_cells(outcomes, columns, sigma_test_list)
-    return SweepResult(
-        sigma_test_values=tuple(sigma_test_list),
+    return EvalReport(
+        cells={(t, name): cell for (name, t), cell in cells.items()},
+        rows=tuple(sigma_test_list),
         columns=columns,
-        cells={(t, name): cells.get((name, t)) for t in sigma_test_list for name in columns},
         provenance={
             "label_source": dataset.source_tag,
             "triplet_variant": config.triplet_variant,

@@ -92,19 +92,18 @@ class OptimizerTrace:
     projection_count counts the starting point and the iterations whose
     projection actually altered the projected point. evaluations counts every
     objective value computed: one per iterate and one per line-search trial
-    phi(t). gradients counts the iterates, each of which also yields a gradient.
+    phi(t). Each iterate also yields one gradient, so `iterations` counts the
+    gradients too.
     """
 
-    iterations: int
     objective_values: tuple[float, ...]
     converged: bool
     projection_count: int
     evaluations: int
-    gradients: int
 
-    def __post_init__(self):
-        if len(self.objective_values) != self.iterations:
-            raise ConfigurationError("trace length must equal iteration count")
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_values)
 
 
 @dataclass(frozen=True)
@@ -201,10 +200,7 @@ def _spg(x0, local, project, opts: OptimizerOptions):
                 break
         else:
             small_streak = 0
-    trace = OptimizerTrace(
-        len(values), tuple(values), converged, projection_count, evaluations, len(values)
-    )
-    return x, trace
+    return x, OptimizerTrace(tuple(values), converged, projection_count, evaluations)
 
 
 def _along_line(fun, x):

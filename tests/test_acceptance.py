@@ -127,7 +127,7 @@ def test_criterion_3_table3_sweep(published_defendants):
     eucl_ok = eucl0.mean is not None and abs(eucl0.mean - 0.40) <= 0.08
 
     lsml_beats = True
-    for sigma_t in sweep.sigma_test_values:
+    for sigma_t in sweep.rows:
         e = sweep.cells[(sigma_t, "euclidean")]
         l2 = sweep.cells[(sigma_t, "lsml(sigma=2)")]
         if e.mean is None or l2.mean is None or l2.mean > e.mean:
@@ -135,7 +135,7 @@ def test_criterion_3_table3_sweep(published_defendants):
 
     monotone_ok = True
     for name in sweep.columns:
-        means = [sweep.cells[(st, name)] for st in sweep.sigma_test_values]
+        means = [sweep.cells[(st, name)] for st in sweep.rows]
         for prev, nxt in zip(means, means[1:]):
             if prev.mean is None or nxt.mean is None:
                 monotone_ok = False
@@ -163,7 +163,7 @@ def test_criterion_4_learned_beat_baselines(published_defendants, published_surv
     config = ExperimentConfig(rng_seed=0, sigma_train=1.0, sigma_test=1.0)
     report_obj = run_experiment(config, dataset)
     means = {}
-    for name in report_obj.metric_names:
+    for name in report_obj.rows:
         cell = report_obj.cell(name, LOSS_TRIPLET)
         means[name] = None if cell is None else cell.mean
     baseline = min(means["euclidean"], means["precision"])

@@ -6,14 +6,26 @@ import pytest
 
 from fairmetric.cli import (
     _ALLOWED_KEYS,
+    LAYOUTS,
+    _write_csv,
+    _write_text,
     cmd_ingest,
     load_encoded_defendants,
     main,
     read_run_spec,
+    render_report_text,
+    report_csv_rows,
     write_encoded_defendants,
 )
 from fairmetric.constraints import build_triplets
-from fairmetric.core import COMPAS_SCALE, ExperimentConfig, LabeledDataset
+from fairmetric.core import (
+    COMPAS_SCALE,
+    LOSS_TRIPLET,
+    CellStats,
+    EvalReport,
+    ExperimentConfig,
+    LabeledDataset,
+)
 from fairmetric.errors import ConfigurationError
 from fairmetric.evaluation import DEFAULT_MENU
 
@@ -286,6 +298,61 @@ def test_experiment_sweep_records_a_failed_column_as_na(ingested):
         assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
+PINNED_REPORT = EvalReport(
+    cells={
+        (0.5, "euclidean"): CellStats(0.25, 0.125, 2),
+        (0.5, "lsml(sigma=0)"): None,
+        (2.0, "euclidean"): CellStats(0.5, 0.0, 1),
+        (2.0, "lsml(sigma=0)"): CellStats(0.1, 0.05, 3),
+    },
+    rows=(0.5, 2.0),
+    columns=("euclidean", "lsml(sigma=0)"),
+    provenance={"seed": "7", "loss": LOSS_TRIPLET},
+)
+PINNED_FILES = {
+    "figure1": (
+        "per-loss mean ± sample standard deviation over repeats\n"
+        "\n"
+        "metric                     euclidean           lsml(sigma=0)\n"
+        "0.5                  0.2500 ± 0.1250                     N/A\n"
+        "2.0                  0.5000 ± 0.0000         0.1000 ± 0.0500\n"
+        "\n"
+        "loss: triplet_violation\n"
+        "seed: 7\n",
+        "metric,loss,mean,std,n_repeats\n"
+        "0.5,euclidean,0.25,0.125,2\n"
+        "0.5,lsml(sigma=0),,,0\n"
+        "2.0,euclidean,0.5,0.0,1\n"
+        "2.0,lsml(sigma=0),0.1,0.05,3\n",
+    ),
+    "sweep": (
+        "triplet-violation loss, mean ± sample standard deviation over repeats\n"
+        "\n"
+        "sigma_t                euclidean         lsml(sigma=0)\n"
+        "0.5              0.2500 ± 0.1250                   N/A\n"
+        "2                0.5000 ± 0.0000       0.1000 ± 0.0500\n"
+        "\n"
+        "loss: triplet_violation\n"
+        "seed: 7\n",
+        "sigma_test,metric,mean,std,n_repeats\n"
+        "0.5,euclidean,0.25,0.125,2\n"
+        "0.5,lsml(sigma=0),,,0\n"
+        "2,euclidean,0.5,0.0,1\n"
+        "2,lsml(sigma=0),0.1,0.05,3\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_FILES))
+def test_one_renderer_writes_each_layout(tmp_path, mode):
+    text, csv_text = PINNED_FILES[mode]
+    layout = LAYOUTS[mode]
+    _write_text(tmp_path / "out.txt", render_report_text(PINNED_REPORT, layout))
+    _write_csv(tmp_path / "out.csv", report_csv_rows(PINNED_REPORT, layout))
+    assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
+    assert (tmp_path / "out.csv").read_bytes() == csv_text.encode("utf-8")
+
+
 def test_experiment_missing_config_exits_1(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "none.ini")]) == 1
 
@@ -352,6 +419,9 @@ def test_every_config_field_is_read_from_its_key(tmp_path, field):
         ("sweep", "sigma_test_list", "-inf, 2"),
         ("sweep", "sigma_train_list", "-1, 2"),
         ("sweep", "sigma_test_list", "-1, 2"),
+        ("sweep", "sigma_train_list", "0, 0"),
+        ("sweep", "sigma_train_list", "1.0000001, 1.0000002"),  # both name lsml(sigma=1)
+        ("sweep", "sigma_test_list", "2, 2"),
     ],
 )
 def test_experiment_rejects_bad_config_values_with_exit_1(ingested, capsys, section, key, value):
@@ -363,6 +433,30 @@ def test_experiment_rejects_bad_config_values_with_exit_1(ingested, capsys, sect
         read_run_spec(cfg)
     assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 1
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # deciles run 1-10, so no training triplet has S_b + 9 < S_c: LSML fails on every repeat
+        {"experiment": {"menu": "lsml", "sigma_train": 9}},
+        # no test triplet at sigma 50: every sweep cell is empty
+        {"experiment": {"mode": "sweep"}, "sweep": {"sigma_train_list": 0, "sigma_test_list": 50}},
+    ],
+    ids=["figure1", "sweep"],
+)
+def test_experiment_with_every_cell_empty_exits_3(ingested, capsys, entries):
+    tmp_path, out, _ = ingested
+    sections = {
+        "experiment": {"train_size": 25, "test_size": 10, "n_repeats": 2, "triplet_subsample": 300},
+        "learners": {"lsml_max_iter": 50},
+    }
+    for section, keys in entries.items():
+        sections.setdefault(section, {}).update(keys)
+    cfg = write_minimal_config(tmp_path / "exp.ini", out / "defendants_encoded.csv", **sections)
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 3
+    assert "every report cell is empty" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -424,6 +518,30 @@ def test_dump_triplets_rejects_a_sigma_that_is_not_finite(ingested, tmp_path, ca
     argv = ["dump-triplets", "--data", str(out / "defendants_encoded.csv"), "--sigma", sigma]
     assert main(argv + ["--out", str(dest)]) == 1
     assert "sigma must be finite" in capsys.readouterr().err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize(
+    "line, cell, value, message",
+    [
+        (2, 1, "11", "label 11 outside 1-10"),
+        (3, 4, "nan", "not a finite number"),
+        (4, 0, "d000", "duplicate id 'd000'"),  # the id of line 2
+    ],
+    ids=["label", "feature", "id"],
+)
+def test_encoded_file_with_a_bad_row_exits_2(ingested, tmp_path, capsys, line, cell, value, message):
+    _, out, _ = ingested
+    lines = (out / "defendants_encoded.csv").read_text().splitlines()
+    row = lines[line - 1].split(",")
+    row[cell] = value
+    lines[line - 1] = ",".join(row)
+    data = tmp_path / "edited.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dest = tmp_path / "triplets.csv"
+    assert main(["dump-triplets", "--data", str(data), "--sigma", "0", "--out", str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert f"{data}: row {line}" in err and message in err
     assert not dest.exists()
 
 

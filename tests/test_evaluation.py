@@ -330,8 +330,7 @@ def test_threaded_experiment_matches_sequential():
     menu_names = ("euclidean", "precision")
     seq = run_experiment_detailed(cfg, ds, build_learner_menu(menu_names, cfg), threads=1)
     par = run_experiment_detailed(cfg, ds, build_learner_menu(menu_names, cfg), threads=3)
-    for key in seq.report.cells:
-        assert seq.report.cells[key] == par.report.cells[key]
+    assert seq.cells == par.cells
     seq = sigma_sweep(cfg, ds, [0.0, 2.0], [0.0, 2.0], threads=1)
     par = sigma_sweep(cfg, ds, [0.0, 2.0], [0.0, 2.0], threads=3)
     assert seq.cells == par.cells
@@ -346,11 +345,11 @@ def test_paired_splits_across_learners():
     # the split is a function of (seed, repeat) only, so a rerun with a different
     # menu sees identical folds
     again = run_experiment_detailed(cfg, ds, build_learner_menu(("precision",), cfg))
-    assert detailed.report.cell("euclidean", LOSS_TRIPLET) is not None
+    assert detailed.cell("euclidean", LOSS_TRIPLET) is not None
     for repeat in range(cfg.n_repeats):
         a, b = split_indices(ds.n, cfg, repeat), split_indices(ds.n, cfg, repeat)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    assert again.report.cell("precision", LOSS_KNN_L1) is not None
+    assert again.cell("precision", LOSS_KNN_L1) is not None
 
 
 def test_experiment_records_learner_failures_per_cell():
@@ -364,8 +363,8 @@ def test_experiment_records_learner_failures_per_cell():
     menu = dict(build_learner_menu(("euclidean",), cfg))
     menu["broken"] = broken
     detailed = run_experiment_detailed(cfg, ds, menu)
-    assert detailed.report.cell("broken", LOSS_KNN_L1) is None
-    assert detailed.report.cell("euclidean", LOSS_KNN_L1) is not None
+    assert detailed.cell("broken", LOSS_KNN_L1) is None
+    assert detailed.cell("euclidean", LOSS_KNN_L1) is not None
     assert all(o.failures.get("broken") == "boom" for o in detailed.outcomes)
 
 
@@ -391,7 +390,7 @@ def test_sigma_sweep_grid_shape_and_columns():
     cfg = small_config(n_repeats=2, triplet_subsample=300)
     sweep = sigma_sweep(cfg, ds, [0.0, 2.0], [0.0, 2.0, 4.0, 6.0])
     assert sweep.columns == ("euclidean", "lsml(sigma=0)", "lsml(sigma=2)")
-    assert sweep.sigma_test_values == (0.0, 2.0, 4.0, 6.0)
+    assert sweep.rows == (0.0, 2.0, 4.0, 6.0)
     assert len(sweep.cells) == 12
     filled = [c for c in sweep.cells.values() if c is not None]
     assert filled, "at least some cells should have data"
@@ -413,6 +412,16 @@ def test_sigma_sweep_marks_unreachable_rows_missing():
     cfg = small_config(n_repeats=2, triplet_subsample=100)
     sweep = sigma_sweep(cfg, ds, [0.0], [50.0])
     assert sweep.cells[(50.0, "euclidean")] is None
+
+
+@pytest.mark.parametrize(
+    "train, test",
+    [([0.0, 0.0], [0.0]), ([1.0000001, 1.0000002], [0.0]), ([0.0], [2.0, 2.0]), ([0.0], [0.0, -0.0])],
+)
+def test_sigma_sweep_rejects_sigmas_that_name_one_row_or_column(train, test):
+    ds = make_dataset(np.random.default_rng(13), 70, 2, scale=(1, 5))
+    with pytest.raises(ConfigurationError, match="must differ in 6 significant digits"):
+        sigma_sweep(small_config(), ds, train, test)
 
 
 def test_sigma_sweep_cells_equal_figure1_cells():

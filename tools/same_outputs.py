@@ -9,17 +9,23 @@ fixtures. Then `fairmetric experiment` runs on every dataset from each tree,
 in a subprocess with one BLAS thread and the workload's `--threads`. Every
 output file, the exit status and stdout must match. `dump-triplets` runs
 too, once per variant, on the first `smoke_figure1` dataset of each seed.
+No workload leaves a report cell empty, so four configs derived from the first
+`smoke_figure1` and `smoke_sweep` datasets run as well: one with N/A cells and
+one where every cell is empty (exit 3) per mode.
 
-Prints each difference and exits 1 on any difference or any failed run, 0
-when everything matches. A differing metric file (`metrics/.../*.txt`) is
-shown as its largest entry difference, relative to its largest entry; any
-other file as the lines that differ, old -> new. Reads `perfbench/` and writes nothing under it; all
-files go to a temporary directory that is removed at the end.
+Prints each difference and exits 1 on any difference or any run that exits
+with another status than expected, 0 when everything matches. A differing
+metric file (`metrics/.../*.txt`) is shown as its largest entry difference,
+relative to its largest entry; any other file as the lines that differ,
+old -> new. Reads `perfbench/` and writes nothing under it; all files
+(derived configs included) go to a temporary directory that is removed at
+the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import os
 import subprocess
 import sys
@@ -40,10 +46,22 @@ STATUS = "<exit status and stdout>"  # compared along with the files; no file ha
 DUMPS = (("literal", "0"), ("symmetric", "1"))  # (variant, sigma) for dump-triplets
 DUMP_WORKLOAD = "smoke_figure1"
 MAX_LINES = 10  # differing lines shown per file
+# workload -> (name, keys set in its first dataset's config, expected exit status)
+DERIVED = {
+    "smoke_figure1": (
+        ("na_triplet_cells", {"experiment": {"sigma_test": "50"}}, 0),
+        ("every_fit_fails", {"experiment": {"menu": "lsml", "sigma_train": "9"}}, 3),
+    ),
+    "smoke_sweep": (
+        ("na_column", {"sweep": {"sigma_train_list": "0, 9"}}, 0),
+        ("every_cell_empty", {"sweep": {"sigma_test_list": "50"}}, 3),
+    ),
+}
 
 
-def run_cli(src: Path, args: list[str], out_dir: Path) -> dict[str, bytes]:
-    """Run the CLI from `src` inside out_dir; return its status line, stdout and every file written."""
+def run_cli(src: Path, args: list[str], out_dir: Path) -> tuple[dict[str, bytes], bytes]:
+    """Run the CLI from `src` inside out_dir; return its status line, stdout and every file
+    written, and its stderr."""
     out_dir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_THREADS})
     done = subprocess.run(
@@ -53,9 +71,18 @@ def run_cli(src: Path, args: list[str], out_dir: Path) -> dict[str, bytes]:
     for path in sorted(out_dir.rglob("*")):
         if path.is_file():
             outputs[str(path.relative_to(out_dir))] = path.read_bytes()
-    if done.returncode != 0:
-        sys.stderr.write(done.stderr.decode(errors="replace"))
-    return outputs
+    return outputs, done.stderr
+
+
+def derive_config(config: Path, name: str, edits: dict) -> Path:
+    """Write a copy of `config` beside it as <name>.ini, with the keys in `edits` set."""
+    parser = configparser.ConfigParser()
+    parser.read(config, encoding="utf-8")
+    parser.read_dict(edits)
+    derived = config.with_name(f"{name}.ini")
+    with derived.open("w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return derived
 
 
 def describe(name: str, old: bytes, new: bytes) -> list[str]:
@@ -84,9 +111,12 @@ def describe(name: str, old: bytes, new: bytes) -> list[str]:
     return shown
 
 
-def compare(label: str, args: list[str], trees: dict[str, Path], work: Path) -> tuple[int, list[str]]:
+def compare(
+    label: str, args: list[str], trees: dict[str, Path], work: Path, status: int = 0
+) -> tuple[int, list[str]]:
     """Run `args` from both trees; return the number of files compared and the problems found."""
-    old, new = (run_cli(src, args, work / side / label) for side, src in trees.items())
+    runs = [run_cli(src, args, work / side / label) for side, src in trees.items()]
+    (old, _), (new, _) = runs
     problems = []
     for name in sorted(old.keys() | new.keys()):
         if name not in old or name not in new:
@@ -94,9 +124,10 @@ def compare(label: str, args: list[str], trees: dict[str, Path], work: Path) -> 
         elif old[name] != new[name]:
             details = "".join(f"\n    {line}" for line in describe(name, old[name], new[name]))
             problems.append(f"{label}: {name} differs{details}")
-    for side, outputs in zip(trees, (old, new)):
-        if not outputs[STATUS].startswith(b"exit 0\n"):
-            problems.append(f"{label}: the {side} tree's run failed")
+    for side, (outputs, stderr) in zip(trees, runs):
+        if not outputs[STATUS].startswith(b"exit %d\n" % status):
+            sys.stderr.write(stderr.decode(errors="replace"))
+            problems.append(f"{label}: the {side} tree's run did not exit {status}")
     return len(old) - 1, problems
 
 
@@ -125,6 +156,14 @@ def main(argv=None) -> int:
                     files += count
                     problems += found
                 print(f"seed {seed} {workload.name}: {len(configs)} datasets, {files} files compared")
+                for name, edits, status in DERIVED.get(workload.name, ()):
+                    config = derive_config(configs[0], name, edits)
+                    run = ["experiment", "--config", str(config), "--out-dir", ".",
+                           "--threads", str(workload.threads)]
+                    label = f"seed{seed}/{workload.name}/{name}"
+                    files, found = compare(label, run, trees, work, status)
+                    problems += found
+                    print(f"seed {seed} {workload.name} {name} (exit {status}): {files} files compared")
                 if workload.name != DUMP_WORKLOAD:
                     continue
                 data = configs[0].parent / fixtures.DEFENDANTS_NAME
