@@ -98,10 +98,35 @@ def counted_violation_loss(distances: np.ndarray, rule: TripletRule) -> float:
     if rule.total == 0:
         raise EvaluationError("cannot score an empty triplet set")
     violations = 0
-    for anchors, valid in rule.label_masks():
+    for anchors, valid in rule.label_masks:
         for d in distances[anchors]:
             violations += int(np.count_nonzero(valid & (d[:, None] > d[None, :])))
     return violations / rule.total
+
+
+def _screen_margin(m: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """delta_i = (4d + 12) eps |M|_F (|q_i|^2 + max_j |x_j|^2), the kNN screen's margin per query row.
+
+    Let g' and e' be the Gram and difference forms of the squared distance,
+    clamped at 0, and C = (|q_i| + |x_j|)^T |M| (|q_i| + |x_j|). Each form
+    takes two d-term dot products, plus two sums (Gram) or the difference
+    q_i - x_j, so each lies within gamma_(2d+3) C of the exact squared
+    distance (gamma_n = n u / (1 - n u), u = eps / 2; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3), whatever order BLAS sums in;
+    clamping only moves a form toward it. As C <= 2 |M|_F (|q_i|^2 +
+    |x_j|^2), |g' - e'| <= (4d + 6)(1 + O(eps)) eps |M|_F (|q_i|^2 + |x_j|^2).
+    Two squares whose square roots round alike differ by at most 2 eps of
+    themselves, and e' <= 2 (1 + O(eps)) |M|_F (...), so delta_i also covers
+    that gap, with room for the rounding of the screen's own sums.
+
+    Hence every row keeps each neighbor the stable sort of rounded
+    distances can pick: the k candidates with the smallest g' have e' <=
+    g'_(k) + delta_i, so the k-th smallest e' does too, and any j the sort
+    can rank among the first k has g'_j <= g'_(k) + 2 delta_i.
+    """
+    widest = float(np.einsum("ij,ij->i", x, x).max())
+    scale = (4 * m.shape[0] + 12) * np.finfo(float).eps * float(np.linalg.norm(m))
+    return scale * (np.einsum("ij,ij->i", q, q) + widest)
 
 
 def knn_predictions(metric: MahalanobisMetric, train: LabeledDataset, queries, k: int) -> np.ndarray:
@@ -109,18 +134,35 @@ def knn_predictions(metric: MahalanobisMetric, train: LabeledDataset, queries, k
 
     Ties at the k-boundary break toward the lower training index; neighbors at
     (numerically) zero distance short-circuit to the plain mean of their labels.
+    The neighbors and their distances are exactly those of a stable sort of
+    `cross_distances`, but only a few candidates per row get that exact
+    difference form. A Gram form g_ij = s_i + t_j - 2 q_i M x_j^T (s, t the
+    quad forms of the rows) screens them: each row keeps every j with
+    max(g_ij, 0) within 2 delta_i of the k-th smallest (see
+    `_screen_margin`), and recomputes those.
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if k > train.n:
         raise ConfigurationError(f"k={k} exceeds training size {train.n}")
     q = np.asarray(queries, dtype=float)
+    if q.ndim != 2 or not np.all(np.isfinite(q)):
+        raise ConfigurationError(f"queries must be a 2-D array of finite values, got shape {q.shape}")
     if q.shape[1] != train.d:
         raise ConfigurationError(f"query has dimension {q.shape[1]}, train has {train.d}")
-    dists = cross_distances(metric, q, train.features)
-    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    near_labels = train.labels[nearest].astype(float)
-    near_dists = np.take_along_axis(dists, nearest, axis=1)
+    m, x = metric.matrix, train.features
+    gram = quad_forms(q, m)[:, None] + quad_forms(x, m)[None, :] - 2.0 * ((q @ m) @ x.T)
+    np.maximum(gram, 0.0, out=gram)
+    limit = np.partition(gram, k - 1, axis=1)[:, k - 1] + 2.0 * _screen_margin(m, q, x)
+    # "not above" rather than "at most": an entry or limit that overflowed to NaN keeps its candidates
+    rows, cols = np.nonzero(~(gram > limit[:, None]))
+    dists = np.sqrt(np.maximum(quad_forms(q[rows] - x[cols], m), 0.0))
+    # by (row, distance, training index): the candidates come row-major, and lexsort is stable
+    order = np.lexsort((dists, rows))
+    per_row = np.bincount(rows, minlength=q.shape[0])
+    nearest = order[(np.cumsum(per_row) - per_row)[:, None] + np.arange(k)]
+    near_labels = train.labels[cols[nearest]].astype(float)
+    near_dists = dists[nearest]
     preds = np.empty(q.shape[0])
     # row by row: a batched weighted sum would not round like the 1-D dot product
     for i, (labels, near_d) in enumerate(zip(near_labels, near_dists)):

@@ -15,7 +15,14 @@ objective values at its iterates.
 LSML's trials cost O(m + d) for m triplets: along a segment the triplet quad
 forms are affine in t, and one eigendecomposition per iterate gives
 logdet(M + tD) for every t (see _lsml_local). The other objectives are
-evaluated afresh at each trial.
+evaluated afresh at each trial, but not twice at one point: the accepted
+trial x + t d is the next iterate, and a one-entry memo on array equality
+(_last_point_memo) hands LMNN's and both MMC forms' value there to the
+gradient. Their (n, n) Gram and Laplacian arrays and LMNN's (pairs, n)
+margins live in a workspace made once per fit call (_Workspace). Each
+evaluation overwrites them, by the same operations in the same order as on
+fresh arrays, so the results are the same bits and the fit does not page in
+new memory at every evaluation.
 
 Objectives (X is the training matrix, d_M the Mahalanobis distance):
 
@@ -90,10 +97,12 @@ class OptimizerTrace:
     """Objective values at the iterates (index 0 is the starting point).
 
     projection_count counts the starting point and the iterations whose
-    projection actually altered the projected point. evaluations counts every
-    objective value computed: one per iterate and one per line-search trial
-    phi(t). Each iterate also yields one gradient, so `iterations` counts the
-    gradients too.
+    projection actually altered the projected point. evaluations counts the
+    objective values the engine asks for: one per iterate and one per
+    line-search trial phi(t). Each iterate also yields one gradient, so
+    `iterations` counts the gradients too. An accepted trial is the next
+    iterate, which LMNN and MMC do not evaluate again (see the module
+    docstring), so they compute 1 + evaluations - iterations values.
     """
 
     objective_values: tuple[float, ...]
@@ -422,49 +431,102 @@ def lmnn_problem(train: LabeledDataset, k_targets: int, strict: bool = False) ->
     )
 
 
-def _pairwise_sq(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared distances (s_i + s_j) - 2 g_ij from the Gram matrix g = x M x^T, s = diag(g)."""
-    g = x @ m @ x.T
+@dataclass(frozen=True)
+class _Workspace:
+    """The arrays one LMNN or MMC fit overwrites at every evaluation.
+
+    `gram` holds the (n, n) squared distances (MMC takes their square roots in
+    place, LMNN's gradient reuses it for its counts once the value has read
+    it) and `lap` the outer sum s_i + s_j, then the Laplacian weights. LMNN
+    adds its (pairs, n) margins z and their active impostors. Each fit call
+    makes its own workspace; the public objective and gradient functions make
+    a fresh one per call.
+    """
+
+    gram: np.ndarray
+    lap: np.ndarray
+    margins: np.ndarray
+    active: np.ndarray
+
+
+def _workspace(n: int, pairs: int = 0) -> _Workspace:
+    return _Workspace(np.empty((n, n)), np.empty((n, n)), np.empty((pairs, n)), np.empty((pairs, n), dtype=bool))
+
+
+def _last_point_memo(fun):
+    """fun, remembering its result at the last argument, compared by array equality.
+
+    `_spg` evaluates an accepted trial at x + t d and then calls local at the
+    same x + t d, computed by the same operations, so the second call reuses
+    the trial's result. The old result is dropped before a new one is
+    computed: it may be a view of a workspace array the new one overwrites.
+    """
+    last = [None, None]  # argument, result
+
+    def memo(x):
+        if last[0] is None or not np.array_equal(last[0], x):
+            last[0] = last[1] = None
+            last[1] = fun(x)
+            last[0] = x.copy()
+        return last[1]
+
+    return memo
+
+
+def _pairwise_sq(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Squared distances (s_i + s_j) - 2 g_ij from the Gram matrix g = x M x^T, s = diag(g), in ws.gram."""
+    g = np.matmul(x @ m, x.T, out=ws.gram)
     s = np.diag(g).copy()
     g *= 2.0
-    return np.subtract(np.add.outer(s, s), g, out=g)
+    return np.subtract(np.add.outer(s, s, out=ws.lap), g, out=g)
 
 
 def _laplacian_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x^T (diag(w 1) - w) x, unsymmetrized; see the module docstring."""
-    lap = np.diag(w.sum(axis=1))
-    lap -= w
-    return x.T @ lap @ x
+    """x^T (diag(w 1) - w) x, unsymmetrized; see the module docstring. Overwrites w.
+
+    Negation is exact and addition commutes, so -w_ii + rowsum_i is exactly
+    rowsum_i - w_ii and w ends as diag(w 1) - w.
+    """
+    rowsum = w.sum(axis=1)
+    np.negative(w, out=w)
+    diag = np.arange(w.shape[0])
+    w[diag, diag] += rowsum
+    return x.T @ w @ x
 
 
-def _hinge_margins(m: np.ndarray, problem: LmnnProblem):
-    """Squared distances d2 and z[r, l] = 1 + d2[i, j] - d2[i, l] for target pair r = (i, j)."""
-    d2 = _pairwise_sq(np.asarray(m, dtype=float), problem.features)
+def _lmnn_value(m: np.ndarray, problem: LmnnProblem, mu: float, ws: _Workspace):
+    """LMNN's value at m and the (pairs, n) mask of active impostors, z[r, l] > 0 with y_l != y_i.
+
+    z[r, l] = 1 + d2[i, j] - d2[i, l] for target pair r = (i, j); d2 and z
+    live in ws, and the returned mask is ws.active.
+    """
+    d2 = _pairwise_sq(np.asarray(m, dtype=float), problem.features, ws)
     i, j = problem.target_pairs.T
-    z = d2[i]
-    np.subtract((1.0 + d2[i, j])[:, None], z, out=z)  # in place: no second (p, n) temporary
-    return d2, z
+    target_d2 = d2[i, j]
+    z = np.take(d2, i, axis=0, out=ws.margins, mode="clip")  # "clip": the indices are valid, and unbuffered
+    np.subtract((1.0 + target_d2)[:, None], z, out=z)
+    active = np.greater(z, 0.0, out=ws.active)
+    active &= problem.impostor_mask
+    pull = float(target_d2.sum())
+    push = float(z[active].sum())
+    return (1.0 - mu) * pull + mu * push, active
+
+
+def _problem_workspace(problem: LmnnProblem) -> _Workspace:
+    return _workspace(problem.features.shape[0], problem.target_pairs.shape[0])
 
 
 def lmnn_objective(m: np.ndarray, problem: LmnnProblem, mu: float) -> float:
-    return _lmnn_value(*_hinge_margins(m, problem), problem, mu)
+    return _lmnn_value(m, problem, mu, _problem_workspace(problem))[0]
 
 
 def lmnn_gradient(m: np.ndarray, problem: LmnnProblem, mu: float) -> np.ndarray:
-    return _lmnn_grad(_hinge_margins(m, problem)[1], problem, mu)
+    ws = _problem_workspace(problem)
+    return _lmnn_grad(_lmnn_value(m, problem, mu, ws)[1], problem, mu, ws)
 
 
-def _lmnn_value(d2, z, problem: LmnnProblem, mu: float) -> float:
-    tp = problem.target_pairs
-    pull = float(d2[tp[:, 0], tp[:, 1]].sum())
-    push = float(z[problem.impostor_mask & (z > 0)].sum())
-    return (1.0 - mu) * pull + mu * push
-
-
-def _lmnn_grad(z, problem: LmnnProblem, mu: float) -> np.ndarray:
+def _lmnn_grad(active, problem: LmnnProblem, mu: float, ws: _Workspace) -> np.ndarray:
     x = problem.features
-    n = x.shape[0]
-    active = problem.impostor_mask & (z > 0)
     i, j = problem.target_pairs.T
     # c[i, j] counts the active impostors of pair (i, j), and c[i, l] is minus
     # the number of i's pairs that l is active for. Pairs are grouped by anchor,
@@ -472,12 +534,13 @@ def _lmnn_grad(z, problem: LmnnProblem, mu: float) -> np.ndarray:
     # reduceat measured 3x slower at 420 rows). Targets are never impostors and
     # the counts are integers, so every entry is exact.
     anchors, starts, sizes = np.unique(i, return_index=True, return_counts=True)
-    c = np.zeros((n, n))
+    c = ws.gram  # the value, d2's last reader, is computed
+    c.fill(0.0)
     c[i, j] = active.sum(axis=1)
     for rank in range(sizes.max()):
         has = sizes > rank
         c[anchors[has]] -= active[starts[has] + rank]
-    push = _laplacian_form(x, c + c.T)
+    push = _laplacian_form(x, np.add(c, c.T, out=ws.lap))
     grad = (1.0 - mu) * problem.pull_gram + mu * 0.5 * (push + push.T)
     return 0.5 * (grad + grad.T)
 
@@ -499,11 +562,13 @@ def fit_lmnn(
         raise ConfigurationError(f"mu must lie in (0, 1), got {mu}")
     opts = opts or OptimizerOptions(max_iter=300)
     problem = lmnn_problem(train, k_targets, strict=strict)
+    ws = _problem_workspace(problem)
+    value_and_active = _last_point_memo(lambda m: _lmnn_value(m, problem, mu, ws))
 
     def local(m):
-        d2, z = _hinge_margins(m, problem)
-        along = _along_line(lambda p: lmnn_objective(p, problem, mu), m)
-        return _lmnn_value(d2, z, problem, mu), _lmnn_grad(z, problem, mu), along
+        value, active = value_and_active(m)
+        along = _along_line(lambda p: value_and_active(p)[0], m)
+        return value, _lmnn_grad(active, problem, mu, ws), along
 
     m, trace = _spg(np.eye(train.d), local, _clip_to_cone, opts)
     return _finalize_metric(m), trace
@@ -533,16 +598,17 @@ def _mmc_pairs(train: LabeledDataset):
     return 0.5 * (xs + xs.T), dissimilar.astype(float)
 
 
-def _dissimilar_sum(m: np.ndarray, x: np.ndarray, dissimilar: np.ndarray):
-    """Sum of d_M over the dissimilar pairs, and the (n, n) matrix of d_M."""
-    dist = _pairwise_sq(m, x)
+def _dissimilar_sum(m: np.ndarray, x: np.ndarray, dissimilar: np.ndarray, ws: _Workspace):
+    """Sum of d_M over the dissimilar pairs, and the (n, n) matrix of d_M, in ws.gram."""
+    dist = _pairwise_sq(m, x, ws)
     np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
     return 0.5 * float(dist.ravel() @ dissimilar.ravel()), dist  # the mask holds each pair twice
 
 
-def _dissimilar_ascent(dist: np.ndarray, x: np.ndarray, dissimilar: np.ndarray) -> np.ndarray:
-    """Gradient in M of the dissimilar-distance sum: Laplacian weights 1 / (2 d_M) per pair."""
-    w = 0.5 / np.maximum(dist, ZERO_DISTANCE)
+def _dissimilar_ascent(dist: np.ndarray, x: np.ndarray, dissimilar: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Gradient in M of the dissimilar-distance sum: Laplacian weights 1 / (2 d_M) per pair, in ws.lap."""
+    w = np.maximum(dist, ZERO_DISTANCE, out=ws.lap)
+    np.divide(0.5, w, out=w)
     w *= dissimilar
     w *= dist > ZERO_DISTANCE
     return _laplacian_form(x, w)
@@ -550,14 +616,16 @@ def _dissimilar_ascent(dist: np.ndarray, x: np.ndarray, dissimilar: np.ndarray) 
 
 def _fit_mmc_diagonal(x, xs, dissimilar, opts: OptimizerOptions):
     sim_col = np.diag(xs)  # similar-pair squared-distance sum per axis
+    ws = _workspace(x.shape[0])
+    dissimilar_sum = _last_point_memo(lambda w: _dissimilar_sum(np.diag(w), x, dissimilar, ws))
 
     def value(w, total):
         return float(sim_col @ w) - math.log(total) if total > 0.0 else math.inf
 
     def local(w):
-        total, dist = _dissimilar_sum(np.diag(w), x, dissimilar)
-        grad = sim_col - np.diag(_dissimilar_ascent(dist, x, dissimilar)) / max(total, ZERO_DISTANCE)
-        along = _along_line(lambda p: value(p, _dissimilar_sum(np.diag(p), x, dissimilar)[0]), w)
+        total, dist = dissimilar_sum(w)
+        grad = sim_col - np.diag(_dissimilar_ascent(dist, x, dissimilar, ws)) / max(total, ZERO_DISTANCE)
+        along = _along_line(lambda p: value(p, dissimilar_sum(p)[0]), w)
         return value(w, total), grad, along
 
     def project(w):
@@ -630,10 +698,13 @@ def project_psd_cap(a: np.ndarray, xs: np.ndarray):
 
 
 def _fit_mmc_full(x, xs, dissimilar, opts: OptimizerOptions):
+    ws = _workspace(x.shape[0])
+    dissimilar_sum = _last_point_memo(lambda m: _dissimilar_sum(m, x, dissimilar, ws))
+
     def local(m):
-        total, dist = _dissimilar_sum(m, x, dissimilar)
-        g = _dissimilar_ascent(dist, x, dissimilar)
-        along = _along_line(lambda p: -_dissimilar_sum(p, x, dissimilar)[0], m)
+        total, dist = dissimilar_sum(m)
+        g = _dissimilar_ascent(dist, x, dissimilar, ws)
+        along = _along_line(lambda p: -dissimilar_sum(p)[0], m)
         return -total, -0.5 * (g + g.T), along
 
     m0 = np.eye(x.shape[1])
@@ -660,7 +731,7 @@ def fit_mmc(
     xs, dissimilar = _mmc_pairs(train)
     fit = _fit_mmc_diagonal if form == "diagonal" else _fit_mmc_full
     m, trace = fit(train.features, xs, dissimilar, opts)
-    total, _ = _dissimilar_sum(m, train.features, dissimilar)
+    total, _ = _dissimilar_sum(m, train.features, dissimilar, _workspace(train.n))
     if total <= 0.0:
         raise NumericalError("dissimilar-distance sum collapsed to zero in MMC")
     return MahalanobisMetric(m / total**2), trace  # the dissimilar sum is now 1

@@ -191,6 +191,61 @@ def test_knn_predict_validates_k():
         knn_predict(euclidean_baseline(1), train, [0.0], 0)
 
 
+@pytest.mark.parametrize("queries", [[0.5], [[0.5], [np.nan]], [[np.inf]], [[[0.5]]]])
+def test_knn_predictions_reject_a_query_that_is_not_a_finite_matrix(queries):
+    train = toy(np.array([[1.0], [2.0]]), [1, 2])
+    with pytest.raises(ConfigurationError):
+        knn_predictions(euclidean_baseline(1), train, queries, 1)
+
+
+def sorted_knn(metric, train, queries, k):
+    """The full stable sort of `cross_distances` that the screened kNN must reproduce exactly."""
+    dists = cross_distances(metric, queries, train.features)
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    preds = []
+    for labels, near_d in zip(train.labels[nearest].astype(float), np.take_along_axis(dists, nearest, axis=1)):
+        exact = near_d < 1e-12
+        inv = 1.0 / np.where(exact, 1.0, near_d)
+        preds.append(labels[exact].mean() if np.any(exact) else (inv / inv.sum()) @ labels)
+    return preds
+
+
+def _near_tie_folds(rng, d=4):
+    """(name, train, queries): neighbors tied in exact arithmetic, then pulled far from the origin.
+
+    Integer coordinates keep every difference exact, so the difference form
+    ties the rows q +- e_i exactly, while the Gram form of the far copies
+    (|x|^2 about 2^42) rounds each of them differently.
+    """
+    base = rng.integers(-3, 4, size=(5, d)).astype(float)
+    center = rng.integers(-3, 4, size=(3, d)).astype(float)
+    axes = np.vstack([np.eye(d), -np.eye(d)])
+    star = (center[:, None, :] + axes[None, :, :]).reshape(-1, d)
+    plain = {
+        "duplicated": (np.vstack([base, base, base[:3]]), np.vstack([base, center])),
+        "equidistant": (rng.permutation(np.vstack([star, base])), np.vstack([center, base[:2]])),
+    }
+    offset = np.full(d, 2.0**20)
+    for name, (train, queries) in plain.items():
+        yield name, train, queries
+        yield f"{name}, far", train + offset, queries + offset
+
+
+@pytest.mark.parametrize("k", [1, 5, "n"])
+def test_screened_knn_equals_the_full_sort_on_near_ties(k):
+    rng = np.random.default_rng(19)
+    d = 4
+    low_rank = rng.normal(size=(d, 1))
+    metrics = [euclidean_baseline(d), MahalanobisMetric(random_spd(rng, d)), MahalanobisMetric(low_rank @ low_rank.T)]
+    for name, features, queries in _near_tie_folds(rng, d):
+        # distinct labels, so another neighbor set changes the prediction
+        train = toy(features, np.arange(len(features)) % 10 + 1)
+        kk = train.n if k == "n" else k
+        for metric in metrics:
+            got = knn_predictions(metric, train, queries, kk).tolist()
+            assert got == sorted_knn(metric, train, queries, kk), (name, kk)
+
+
 def test_knn_matches_brute_force():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -708,6 +710,44 @@ def test_trace_counts_every_objective_and_gradient_call(monkeypatch):
             assert value <= f + learners.ARMIJO * t * slope, name
             for _, f, slope, t, value in rejected:
                 assert not value <= f + learners.ARMIJO * t * slope, name
+
+
+@pytest.mark.parametrize("name", ["lmnn", "mmc_full", "mmc_diagonal"])
+def test_last_point_memo_changes_no_fit(monkeypatch, name):
+    # the memo only skips recomputing the accepted trial at the next iterate:
+    # without it the metric and the whole trace come out the same
+    ds = make_dataset(np.random.default_rng(23), 120, 5)
+    fit, kernel, extra = {
+        "lmnn": (lambda: fit_lmnn(ds), "_lmnn_value", 0),
+        # fit_mmc evaluates the dissimilar sum once more, to rescale the result
+        "mmc_full": (lambda: fit_mmc(ds, "full"), "_dissimilar_sum", 1),
+        "mmc_diagonal": (lambda: fit_mmc(ds, "diagonal"), "_dissimilar_sum", 1),
+    }[name]
+    calls = []
+    counted = getattr(learners, kernel)
+    monkeypatch.setattr(learners, kernel, lambda *args: calls.append(1) or counted(*args))
+    metric, trace = fit()
+    # computed: the start and every trial; the iterates after it reuse their accepted trial
+    assert len(calls) == 1 + (trace.evaluations - trace.iterations) + extra
+    monkeypatch.setattr(learners, "_last_point_memo", lambda fun: fun)
+    plain_metric, plain_trace = fit()
+    assert np.array_equal(metric.matrix, plain_metric.matrix)
+    assert trace == plain_trace
+
+
+def test_lmnn_fit_peak_memory_is_its_workspace():
+    # 420 rows, 1,260 target pairs: the workspace's two (n, n) and one (pairs, n)
+    # float arrays and its (pairs, n) mask, with the problem's impostor mask,
+    # hold 7.7 MB. One more (pairs, n) float temporary (4 MB) breaks the bound,
+    # the traced peak of scoring on figure1_large.
+    ds = make_dataset(np.random.default_rng(1), 420, 10)
+    tracemalloc.start()
+    try:
+        fit_lmnn(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13.2 * 2**20
 
 
 # ---------------------------------------------------------------------------
