@@ -15,26 +15,21 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import itertools
-import math
 import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .constraints import describe_triplets, triplet_blocks
 from .core import (
-    COMPAS_SCALE,
     TRIPLET_VARIANTS,
     EvalReport,
     ExperimentConfig,
     LabeledDataset,
     require_finite,
 )
-from .errors import ConfigurationError, FairmetricError, IngestionError, NumericalError
+from .errors import ConfigurationError, FairmetricError, NumericalError
 from .evaluation import (
     DEFAULT_MENU,
     build_learner_menu,
@@ -43,13 +38,19 @@ from .evaluation import (
     sigma_sweep,
 )
 from .ingest import (
-    FeatureSchema,
     attach_labels,
     default_schema,
+    defendants_from_table,
+    encoded_schema,
     load_defendants,
     load_survey,
     parse_label_mode,
     parse_schema_manifest,
+    read_csv,
+    require_known_defendants,
+    write_csv,
+    write_encoded_defendants,
+    write_survey,
 )
 from .learners import save_metric
 from .survey import (
@@ -61,75 +62,15 @@ from .survey import (
     render_confidence_accuracy_text,
 )
 
-ENCODED_ID = "id"
-ENCODED_LABEL = "compas_decile"
-
 
 # ---------------------------------------------------------------------------
-# Canonical encoded defendants file: id, compas_decile, then feature columns.
-
-
-def write_encoded_defendants(dataset: LabeledDataset, path: Path) -> None:
-    rows = [[ENCODED_ID, ENCODED_LABEL, *dataset.feature_names]]
-    ids = dataset.ids or tuple(str(i) for i in range(dataset.n))
-    for i in range(dataset.n):
-        rows.append(
-            [ids[i], str(int(dataset.labels[i]))] + [repr(float(v)) for v in dataset.features[i]]
-        )
-    _write_csv(path, rows)
+# Canonical encoded defendants file: the raw format under the schema its header declares.
 
 
 def load_encoded_defendants(path) -> LabeledDataset:
-    path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"encoded defendants file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        if header[:2] != [ENCODED_ID, ENCODED_LABEL]:
-            raise IngestionError(
-                f"{path}: not a canonical encoded file (expected leading columns "
-                f"{ENCODED_ID!r}, {ENCODED_LABEL!r}; run the ingest command first)"
-            )
-        names = header[2:]
-        ids: dict[str, None] = {}  # insertion-ordered, with O(1) membership
-        labels: list[int] = []
-        feats: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise IngestionError(f"{path}: row {lineno}: expected {len(header)} cells")
-            if row[0] in ids:
-                raise IngestionError(f"{path}: row {lineno}: duplicate id {row[0]!r}")
-            ids[row[0]] = None
-            try:
-                labels.append(int(row[1]))
-                feats.append([float(v) for v in row[2:]])
-            except ValueError:
-                raise IngestionError(f"{path}: row {lineno}: unparseable numeric cell") from None
-            if not COMPAS_SCALE.contains(labels[-1]):
-                raise IngestionError(f"{path}: row {lineno}: label {labels[-1]} outside 1-10")
-            if not all(map(math.isfinite, feats[-1])):
-                name = next(n for n, v in zip(names, feats[-1]) if not math.isfinite(v))
-                raise IngestionError(f"{path}: row {lineno}, column {name!r}: not a finite number")
-    if len(feats) < 2:
-        raise IngestionError(f"{path}: need at least 2 rows")
-    return LabeledDataset(
-        features=np.asarray(feats),
-        labels=np.asarray(labels),
-        scale=COMPAS_SCALE,
-        feature_names=tuple(names),
-        source_tag=f"encoded:{path.name}",
-        ids=tuple(ids),
-    )
-
-
-def _write_csv(path: Path, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    """Load the canonical encoded defendants file that `ingest` writes."""
+    with read_csv(path, "encoded defendants") as table:
+        return defendants_from_table(table, encoded_schema(table), "encoded")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -377,38 +318,14 @@ def _write_fitted_metrics(out_dir: Path, outcomes, unsaved) -> None:
 
 
 def cmd_ingest(defendants_path, survey_path, schema_path, out_dir) -> dict:
-    schema: FeatureSchema = (
-        parse_schema_manifest(schema_path) if schema_path else default_schema()
-    )
+    schema = parse_schema_manifest(schema_path) if schema_path else default_schema()
     defendants = load_defendants(defendants_path, schema)
     survey = load_survey(survey_path)
     surveyed = {rec.defendant_id for rec in survey}
-    known = set(defendants.ids or ())
-    missing = sorted(surveyed - known)
-    if missing:
-        raise IngestionError(
-            "survey references defendants missing from the table: "
-            + ", ".join(missing[:5])
-            + (" ..." if len(missing) > 5 else "")
-        )
+    require_known_defendants(surveyed, defendants.ids)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_encoded_defendants(defendants, out_dir / "defendants_encoded.csv")
-    rows = [
-        ["respondent_id", "defendant_id", "q1_recidivism", "q2_bail", "q3_confidence", "two_year_recid"]
-    ]
-    for rec in survey:
-        rows.append(
-            [
-                rec.respondent_id,
-                rec.defendant_id,
-                str(rec.recidivism_prediction),
-                "yes" if rec.bail_granted else "no",
-                str(rec.confidence),
-                "1" if rec.ground_truth_recidivated else "0",
-            ]
-        )
-    _write_csv(out_dir / "survey_canonical.csv", rows)
+    write_survey(survey, out_dir / "survey_canonical.csv")
     summary = {
         "defendants": defendants.n,
         "encoded_dimension": defendants.d,
@@ -437,7 +354,7 @@ def cmd_experiment(config_path, out_dir="out", overrides=None, threads=1) -> int
     layout = LAYOUTS[spec.mode]
     out_dir = Path(out_dir)
     text = render_report_text(report, layout)
-    _write_csv(out_dir / f"{layout.stem}.csv", report_csv_rows(report, layout))
+    write_csv(out_dir / f"{layout.stem}.csv", report_csv_rows(report, layout))
     _write_text(out_dir / f"{layout.stem}.txt", text)
     _write_fitted_metrics(out_dir, report.outcomes, layout.unsaved)
     print(text, end="")
@@ -450,9 +367,9 @@ def cmd_report_survey(survey_path, out_dir="out", confidence_threshold=4) -> int
     table2 = confidence_accuracy_table(records, confidence_threshold)
     out_dir = Path(out_dir)
     _write_text(out_dir / "table1_bail_rates.txt", render_bail_rate_text(table1))
-    _write_csv(out_dir / "table1_bail_rates.csv", bail_rate_csv_rows(table1))
+    write_csv(out_dir / "table1_bail_rates.csv", bail_rate_csv_rows(table1))
     _write_text(out_dir / "table2_confidence.txt", render_confidence_accuracy_text(table2))
-    _write_csv(out_dir / "table2_confidence.csv", confidence_accuracy_csv_rows(table2))
+    write_csv(out_dir / "table2_confidence.csv", confidence_accuracy_csv_rows(table2))
     print(render_bail_rate_text(table1))
     print(render_confidence_accuracy_text(table2), end="")
     return 0
@@ -464,7 +381,7 @@ def cmd_dump_triplets(data_path, sigma, variant, out_path) -> int:
     # the set grows as n^3, so rows are written one anchor's block at a time
     blocks = triplet_blocks(dataset, sigma, variant)
     rows = itertools.chain.from_iterable(block.tolist() for block in blocks)
-    _write_csv(Path(out_path), itertools.chain([["a", "b", "c"]], rows))
+    write_csv(Path(out_path), itertools.chain([["a", "b", "c"]], rows))
     print(f"wrote {total} triplets to {out_path}")
     return 0
 

@@ -1,9 +1,13 @@
 """CSV ingestion: defendant feature tables, survey judgment files, label attachment.
 
-File contracts (UTF-8, comma-delimited, first row is the header):
+File contracts (UTF-8, comma-delimited, first row is the header). `read_csv`
+reads every table under one set of row rules (see its docstring), and the
+`CsvRow` parsers name the file, the row and the column of a faulty cell.
 
   defendants CSV   id column + one column per schema entry + the COMPAS decile
                    label column.
+  encoded CSV      what `ingest` writes: id, compas_decile, then every encoded
+                   feature as a numeric column.
   survey CSV       respondent_id, defendant_id, q1_recidivism (1-5),
                    q2_bail (yes/no), q3_confidence (1-5), two_year_recid (0/1).
   schema manifest  plain-text key-value lines:
@@ -23,12 +27,14 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import COMPAS_SCALE, SURVEY_SCALE, LabeledDataset
+from .core import COMPAS_SCALE, SURVEY_SCALE, LabeledDataset, RatingScale
 from .errors import ConfigurationError, IngestionError
 
 COLUMN_KINDS = ("numeric", "categorical", "binary")
@@ -163,165 +169,241 @@ class SurveyRecord:
             raise ConfigurationError(f"confidence {self.confidence} outside 1-5")
 
 
-def _open_rows(path: Path, required: list[str], what: str):
+# ---------------------------------------------------------------------------
+# Reading: one CSV reader and one set of cell parsers for every input table
+
+
+@dataclass(slots=True)
+class CsvRow:
+    """One data row; each parser names the file, the 1-based row and the column on error."""
+
+    path: Path
+    columns: dict[str, int]  # header name -> cell position
+    line: int
+    cells: list[str]
+
+    def error(self, message: str, column: str | None = None) -> IngestionError:
+        where = f"row {self.line}" if column is None else f"row {self.line}, column {column!r}"
+        return IngestionError(f"{self.path}: {where}: {message}")
+
+    def text(self, column: str) -> str:
+        value = self.cells[self.columns[column]]
+        if not value:
+            raise self.error("empty cell", column)
+        return value
+
+    def number(self, column: str) -> float:
+        raw = self.text(column)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise self.error(f"cannot parse {raw!r} as number", column) from None
+        if not math.isfinite(value):
+            raise self.error(f"{raw!r} is not a finite number", column)
+        return value
+
+    def integer(self, column: str, what: str, scale: RatingScale) -> int:
+        raw = self.text(column)
+        try:
+            value = int(raw)
+        except ValueError:
+            raise self.error(f"cannot parse {raw!r} as integer", column) from None
+        if not scale.contains(value):
+            raise self.error(f"{what} {value} outside {scale.min}-{scale.max}", column)
+        return value
+
+    def choice(self, column: str, choices: tuple[str, ...], fold_case: bool = False) -> int:
+        """The cell's position in `choices`, matched in lower case when `fold_case` is set."""
+        raw = self.text(column)
+        try:
+            return choices.index(raw.lower() if fold_case else raw)
+        except ValueError:
+            raise self.error(
+                f"unseen category {raw!r}; expected {'/'.join(choices)}", column
+            ) from None
+
+
+@dataclass(frozen=True)
+class CsvTable:
+    path: Path
+    columns: dict[str, int]
+    rows: Iterator[CsvRow]
+
+    def require(self, names) -> None:
+        missing = [name for name in names if name not in self.columns]
+        if missing:
+            raise IngestionError(f"{self.path}: missing column(s) {', '.join(missing)}")
+
+
+@contextmanager
+def read_csv(path, what: str) -> Iterator[CsvTable]:
+    """Open a CSV file under the row rules every input table shares.
+
+    Blank lines are skipped and every cell is stripped. The first row is the
+    header; its names must be distinct. `rows` yields each data row as it is
+    read (holding the whole table would only feed the garbage collector); each
+    must have the header's cell count, and there must be one.
+    """
+    path = Path(path)
     if not path.exists():
         raise IngestionError(f"{what} file not found: {path}")
-    handle = path.open(newline="", encoding="utf-8")
-    reader = csv.DictReader(handle)
-    if reader.fieldnames is None:
-        handle.close()
-        raise IngestionError(f"{path}: empty file (no header)")
-    missing = [c for c in required if c not in reader.fieldnames]
-    if missing:
-        handle.close()
-        raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
-    return handle, reader
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lines = ([cell.strip() for cell in cells] for cells in reader if cells)
+        header = next(lines, None)
+        if header is None:
+            raise IngestionError(f"{path}: empty file (no header)")
+        columns = {name: at for at, name in enumerate(header)}
+        if len(columns) != len(header):
+            raise IngestionError(f"{path}: row {reader.line_num}: repeated column name in header")
+
+        def rows() -> Iterator[CsvRow]:
+            row = None
+            for cells in lines:
+                if len(cells) != len(header):
+                    raise IngestionError(
+                        f"{path}: row {reader.line_num}: {len(cells)} cells, "
+                        f"the header has {len(header)}"
+                    )
+                row = CsvRow(path, columns, reader.line_num, cells)
+                yield row
+            if row is None:
+                raise IngestionError(f"{path}: no data rows")
+
+        yield CsvTable(path, columns, rows())
 
 
-def _cell(row: dict, column: str, path: Path, lineno: int) -> str:
-    value = row.get(column)
-    if value is None or value == "":
-        raise IngestionError(f"{path}: row {lineno}, column {column!r}: empty cell")
-    return value.strip()
-
-
-def _int_cell(row: dict, column: str, path: Path, lineno: int) -> int:
-    raw = _cell(row, column, path, lineno)
-    try:
-        return int(raw)
-    except ValueError:
-        raise IngestionError(
-            f"{path}: row {lineno}, column {column!r}: cannot parse {raw!r} as integer"
-        ) from None
-
-
-def load_defendants(path, schema: FeatureSchema) -> LabeledDataset:
-    """Load and encode the defendant table; labels are COMPAS decile scores."""
+def write_csv(path, rows) -> None:
     path = Path(path)
-    required = [schema.id_column] + [c.name for c in schema.columns] + [schema.label_column]
-    handle, reader = _open_rows(path, required, "defendants")
-    rows: list[np.ndarray] = []
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def defendants_from_table(table: CsvTable, schema: FeatureSchema, kind: str) -> LabeledDataset:
+    """Encode a defendant table under `schema`; labels are COMPAS decile scores.
+
+    `kind` names the format in the dataset's source tag: `<kind>:<file name>`.
+    """
+    table.require([schema.id_column] + [c.name for c in schema.columns] + [schema.label_column])
+    ids: dict[str, None] = {}  # insertion-ordered, with O(1) membership
+    features: list[list[float]] = []
     labels: list[int] = []
-    ids: list[str] = []
-    seen: set[str] = set()
-    try:
-        for row in reader:
-            lineno = reader.line_num
-            rid = _cell(row, schema.id_column, path, lineno)
-            if rid in seen:
-                raise IngestionError(f"{path}: row {lineno}: duplicate id {rid!r}")
-            seen.add(rid)
-            encoded = np.zeros(schema.encoded_dim, dtype=float)
-            pos = 0
-            for col in schema.columns:
-                raw = _cell(row, col.name, path, lineno)
-                if col.kind == "numeric":
-                    try:
-                        encoded[pos] = float(raw)
-                    except ValueError:
-                        raise IngestionError(
-                            f"{path}: row {lineno}, column {col.name!r}: "
-                            f"cannot parse {raw!r} as number"
-                        ) from None
-                    pos += 1
-                elif col.kind == "binary":
-                    if raw not in col.categories:
-                        raise IngestionError(
-                            f"{path}: row {lineno}, column {col.name!r}: value {raw!r} "
-                            f"not one of {col.categories}"
-                        )
-                    encoded[pos] = float(col.categories.index(raw))
-                    pos += 1
-                else:
-                    if raw not in col.categories:
-                        raise IngestionError(
-                            f"{path}: row {lineno}, column {col.name!r}: unseen category {raw!r}"
-                        )
-                    encoded[pos + col.categories.index(raw)] = 1.0
-                    pos += len(col.categories)
-            label = _int_cell(row, schema.label_column, path, lineno)
-            if not COMPAS_SCALE.contains(label):
-                raise IngestionError(
-                    f"{path}: row {lineno}, column {schema.label_column!r}: "
-                    f"label {label} outside 1-10"
-                )
-            rows.append(encoded)
-            labels.append(label)
-            ids.append(rid)
-    finally:
-        handle.close()
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
-    if len(rows) < 2:
-        raise IngestionError(f"{path}: need at least 2 rows, got {len(rows)}")
+    for row in table.rows:
+        rid = row.text(schema.id_column)
+        if rid in ids:
+            raise row.error(f"duplicate id {rid!r}", schema.id_column)
+        ids[rid] = None
+        encoded: list[float] = []
+        for col in schema.columns:
+            if col.kind == "numeric":
+                encoded.append(row.number(col.name))
+            elif col.kind == "binary":
+                encoded.append(float(row.choice(col.name, col.categories)))
+            else:
+                at = row.choice(col.name, col.categories)
+                encoded.extend(float(i == at) for i in range(col.encoded_width))
+        features.append(encoded)
+        labels.append(row.integer(schema.label_column, "label", COMPAS_SCALE))
+    if len(labels) < 2:
+        raise IngestionError(f"{table.path}: need at least 2 rows, got {len(labels)}")
     return LabeledDataset(
-        features=np.vstack(rows),
+        features=np.asarray(features),
         labels=np.asarray(labels),
         scale=COMPAS_SCALE,
         feature_names=schema.encoded_names,
-        source_tag=f"defendants:{path.name}",
+        source_tag=f"{kind}:{table.path.name}",
         ids=tuple(ids),
     )
 
 
-_BOOL_WORDS = {"yes": True, "no": False}
+def load_defendants(path, schema: FeatureSchema) -> LabeledDataset:
+    """Load and encode the raw defendant table; labels are COMPAS decile scores."""
+    with read_csv(path, "defendants") as table:
+        return defendants_from_table(table, schema, "defendants")
+
+
+ENCODED_ID = "id"
+ENCODED_LABEL = "compas_decile"
+
+
+def encoded_schema(table: CsvTable) -> FeatureSchema:
+    """The schema of the encoded file `ingest` writes: id, compas_decile, then every other
+    header column as numeric."""
+    names = list(table.columns)
+    if names[:2] != [ENCODED_ID, ENCODED_LABEL] or len(names) < 3:
+        raise IngestionError(
+            f"{table.path}: not a canonical encoded file (expected columns {ENCODED_ID!r}, "
+            f"{ENCODED_LABEL!r}, then the features; run the ingest command first)"
+        )
+    columns = tuple(ColumnSpec(name, "numeric") for name in names[2:])
+    return FeatureSchema(columns, id_column=ENCODED_ID, label_column=ENCODED_LABEL)
+
+
+def write_encoded_defendants(dataset: LabeledDataset, path) -> None:
+    rows = [[ENCODED_ID, ENCODED_LABEL, *dataset.feature_names]]
+    ids = dataset.ids or tuple(str(i) for i in range(dataset.n))
+    for i in range(dataset.n):
+        rows.append(
+            [ids[i], str(int(dataset.labels[i]))] + [repr(float(v)) for v in dataset.features[i]]
+        )
+    write_csv(path, rows)
+
+
+SURVEY_COLUMNS = (
+    "respondent_id", "defendant_id", "q1_recidivism", "q2_bail", "q3_confidence", "two_year_recid"
+)
+_BAIL_WORDS = ("yes", "no")  # q2_bail: bail granted, bail refused
+_OUTCOME = RatingScale(0, 1)  # two_year_recid
 
 
 def load_survey(path) -> list[SurveyRecord]:
     """Load survey judgments; exactly one record per (respondent, defendant) pair."""
-    path = Path(path)
-    required = [
-        "respondent_id",
-        "defendant_id",
-        "q1_recidivism",
-        "q2_bail",
-        "q3_confidence",
-        "two_year_recid",
-    ]
-    handle, reader = _open_rows(path, required, "survey")
     records: list[SurveyRecord] = []
     seen: set[tuple[str, str]] = set()
-    try:
-        for row in reader:
-            lineno = reader.line_num
-            resp = _cell(row, "respondent_id", path, lineno)
-            defend = _cell(row, "defendant_id", path, lineno)
-            if (resp, defend) in seen:
-                raise IngestionError(
-                    f"{path}: row {lineno}: duplicate (respondent, defendant) pair "
-                    f"({resp!r}, {defend!r})"
+    with read_csv(path, "survey") as table:
+        table.require(SURVEY_COLUMNS)
+        for row in table.rows:
+            pair = (row.text("respondent_id"), row.text("defendant_id"))
+            if pair in seen:
+                raise row.error(f"duplicate (respondent, defendant) pair {pair!r}")
+            seen.add(pair)
+            records.append(
+                SurveyRecord(
+                    *pair,
+                    row.integer("q1_recidivism", "recidivism prediction", SURVEY_SCALE),
+                    row.choice("q2_bail", _BAIL_WORDS, fold_case=True) == 0,
+                    row.integer("q3_confidence", "confidence", SURVEY_SCALE),
+                    row.integer("two_year_recid", "outcome", _OUTCOME) == 1,
                 )
-            seen.add((resp, defend))
-            q1 = _int_cell(row, "q1_recidivism", path, lineno)
-            bail_raw = _cell(row, "q2_bail", path, lineno).lower()
-            if bail_raw not in _BOOL_WORDS:
-                raise IngestionError(
-                    f"{path}: row {lineno}, column 'q2_bail': expected yes/no, got {bail_raw!r}"
-                )
-            q3 = _int_cell(row, "q3_confidence", path, lineno)
-            recid = _int_cell(row, "two_year_recid", path, lineno)
-            if recid not in (0, 1):
-                raise IngestionError(
-                    f"{path}: row {lineno}, column 'two_year_recid': expected 0/1, got {recid}"
-                )
-            try:
-                records.append(
-                    SurveyRecord(
-                        respondent_id=resp,
-                        defendant_id=defend,
-                        recidivism_prediction=q1,
-                        bail_granted=_BOOL_WORDS[bail_raw],
-                        confidence=q3,
-                        ground_truth_recidivated=bool(recid),
-                    )
-                )
-            except ConfigurationError as exc:
-                raise IngestionError(f"{path}: row {lineno}: {exc}") from exc
-    finally:
-        handle.close()
-    if not records:
-        raise IngestionError(f"{path}: no data rows")
+            )
     return records
+
+
+def write_survey(records: list[SurveyRecord], path) -> None:
+    rows: list = [SURVEY_COLUMNS]
+    for rec in records:
+        rows.append(
+            [
+                rec.respondent_id,
+                rec.defendant_id,
+                str(rec.recidivism_prediction),
+                "yes" if rec.bail_granted else "no",
+                str(rec.confidence),
+                str(int(rec.ground_truth_recidivated)),
+            ]
+        )
+    write_csv(path, rows)
+
+
+def require_known_defendants(surveyed, ids) -> None:
+    """Raise unless every surveyed defendant id is one of the defendant table's `ids`."""
+    missing = sorted(set(surveyed).difference(ids))
+    if missing:
+        raise IngestionError(
+            f"surveyed defendant(s) not in defendant table: {', '.join(missing[:5])}"
+            + (" ..." if len(missing) > 5 else "")
+        )
 
 
 def _round_half_up(value: float) -> int:
@@ -355,13 +437,7 @@ def attach_labels(
     ratings: dict[str, dict[str, int]] = {}
     for rec in survey:
         ratings.setdefault(rec.defendant_id, {})[rec.respondent_id] = rec.recidivism_prediction
-    known = set(defendants.ids)
-    missing = sorted(set(ratings) - known)
-    if missing:
-        raise IngestionError(
-            f"surveyed defendant(s) not in defendant table: {', '.join(missing[:5])}"
-            + (" ..." if len(missing) > 5 else "")
-        )
+    require_known_defendants(ratings, defendants.ids)
     if kind == "per_respondent":
         respondents = {rec.respondent_id for rec in survey}
         if respondent not in respondents:

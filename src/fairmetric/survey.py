@@ -14,9 +14,14 @@ PREDICTION_LEVELS = (1, 2, 3, 4, 5)
 PREDICTION_NAMES = ("Extremely Unlikely", "Unlikely", "Neither", "Likely", "Extremely Likely")
 
 
-def _respondent_order(records: list[SurveyRecord]) -> list[str]:
+def _by_respondent(records: list[SurveyRecord]) -> dict[str, list[SurveyRecord]]:
+    """Each respondent's records, in record order; respondents in numeric-then-text id order."""
     ids = {r.respondent_id for r in records}
-    return sorted(ids, key=lambda s: (0, int(s)) if s.isdigit() else (1, s))
+    order = sorted(ids, key=lambda s: (0, int(s)) if s.isdigit() else (1, s))
+    by_resp: dict[str, list[SurveyRecord]] = {rid: [] for rid in order}
+    for rec in records:
+        by_resp[rec.respondent_id].append(rec)
+    return by_resp
 
 
 @dataclass(frozen=True)
@@ -41,18 +46,17 @@ def bail_rate_table(records: list[SurveyRecord]) -> BailRateTable:
     """
     if not records:
         raise ConfigurationError("no survey records")
-    respondents = _respondent_order(records)
+    by_resp = _by_respondent(records)
     mean_row: list[float | None] = []
     max_row: list[float | None] = []
     min_row: list[float | None] = []
     counts: list[int] = []
     for level in PREDICTION_LEVELS:
         rates = []
-        for rid in respondents:
-            mine = [r for r in records if r.respondent_id == rid and r.recidivism_prediction == level]
-            if not mine:
-                continue
-            rates.append(sum(r.bail_granted for r in mine) / len(mine))
+        for mine in by_resp.values():
+            granted = [r.bail_granted for r in mine if r.recidivism_prediction == level]
+            if granted:
+                rates.append(sum(granted) / len(granted))
         counts.append(len(rates))
         if rates:
             mean_row.append(float(np.mean(rates)))
@@ -94,10 +98,10 @@ class ConfidenceAccuracyTable:
     low_confidence: StratumRow
 
 
-def _stratum(records_by_resp: dict[str, list[SurveyRecord]], respondents, keep) -> StratumRow:
+def _stratum(records_by_resp: dict[str, list[SurveyRecord]], keep) -> StratumRow:
     per: list[float | None] = []
-    for rid in respondents:
-        mine = [r for r in records_by_resp[rid] if keep(r)]
+    for records in records_by_resp.values():
+        mine = [r for r in records if keep(r)]
         per.append(sum(decision_correct(r) for r in mine) / len(mine) if mine else None)
     present = [v for v in per if v is not None]
     if present:
@@ -119,17 +123,14 @@ def confidence_accuracy_table(
         raise ConfigurationError(
             f"confidence threshold must lie in 1..5, got {high_confidence_threshold}"
         )
-    respondents = _respondent_order(records)
-    by_resp: dict[str, list[SurveyRecord]] = {rid: [] for rid in respondents}
-    for rec in records:
-        by_resp[rec.respondent_id].append(rec)
+    by_resp = _by_respondent(records)
     thr = high_confidence_threshold
     return ConfidenceAccuracyTable(
         threshold=thr,
-        respondent_ids=tuple(respondents),
-        overall=_stratum(by_resp, respondents, lambda r: True),
-        high_confidence=_stratum(by_resp, respondents, lambda r: r.confidence >= thr),
-        low_confidence=_stratum(by_resp, respondents, lambda r: r.confidence < thr),
+        respondent_ids=tuple(by_resp),
+        overall=_stratum(by_resp, lambda r: True),
+        high_confidence=_stratum(by_resp, lambda r: r.confidence >= thr),
+        low_confidence=_stratum(by_resp, lambda r: r.confidence < thr),
     )
 
 

@@ -7,7 +7,6 @@ import pytest
 from fairmetric.cli import (
     _ALLOWED_KEYS,
     LAYOUTS,
-    _write_csv,
     _write_text,
     cmd_ingest,
     load_encoded_defendants,
@@ -28,6 +27,7 @@ from fairmetric.core import (
 )
 from fairmetric.errors import ConfigurationError
 from fairmetric.evaluation import DEFAULT_MENU
+from fairmetric.ingest import write_csv
 
 CHARGES = ("violent", "property", "drug", "other")
 
@@ -143,7 +143,23 @@ def test_ingest_unseen_category_named_in_error(tmp_path):
         cmd_ingest(raw_d, raw_s, None, tmp_path / "out")
 
 
-def test_ingest_survey_referencing_unknown_defendant(tmp_path):
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_ingest_rejects_a_raw_feature_that_is_not_finite(tmp_path, capsys, value):
+    raw_d = write_raw_defendants(tmp_path / "defendants.csv", 5)
+    lines = raw_d.read_text().splitlines()
+    row = lines[2].split(",")
+    row[1] = value  # the age of line 3
+    lines[2] = ",".join(row)
+    raw_d.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    raw_s = write_raw_survey(tmp_path / "survey.csv", 5)
+    out = tmp_path / "out"
+    argv = ["ingest", "--defendants", str(raw_d), "--survey", str(raw_s), "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert f"{raw_d}: row 3, column 'age': {value!r} is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ingest_survey_referencing_unknown_defendant(tmp_path, capsys):
     raw_d = write_raw_defendants(tmp_path / "defendants.csv", 5)
     raw_s = write_raw_survey(tmp_path / "survey.csv", 8)  # d005..d007 unknown
     code = main(
@@ -158,6 +174,7 @@ def test_ingest_survey_referencing_unknown_defendant(tmp_path):
         ]
     )
     assert code == 2
+    assert "surveyed defendant(s) not in defendant table: d005, d006, d007" in capsys.readouterr().err
 
 
 def write_config(path, out_dir, mode="figure1", label_source="compas", extra=""):
@@ -348,7 +365,7 @@ def test_one_renderer_writes_each_layout(tmp_path, mode):
     text, csv_text = PINNED_FILES[mode]
     layout = LAYOUTS[mode]
     _write_text(tmp_path / "out.txt", render_report_text(PINNED_REPORT, layout))
-    _write_csv(tmp_path / "out.csv", report_csv_rows(PINNED_REPORT, layout))
+    write_csv(tmp_path / "out.csv", report_csv_rows(PINNED_REPORT, layout))
     assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
     assert (tmp_path / "out.csv").read_bytes() == csv_text.encode("utf-8")
 

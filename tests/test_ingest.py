@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairmetric.cli import load_encoded_defendants
 from fairmetric.core import LabeledDataset, RatingScale
 from fairmetric.errors import ConfigurationError, IngestionError
 from fairmetric.ingest import (
@@ -167,6 +168,96 @@ def test_load_survey_bad_bail_word(tmp_path):
     p = write_survey(tmp_path / "s.csv", ["1,a,3,maybe,5,1"])
     with pytest.raises(IngestionError, match="yes/no"):
         load_survey(p)
+
+
+# The three input tables, each as (loader, header, two good data rows).
+TABLES = {
+    "raw": (
+        lambda p: load_defendants(p, SMALL_SCHEMA),
+        "id,color,age,weight,compas_decile",
+        ["a,red,20,60,1", "b,green,30,70,5"],
+    ),
+    "encoded": (load_encoded_defendants, "id,compas_decile,age,weight", ["a,1,20,60", "b,5,30,70"]),
+    "survey": (load_survey, SURVEY_HEADER, ["1,a,4,yes,5,1", "1,b,2,no,3,0"]),
+}
+
+
+def _load(path, kind, lines):
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return TABLES[kind][0](path)
+
+
+def _same(a, b):
+    if isinstance(a, list):
+        return a == b
+    return (
+        np.array_equal(a.features, b.features)
+        and np.array_equal(a.labels, b.labels)
+        and (a.ids, a.feature_names, a.source_tag) == (b.ids, b.feature_names, b.source_tag)
+    )
+
+
+@pytest.mark.parametrize("kind", TABLES)
+def test_every_table_skips_blank_lines(tmp_path, kind):
+    _, header, rows = TABLES[kind]
+    plain = _load(tmp_path / "plain" / "t.csv", kind, [header, *rows])
+    spaced = _load(tmp_path / "spaced" / "t.csv", kind, ["", header, "", rows[0], "", "", rows[1], ""])
+    assert _same(spaced, plain)
+
+
+@pytest.mark.parametrize("kind", TABLES)
+def test_every_table_strips_every_cell(tmp_path, kind):
+    _, header, rows = TABLES[kind]
+    plain = _load(tmp_path / "plain" / "t.csv", kind, [header, *rows])
+    padded = [", ".join(f" {cell}\t" for cell in line.split(",")) for line in [header, *rows]]
+    assert _same(_load(tmp_path / "padded" / "t.csv", kind, padded), plain)
+
+
+@pytest.mark.parametrize("kind", TABLES)
+@pytest.mark.parametrize("edit", ["extra", "missing"])
+def test_every_table_rejects_a_row_with_another_cell_count(tmp_path, kind, edit):
+    _, header, rows = TABLES[kind]
+    width = header.count(",") + 1
+    bad = rows[1] + ",9" if edit == "extra" else rows[1].rsplit(",", 1)[0]
+    cells = width + 1 if edit == "extra" else width - 1
+    with pytest.raises(IngestionError, match=rf"row 3: {cells} cells, the header has {width}"):
+        _load(tmp_path / "bad.csv", kind, [header, rows[0], bad])
+
+
+@pytest.mark.parametrize(
+    "kind, row, fragment",
+    [
+        ("raw", "b,green,x,70,5", "column 'age': cannot parse 'x' as number"),
+        ("raw", "b,green,30,70,x", "column 'compas_decile': cannot parse 'x' as integer"),
+        ("raw", "b,Green,30,70,5", "column 'color': unseen category 'Green'"),
+        ("raw", "a,green,30,70,5", "column 'id': duplicate id 'a'"),
+        ("raw", "b,green,,70,5", "column 'age': empty cell"),
+        ("encoded", "b,5,x,70", "column 'age': cannot parse 'x' as number"),
+        ("encoded", "b,0,30,70", "column 'compas_decile': label 0 outside 1-10"),
+        ("encoded", "b,5,30, ", "column 'weight': empty cell"),
+        ("survey", "1,b,6,no,3,0", "column 'q1_recidivism': recidivism prediction 6 outside 1-5"),
+        ("survey", "1,b,2,no,x,0", "column 'q3_confidence': cannot parse 'x' as integer"),
+        ("survey", "1,b,2,maybe,3,0", "column 'q2_bail': unseen category 'maybe'; expected yes/no"),
+        ("survey", "1,b,2,no,3,2", "column 'two_year_recid': outcome 2 outside 0-1"),
+        ("survey", "1,a,2,no,3,0", "duplicate (respondent, defendant) pair ('1', 'a')"),
+    ],
+)
+def test_a_faulty_row_names_the_file_row_and_column(tmp_path, kind, row, fragment):
+    _, header, rows = TABLES[kind]
+    path = tmp_path / "bad.csv"
+    with pytest.raises(IngestionError) as info:
+        _load(path, kind, [header, rows[0], row])
+    assert info.value.exit_code == 2
+    assert str(info.value).startswith(f"{path}: row 3")
+    assert fragment in str(info.value)
+
+
+def test_every_table_rejects_a_repeated_column_name(tmp_path):
+    for kind, (_, header, rows) in TABLES.items():
+        repeated = header.rsplit(",", 1)[0] + "," + header.split(",")[0]
+        with pytest.raises(IngestionError, match="repeated column name"):
+            _load(tmp_path / f"{kind}.csv", kind, [repeated, *rows])
 
 
 def _defendants(n=6):

@@ -55,6 +55,32 @@ def test_bail_rate_mean_between_min_and_max():
         assert 0.0 <= table.mean[lvl] <= 1.0
 
 
+def test_bail_rate_table_equals_a_scan_per_level_and_respondent():
+    rng = np.random.default_rng(3)
+    respondents = ["10", "2", "b", "1", "a"]
+    records = [
+        rec(respondents[int(rng.integers(5))], i, q1=int(rng.integers(1, 6)), bail=bool(rng.integers(2)))
+        for i in range(300)
+    ]
+    ordered = ["1", "2", "10", "a", "b"]
+    expected = {"mean": [], "max": [], "min": [], "n": []}
+    for level in range(1, 6):
+        rates = []
+        for rid in ordered:
+            mine = [r for r in records if r.respondent_id == rid and r.recidivism_prediction == level]
+            if mine:
+                rates.append(sum(r.bail_granted for r in mine) / len(mine))
+        expected["mean"].append(float(np.mean(rates)))
+        expected["max"].append(float(np.max(rates)))
+        expected["min"].append(float(np.min(rates)))
+        expected["n"].append(len(rates))
+    table = bail_rate_table(records)
+    assert list(table.mean) == expected["mean"]  # exact: same rates in the same order
+    assert list(table.max) == expected["max"]
+    assert list(table.min) == expected["min"]
+    assert list(table.n_respondents) == expected["n"]
+
+
 def test_decision_correctness_rule():
     assert decision_correct(rec(1, "a", bail=True, recid=False))
     assert decision_correct(rec(1, "a", bail=False, recid=True))

@@ -9,6 +9,10 @@ fixtures. Then `fairmetric experiment` runs on every dataset from each tree,
 in a subprocess with one BLAS thread and the workload's `--threads`. Every
 output file, the exit status and stdout must match. `dump-triplets` runs
 too, once per variant, on the first `smoke_figure1` dataset of each seed.
+On the first dataset of each workload that takes its labels from a survey,
+`report-survey` runs on its survey CSV, and `ingest` on its defendants and
+survey CSVs under a schema manifest written to the temporary directory, which
+declares `id`, `compas_decile` and every feature column as numeric.
 No workload leaves a report cell empty, so four configs derived from the first
 `smoke_figure1` and `smoke_sweep` datasets run as well: one with N/A cells and
 one where every cell is empty (exit 3) per mode.
@@ -72,6 +76,16 @@ def run_cli(src: Path, args: list[str], out_dir: Path) -> tuple[dict[str, bytes]
         if path.is_file():
             outputs[str(path.relative_to(out_dir))] = path.read_bytes()
     return outputs, done.stderr
+
+
+def write_manifest(defendants: Path) -> Path:
+    """Write a schema manifest beside `defendants` that reads its feature columns as numeric."""
+    header = defendants.read_text(encoding="utf-8").split("\n", 1)[0].split(",")
+    lines = ["id_column id", "label_column compas_decile"]
+    lines += [f"column {name} numeric" for name in header if name not in ("id", "compas_decile")]
+    manifest = defendants.with_name("schema.txt")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return manifest
 
 
 def derive_config(config: Path, name: str, edits: dict) -> Path:
@@ -164,9 +178,18 @@ def main(argv=None) -> int:
                     files, found = compare(label, run, trees, work, status)
                     problems += found
                     print(f"seed {seed} {workload.name} {name} (exit {status}): {files} files compared")
+                data = configs[0].parent / fixtures.DEFENDANTS_NAME
+                if workload.labels == "survey":
+                    survey = str(configs[0].parent / fixtures.SURVEY_NAME)
+                    ingest = ["ingest", "--defendants", str(data), "--survey", survey,
+                              "--schema", str(write_manifest(data)), "--out-dir", "."]
+                    report = ["report-survey", "--survey", survey, "--out-dir", "."]
+                    for command, run in (("ingest", ingest), ("report-survey", report)):
+                        files, found = compare(f"seed{seed}/{workload.name}/{command}", run, trees, work)
+                        problems += found
+                        print(f"seed {seed} {workload.name} {command}: {files} files compared")
                 if workload.name != DUMP_WORKLOAD:
                     continue
-                data = configs[0].parent / fixtures.DEFENDANTS_NAME
                 for variant, sigma in DUMPS:
                     label = f"seed{seed}/dump-triplets-{variant}-{sigma}"
                     run = ["dump-triplets", "--data", str(data), "--sigma", sigma,
