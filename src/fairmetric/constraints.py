@@ -151,9 +151,7 @@ class TripletRule:
     d(a, c) lies below d(a, a) = 0.
     """
 
-    labels: np.ndarray
     sigma: float
-    variant: str
     total: int
     label_masks: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -167,4 +165,4 @@ def describe_triplets(dataset: LabeledDataset, sigma: float, variant: str = "lit
     for label in np.unique(labels):
         anchors = np.flatnonzero(labels == label)
         masks.append((anchors, _valid_c(labels, sigma, variant, anchors[0], rows)))
-    return TripletRule(labels=labels, sigma=float(sigma), variant=variant, total=total, label_masks=tuple(masks))
+    return TripletRule(sigma=float(sigma), total=total, label_masks=tuple(masks))

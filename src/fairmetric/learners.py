@@ -12,17 +12,16 @@ of at most `tol`, or when no step reaches the Armijo rule before it rounds to
 x. Each fit returns the learned metric together with an OptimizerTrace of the
 objective values at its iterates.
 
-LSML's trials cost O(m + d) for m triplets: along a segment the triplet quad
-forms are affine in t, and one eigendecomposition per iterate gives
-logdet(M + tD) for every t (see _lsml_local). The other objectives are
-evaluated afresh at each trial, but not twice at one point: the accepted
-trial x + t d is the next iterate, and a one-entry memo on array equality
-(_last_point_memo) hands LMNN's and both MMC forms' value there to the
-gradient. Their (n, n) Gram and Laplacian arrays and LMNN's (pairs, n)
-margins live in a workspace made once per fit call (_Workspace). Each
-evaluation overwrites them, by the same operations in the same order as on
-fresh arrays, so the results are the same bits and the fit does not page in
-new memory at every evaluation.
+Each learner hands the engine evaluate(x) -> (f, state) and
+gradient(state) -> g. The line search calls evaluate at every trial x + t d,
+and the accepted trial, with its value and state, is the next iterate: no point
+is evaluated twice, and the engine asks for a gradient only from the state of
+the point it evaluated last. So LMNN's and both MMC forms' states can be views
+of a workspace made once per fit call (_Workspace), holding their (n, n) Gram
+and Laplacian arrays and LMNN's (pairs, n) margins. Each evaluation overwrites
+them, by the same operations in the same order as on fresh arrays, so the
+results are the same bits and the fit does not page in new memory at every
+evaluation.
 
 Objectives (X is the training matrix, d_M the Mahalanobis distance):
 
@@ -99,10 +98,10 @@ class OptimizerTrace:
     projection_count counts the starting point and the iterations whose
     projection actually altered the projected point. evaluations counts the
     objective values the engine asks for: one per iterate and one per
-    line-search trial phi(t). Each iterate also yields one gradient, so
-    `iterations` counts the gradients too. An accepted trial is the next
-    iterate, which LMNN and MMC do not evaluate again (see the module
-    docstring), so they compute 1 + evaluations - iterations values.
+    line-search trial. Each iterate also yields one gradient, so `iterations`
+    counts the gradients too. An accepted trial is the next iterate, which is
+    not evaluated again (see the module docstring), so every learner computes
+    1 + evaluations - iterations values.
     """
 
     objective_values: tuple[float, ...]
@@ -117,8 +116,16 @@ class OptimizerTrace:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
+    """max_iter caps the iterates, the start included; tol is the relative-decrease stop."""
+
     max_iter: int = 1000
     tol: float = 1e-6
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ConfigurationError(f"max_iter must be positive, got {self.max_iter}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ConfigurationError(f"tol must be finite and nonnegative, got {self.tol}")
 
 
 def _clip_step(lam: float) -> float:
@@ -145,36 +152,41 @@ def _descent_direction(x, g, lam, project):
         lam *= 0.5
 
 
-def _armijo(phi, x, d, f, slope):
-    """Backtrack from t = 1 to the first t with phi(t) <= f + ARMIJO * t * slope.
+def _armijo(evaluate, x, d, f, slope):
+    """Backtrack from t = 1 to the first t with f(x + t d) <= f + ARMIJO * t * slope.
 
     A rejected t gives way to the minimizer of the quadratic through f, slope
-    and phi(t) when that lies in [0.1 t, 0.9 t], else to t / 2 (Birgin,
-    Martinez & Raydan). Returns t and the trials made; t is None once x + t d
+    and f(x + t d) when that lies in [0.1 t, 0.9 t], else to t / 2 (Birgin,
+    Martinez & Raydan). Returns the accepted point x + t d, its evaluate
+    result (value, state) and the trials made; the point is None once x + t d
     rounds to x.
     """
     t, trials = 1.0, 0
     while True:
         trials += 1
-        value = phi(t)
+        point = x + t * d
+        value, state = evaluate(point)
         if value <= f + ARMIJO * t * slope:
-            return t, trials
+            return point, (value, state), trials
         quadratic = -0.5 * t * t * slope / (value - f - t * slope)  # 0 when value is inf
         t = quadratic if 0.1 * t <= quadratic <= 0.9 * t else 0.5 * t
         if np.array_equal(x + t * d, x):
-            return None, trials
+            return None, None, trials
 
 
-def _spg(x0, local, project, opts: OptimizerOptions):
+def _spg(x0, evaluate, gradient, project, opts: OptimizerOptions):
     """Monotone spectral projected gradient, as the module docstring describes.
 
-    local(x) returns (f, g, along) at a feasible x, where along(d) returns
-    phi(t) = f(x + t d). project(x) returns the projection of x onto the
-    (convex) feasible set and 1 if it altered x, else 0. Returns the final
-    iterate and its OptimizerTrace.
+    evaluate(x) returns (f, state) at a feasible x, and gradient(state) the
+    gradient there. The engine calls gradient only with the state of the
+    point evaluate saw last, before evaluating another, so a state may be a
+    view of arrays the next evaluation overwrites. project(x) returns the
+    projection of x onto the (convex) feasible set and 1 if it altered x,
+    else 0. Returns the final iterate and its OptimizerTrace.
     """
     x, projection_count = project(np.array(x0, dtype=float))
-    f, g, along = local(x)
+    f, state = evaluate(x)
+    g = gradient(state)
     values, evaluations = [f], 1
     # the first step is 1 / |P(x - g) - x|_inf, as in Birgin, Martinez & Raydan
     scale = float(np.abs(project(x - g)[0] - x).max())
@@ -187,14 +199,14 @@ def _spg(x0, local, project, opts: OptimizerOptions):
             converged = True
             break
         d, slope, changed = direction
-        t, trials = _armijo(along(d), x, d, f, slope)
+        x_new, accepted, trials = _armijo(evaluate, x, d, f, slope)
         evaluations += trials
-        if t is None:
+        if x_new is None:
             converged = True  # no sufficient decrease within float resolution
             break
-        x_new = x + t * d
-        f_new, g_new, along = local(x_new)
-        evaluations += 1
+        f_new, state = accepted
+        g_new = gradient(state)
+        evaluations += 1  # the iterate counts apart from its accepted trial (see OptimizerTrace)
         s, y = x_new - x, g_new - g
         sy = float(np.vdot(s, y))
         lam = _clip_step(float(np.vdot(s, s)) / sy) if sy > 0.0 else STEP_RANGE[1]
@@ -210,11 +222,6 @@ def _spg(x0, local, project, opts: OptimizerOptions):
         else:
             small_streak = 0
     return x, OptimizerTrace(tuple(values), converged, projection_count, evaluations)
-
-
-def _along_line(fun, x):
-    """along(d) -> phi(t) = fun(x + t d), for an objective with no cheaper form on a segment."""
-    return lambda d: lambda t: fun(x + t * d)
 
 
 def _finalize_metric(m: np.ndarray) -> MahalanobisMetric:
@@ -265,70 +272,42 @@ def _triplet_diffs(train: LabeledDataset, triplets: TripletSet):
 
 def lsml_objective(m: np.ndarray, train: LabeledDataset, triplets: TripletSet, alpha: float) -> float:
     vab, vac = _triplet_diffs(train, triplets)
-    return _lsml_local(np.asarray(m, dtype=float), vab, vac, alpha)[0]
+    return _lsml_value(np.asarray(m, dtype=float), vab, vac, alpha)[0]
 
 
 def lsml_gradient(m: np.ndarray, train: LabeledDataset, triplets: TripletSet, alpha: float) -> np.ndarray:
     vab, vac = _triplet_diffs(train, triplets)
-    return _lsml_local(np.asarray(m, dtype=float), vab, vac, alpha)[1]
+    return _lsml_grad(_lsml_value(np.asarray(m, dtype=float), vab, vac, alpha)[1], vab, vac, alpha)
 
 
-def _lsml_value(qab, qac, trace, logdet, alpha, d):
-    """LSML's objective from the triplet quad forms, tr(M) and logdet(M)."""
-    resid = np.sqrt(np.maximum(qab, 0.0)) - np.sqrt(np.maximum(qac, 0.0))
-    return alpha * (trace - logdet - d) + float(np.sum(np.square(np.maximum(resid, 0.0))))
-
-
-def _lsml_local(m, vab, vac, alpha):
-    """LSML's value and gradient at m, and along(D) for the segment m + tD.
+def _lsml_value(m, vab, vac, alpha):
+    """LSML's value at m and the parts its gradient reuses: (w, v, dab, dac, resid).
 
     One eigh of m = V W V^T, with W floored at RELATIVE_EIG_FLOOR * w_max
     (and at least ABSOLUTE_EIG_FLOOR), gives logdet(m) and the gradient's
-    m^-1. On the segment the quad forms are affine, q(m + tD) = q(m) +
-    t q(D), and logdet(m + tD) = logdet(m) + sum log1p(t mu), with mu the
-    eigenvalues of W^-1/2 V^T D V W^-1/2. So along costs two quad forms and
-    one eigvalsh, and each trial phi(t) then O(m + d). A trial where 1 + t mu
-    is not positive beyond the rounding of mu is off the domain of logdet,
-    and phi returns inf there.
+    m^-1; dab and dac are the triplet distances and resid = dab - dac.
     """
-    d = m.shape[0]
     w, v = np.linalg.eigh(0.5 * (m + m.T))
     w = np.maximum(w, max(RELATIVE_EIG_FLOOR * float(w[-1]), ABSOLUTE_EIG_FLOOR))
     logdet = float(np.log(w).sum())
     trace = float(np.trace(m))
-    qab, qac = quad_forms(vab, m), quad_forms(vac, m)
-
-    dab, dac = np.sqrt(np.maximum(qab, 0.0)), np.sqrt(np.maximum(qac, 0.0))
+    dab = np.sqrt(np.maximum(quad_forms(vab, m), 0.0))
+    dac = np.sqrt(np.maximum(quad_forms(vac, m), 0.0))
     resid = dab - dac
-    grad = alpha * (np.eye(d) - (v / w) @ v.T)
+    value = alpha * (trace - logdet - m.shape[0]) + float(np.sum(np.square(np.maximum(resid, 0.0))))
+    return value, (w, v, dab, dac, resid)
+
+
+def _lsml_grad(parts, vab, vac, alpha):
+    """LSML's gradient from the parts _lsml_value returns."""
+    w, v, dab, dac, resid = parts
+    grad = alpha * (np.eye(w.shape[0]) - (v / w) @ v.T)
     active = resid > 0
     if np.any(active):
         wab = np.where(active & (dab > ZERO_DISTANCE), resid / np.maximum(dab, ZERO_DISTANCE), 0.0)
         wac = np.where(active & (dac > ZERO_DISTANCE), resid / np.maximum(dac, ZERO_DISTANCE), 0.0)
         grad = grad + (vab * wab[:, None]).T @ vab - (vac * wac[:, None]).T @ vac
-
-    def along(step):
-        sab, sac = quad_forms(vab, step), quad_forms(vac, step)
-        scaled = v / np.sqrt(w)
-        mu = np.linalg.eigvalsh(scaled.T @ step @ scaled)
-        step_trace = float(np.trace(step))
-        resolution = d * np.finfo(float).eps
-
-        def phi(t):
-            if 1.0 + t * mu[0] <= resolution * (1.0 + t * max(-mu[0], mu[-1])):
-                return math.inf
-            return _lsml_value(
-                qab + t * sab,
-                qac + t * sac,
-                trace + t * step_trace,
-                logdet + float(np.log1p(t * mu).sum()),
-                alpha,
-                d,
-            )
-
-        return phi
-
-    return _lsml_value(qab, qac, trace, logdet, alpha, d), 0.5 * (grad + grad.T), along
+    return 0.5 * (grad + grad.T)
 
 
 def _clip_to_floored_cone(m: np.ndarray):
@@ -363,13 +342,16 @@ def fit_lsml(
     opts = opts or OptimizerOptions()
     vab, vac = _triplet_diffs(train, triplets)
 
-    def local(m):
-        return _lsml_local(m, vab, vac, alpha)
+    def evaluate(m):
+        return _lsml_value(m, vab, vac, alpha)
+
+    def gradient(parts):
+        return _lsml_grad(parts, vab, vac, alpha)
 
     # start at c* I, the minimizer of J on the ray cI (see the module docstring)
     prior_weight = alpha * train.d
-    start = prior_weight / (prior_weight + local(np.eye(train.d))[0])
-    m, trace = _spg(start * np.eye(train.d), local, _clip_to_floored_cone, opts)
+    start = prior_weight / (prior_weight + evaluate(np.eye(train.d))[0])
+    m, trace = _spg(start * np.eye(train.d), evaluate, gradient, _clip_to_floored_cone, opts)
     return _finalize_metric(m), trace
 
 
@@ -387,7 +369,7 @@ class LmnnProblem:
     pull_gram: np.ndarray  # sum over target pairs of (x_i - x_j)(x_i - x_j)^T
 
 
-def lmnn_problem(train: LabeledDataset, k_targets: int, strict: bool = False) -> LmnnProblem:
+def lmnn_problem(train: LabeledDataset, k_targets: int) -> LmnnProblem:
     if k_targets < 1:
         raise ConfigurationError(f"k_targets must be >= 1, got {k_targets}")
     x = train.features
@@ -398,10 +380,6 @@ def lmnn_problem(train: LabeledDataset, k_targets: int, strict: bool = False) ->
         same = np.flatnonzero(labels == labels[i])
         same = same[same != i]
         if same.size == 0:
-            if strict:
-                raise ConstraintError(
-                    f"rating class {int(labels[i])} has a single member (strict mode)"
-                )
             if int(labels[i]) not in warned:
                 warned.add(int(labels[i]))
                 warnings.warn(
@@ -410,11 +388,6 @@ def lmnn_problem(train: LabeledDataset, k_targets: int, strict: bool = False) ->
                     stacklevel=2,
                 )
             continue
-        if same.size < k_targets and strict:
-            raise ConstraintError(
-                f"rating class {int(labels[i])} has only {same.size + 1} members "
-                f"for k_targets={k_targets} (strict mode)"
-            )
         diffs = x[same] - x[i]
         order = np.argsort(np.einsum("ij,ij->i", diffs, diffs), kind="stable")
         targets = same[order[: min(k_targets, same.size)]]
@@ -451,26 +424,6 @@ class _Workspace:
 
 def _workspace(n: int, pairs: int = 0) -> _Workspace:
     return _Workspace(np.empty((n, n)), np.empty((n, n)), np.empty((pairs, n)), np.empty((pairs, n), dtype=bool))
-
-
-def _last_point_memo(fun):
-    """fun, remembering its result at the last argument, compared by array equality.
-
-    `_spg` evaluates an accepted trial at x + t d and then calls local at the
-    same x + t d, computed by the same operations, so the second call reuses
-    the trial's result. The old result is dropped before a new one is
-    computed: it may be a view of a workspace array the new one overwrites.
-    """
-    last = [None, None]  # argument, result
-
-    def memo(x):
-        if last[0] is None or not np.array_equal(last[0], x):
-            last[0] = last[1] = None
-            last[1] = fun(x)
-            last[0] = x.copy()
-        return last[1]
-
-    return memo
 
 
 def _pairwise_sq(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -555,22 +508,20 @@ def fit_lmnn(
     k_targets: int = 3,
     mu: float = 0.5,
     opts: OptimizerOptions | None = None,
-    strict: bool = False,
 ) -> tuple[MahalanobisMetric, OptimizerTrace]:
     """Large-margin nearest neighbor with rating values as classes."""
     if not 0.0 < mu < 1.0:
         raise ConfigurationError(f"mu must lie in (0, 1), got {mu}")
     opts = opts or OptimizerOptions(max_iter=300)
-    problem = lmnn_problem(train, k_targets, strict=strict)
+    problem = lmnn_problem(train, k_targets)
     ws = _problem_workspace(problem)
-    value_and_active = _last_point_memo(lambda m: _lmnn_value(m, problem, mu, ws))
-
-    def local(m):
-        value, active = value_and_active(m)
-        along = _along_line(lambda p: value_and_active(p)[0], m)
-        return value, _lmnn_grad(active, problem, mu, ws), along
-
-    m, trace = _spg(np.eye(train.d), local, _clip_to_cone, opts)
+    m, trace = _spg(
+        np.eye(train.d),
+        lambda m: _lmnn_value(m, problem, mu, ws),
+        lambda active: _lmnn_grad(active, problem, mu, ws),
+        _clip_to_cone,
+        opts,
+    )
     return _finalize_metric(m), trace
 
 
@@ -617,16 +568,15 @@ def _dissimilar_ascent(dist: np.ndarray, x: np.ndarray, dissimilar: np.ndarray, 
 def _fit_mmc_diagonal(x, xs, dissimilar, opts: OptimizerOptions):
     sim_col = np.diag(xs)  # similar-pair squared-distance sum per axis
     ws = _workspace(x.shape[0])
-    dissimilar_sum = _last_point_memo(lambda w: _dissimilar_sum(np.diag(w), x, dissimilar, ws))
 
-    def value(w, total):
-        return float(sim_col @ w) - math.log(total) if total > 0.0 else math.inf
+    def evaluate(w):
+        total, dist = _dissimilar_sum(np.diag(w), x, dissimilar, ws)
+        value = float(sim_col @ w) - math.log(total) if total > 0.0 else math.inf
+        return value, (total, dist)
 
-    def local(w):
-        total, dist = dissimilar_sum(w)
-        grad = sim_col - np.diag(_dissimilar_ascent(dist, x, dissimilar, ws)) / max(total, ZERO_DISTANCE)
-        along = _along_line(lambda p: value(p, dissimilar_sum(p)[0]), w)
-        return value(w, total), grad, along
+    def gradient(state):
+        total, dist = state
+        return sim_col - np.diag(_dissimilar_ascent(dist, x, dissimilar, ws)) / max(total, ZERO_DISTANCE)
 
     def project(w):
         return np.maximum(w, 0.0), int(bool(np.any(w < 0.0)))
@@ -635,7 +585,7 @@ def _fit_mmc_diagonal(x, xs, dissimilar, opts: OptimizerOptions):
     # tr(xs) = 0 every similar pair has equal features and g has no minimum on the ray
     similar_trace = float(sim_col.sum())
     start = 0.5 / similar_trace if similar_trace > 0.0 else 1.0
-    w, trace = _spg(np.full(x.shape[1], start), local, project, opts)
+    w, trace = _spg(np.full(x.shape[1], start), evaluate, gradient, project, opts)
     return np.diag(np.maximum(w, 0.0)), trace
 
 
@@ -699,19 +649,20 @@ def project_psd_cap(a: np.ndarray, xs: np.ndarray):
 
 def _fit_mmc_full(x, xs, dissimilar, opts: OptimizerOptions):
     ws = _workspace(x.shape[0])
-    dissimilar_sum = _last_point_memo(lambda m: _dissimilar_sum(m, x, dissimilar, ws))
 
-    def local(m):
-        total, dist = dissimilar_sum(m)
+    def evaluate(m):
+        total, dist = _dissimilar_sum(m, x, dissimilar, ws)
+        return -total, dist
+
+    def gradient(dist):
         g = _dissimilar_ascent(dist, x, dissimilar, ws)
-        along = _along_line(lambda p: -dissimilar_sum(p)[0], m)
-        return -total, -0.5 * (g + g.T), along
+        return -0.5 * (g + g.T)
 
     m0 = np.eye(x.shape[1])
     init_val = float((m0 * xs).sum())
     if init_val > 1.0:
         m0 = m0 / init_val
-    m, trace = _spg(m0, local, lambda m: project_psd_cap(m, xs), opts)
+    m, trace = _spg(m0, evaluate, gradient, lambda m: project_psd_cap(m, xs), opts)
     # ascent trace of the dissimilar sum
     trace = replace(trace, objective_values=tuple(-v for v in trace.objective_values))
     # projection first: rescaling by a positive scalar preserves the cone, so the
@@ -759,8 +710,11 @@ def load_metric(path) -> MahalanobisMetric:
     if len(raw) != d + 1:
         raise ConfigurationError(f"{path}: expected {d} matrix rows, got {len(raw) - 1}")
     rows = []
-    for line in raw[1:]:
-        values = [float(tok) for tok in line.split()]
+    for row, line in enumerate(raw[1:], start=1):
+        try:
+            values = [float(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: matrix row {row}: {exc}") from None
         if len(values) != d:
             raise ConfigurationError(f"{path}: expected {d} values per row")
         rows.append(values)

@@ -11,7 +11,7 @@ from fairmetric.core import (
     RatingScale,
     TripletSet,
 )
-from fairmetric.errors import ConditionWarning, ConstraintError, SmallClassWarning
+from fairmetric.errors import ConditionWarning, ConfigurationError, ConstraintError, SmallClassWarning
 from fairmetric.learners import (
     OptimizerOptions,
     euclidean_baseline,
@@ -171,14 +171,14 @@ def _mmc_objective(monkeypatch, ds, form):
     """The objective and gradient that fit_mmc hands to the optimizer."""
     engine, captured = learners._spg, []
 
-    def capture(x0, local, project, opts):
-        captured.append(local)
-        return engine(x0, local, project, opts)
+    def capture(x0, evaluate, gradient, project, opts):
+        captured.append((evaluate, gradient))
+        return engine(x0, evaluate, gradient, project, opts)
 
     monkeypatch.setattr(learners, "_spg", capture)
     fit_mmc(ds, form, OptimizerOptions(max_iter=2))
-    local = captured[0]
-    return (lambda x: local(x)[0]), (lambda x: local(x)[1])
+    evaluate, gradient = captured[0]
+    return (lambda x: evaluate(x)[0]), (lambda x: gradient(evaluate(x)[1]))
 
 
 def _mmc_pair_oracle(ds, form):
@@ -444,34 +444,6 @@ def test_lsml_starts_at_the_ray_minimizer(seed):
     assert trace.iterations < 25
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_lsml_segment_matches_objective(seed):
-    # phi(t) on the segment m + t d, d = P(m - lam g) - m, against a direct
-    # evaluation at m + t d; the largest lam puts the segment's end on the floor
-    rng = np.random.default_rng(seed)
-    ds = make_dataset(rng, 30, 4)
-    triplets = build_triplets(ds, 0.0)
-    vab, vac = learners._triplet_diffs(ds, triplets)
-    alpha, eps = 0.01, np.finfo(float).eps
-    for scale in (1e-3, 1e-1, 10.0):
-        m = random_spd(rng, 4)
-        _, g, along = learners._lsml_local(m, vab, vac, alpha)
-        end, floored = learners._clip_to_floored_cone(m - scale / np.abs(g).max() * g)
-        d = end - m
-        phi = along(d)
-        w = np.linalg.eigvalsh(end)
-        if scale == 10.0:
-            assert floored and w[0] / w[-1] < 1.01 * learners.RELATIVE_EIG_FLOOR
-            assert phi(2.0) == np.inf  # past the floor: logdet is undefined
-        for t in (1e-8, 0.5, 1.0 - 1e-9, 1.0):
-            point = m + t * d
-            want = lsml_objective(point, ds, triplets, alpha)
-            # the smallest eigenvalue of m + t d, and with it logdet, is resolved
-            # only to about eps * cond(m) * cond(m + t d): at the floor, ~1e-6
-            resolution = alpha * 4 * eps * np.linalg.cond(m) * np.linalg.cond(point)
-            assert abs(phi(t) - want) <= 1e-12 * abs(want) + resolution
-
-
 # ---------------------------------------------------------------------------
 # LMNN
 
@@ -498,15 +470,20 @@ def test_lmnn_single_class_collapses_to_trace_guard():
     assert np.trace(metric.matrix) == pytest.approx(3.0)
 
 
-def test_lmnn_singleton_class_lenient_vs_strict():
+def test_lmnn_singleton_class_is_warned_and_skipped():
     rng = np.random.default_rng(13)
-    x = rng.normal(size=(7, 2))
-    ds = toy(x, [1, 1, 1, 2, 2, 2, 5], scale=(1, 5))
-    with pytest.warns(SmallClassWarning):
+    x = rng.normal(size=(8, 2))
+    ds = toy(x, [1, 1, 1, 2, 2, 2, 4, 5], scale=(1, 5))
+    with pytest.warns(SmallClassWarning) as caught:
         metric, _ = fit_lmnn(ds, k_targets=2)
     assert metric.d == 2
-    with pytest.raises(ConstraintError):
-        fit_lmnn(ds, k_targets=2, strict=True)
+    # one warning per singleton class, and neither anchors nor targets a pair
+    assert sorted(str(w.message) for w in caught) == [
+        f"rating class {label} has a single member; skipped" for label in (4, 5)
+    ]
+    with pytest.warns(SmallClassWarning):
+        pairs = lmnn_problem(ds, 2).target_pairs
+    assert not np.isin(pairs, [6, 7]).any()
 
 
 def _lmnn_oracle(x, labels, k, m, mu):
@@ -658,81 +635,154 @@ def test_projection_count_is_at_most_one_per_iteration():
         assert 0 < trace.projection_count <= trace.iterations, name
 
 
-def test_trace_counts_every_objective_and_gradient_call(monkeypatch):
-    engine = learners._spg
+def _engine_cases(ds):
+    """Per iterative learner: its fit, its objective from scratch and the sign of its trace."""
+    triplets = build_triplets(ds, 0.0)
+    problem = lmnn_problem(ds, 3)
+    return {
+        "lsml": (lambda: fit_lsml(ds, triplets, 0.01), lambda m: lsml_objective(m, ds, triplets, 0.01), 1.0),
+        "lmnn": (lambda: fit_lmnn(ds, 3), lambda m: lmnn_objective(m, problem, 0.5), 1.0),
+        # MMC full traces the ascent of the dissimilar sum
+        "mmc_full": (lambda: fit_mmc(ds, "full"), _mmc_pair_oracle(ds, "full")[0], -1.0),
+        "mmc_diagonal": (lambda: fit_mmc(ds, "diagonal"), _mmc_pair_oracle(ds, "diagonal")[0], 1.0),
+    }
+
+
+def _record_engine(monkeypatch):
+    """Log each fit's calls into its evaluate and gradient, and its line searches.
+
+    Each fit appends a log: `points` and `values` of its evaluate calls, in
+    order; `gradients`, per gradient call, the number of evaluate calls made
+    before it and the gradient; `searches`, per `_armijo` call, (x, d, f,
+    slope, index of its first evaluate call).
+    """
+    engine, search = learners._spg, learners._armijo
     logs = []
 
-    def counting(x0, local, project, opts):
-        # iterates: the value at each iterate; trials: (index of the iterate
-        # searched from, its value, <g, d>, t, phi(t)) for each trial
-        log = {"iterates": [], "trials": []}
-
-        def counted_local(x):
-            f, g, along = local(x)
-            log["iterates"].append(f)
-
-            def counted_along(d):
-                phi = along(d)
-                slope = float(np.vdot(g, d))
-
-                def counted_phi(t):
-                    log["trials"].append((len(log["iterates"]) - 1, f, slope, t, phi(t)))
-                    return log["trials"][-1][-1]
-
-                return counted_phi
-
-            return f, g, counted_along
-
+    def recording_spg(x0, evaluate, gradient, project, opts):
+        log = {"points": [], "values": [], "gradients": [], "searches": []}
         logs.append(log)
-        return engine(x0, counted_local, project, opts)
 
-    monkeypatch.setattr(learners, "_spg", counting)
+        def logged_evaluate(x):
+            f, state = evaluate(x)
+            log["points"].append(x.copy())
+            log["values"].append(f)
+            return f, state
+
+        def logged_gradient(state):
+            g = gradient(state)
+            log["gradients"].append((len(log["values"]), g.copy()))
+            return g
+
+        return engine(x0, logged_evaluate, logged_gradient, project, opts)
+
+    def recording_armijo(evaluate, x, d, f, slope):
+        logs[-1]["searches"].append((x.copy(), d.copy(), f, slope, len(logs[-1]["values"])))
+        return search(evaluate, x, d, f, slope)
+
+    monkeypatch.setattr(learners, "_spg", recording_spg)
+    monkeypatch.setattr(learners, "_armijo", recording_armijo)
+    return logs
+
+
+def _search_trials(log):
+    """Per line search, its x, d, f, slope and the indices of its evaluate calls."""
+    ends = [first for *_, first in log["searches"][1:]] + [len(log["values"])]
+    return [(x, d, f, slope, range(first, end)) for (x, d, f, slope, first), end in zip(log["searches"], ends)]
+
+
+def test_trace_counts_every_objective_and_gradient_call(monkeypatch):
+    logs = _record_engine(monkeypatch)
     ds = make_dataset(np.random.default_rng(22), 50, 4)
-    for name, fit, sign in (
-        ("lsml", lambda: fit_lsml(ds, build_triplets(ds, 0.0), 0.01), 1.0),
-        ("lmnn", lambda: fit_lmnn(ds, 3), 1.0),
-        ("mmc_full", lambda: fit_mmc(ds, "full"), -1.0),  # traces the ascent
-        ("mmc_diag", lambda: fit_mmc(ds, "diagonal"), 1.0),
-    ):
+    for name, (fit, _, sign) in _engine_cases(ds).items():
         trace = fit()[1]
         log = logs[-1]
+        # the iterates are the points the engine takes gradients at: the start
+        # and each accepted trial, evaluated once each
+        iterates = [(log["values"][seen - 1], g) for seen, g in log["gradients"]]
+        trials = len(log["values"]) - 1
         # each iterate costs one evaluation and one gradient, each trial one
         # evaluation; `iterations` counts the iterates, so the gradients too
-        assert trace.evaluations == len(log["iterates"]) + len(log["trials"]), name
-        assert trace.objective_values == tuple(sign * v for v in log["iterates"]), name
-        assert trace.iterations == len(log["iterates"]), name
-        assert np.all(np.diff(log["iterates"]) < 0.0), name
+        assert trace.evaluations == len(iterates) + trials, name
+        assert trace.objective_values == tuple(sign * f for f, _ in iterates), name
+        assert trace.iterations == len(iterates), name
+        assert np.all(np.diff([f for f, _ in iterates]) < 0.0), name
         # the last trial from each iterate but the final one is the accepted
         # step, and it meets the Armijo rule; every earlier trial fails it
-        for k in range(len(log["iterates"]) - 1):
-            trials = [trial for trial in log["trials"] if trial[0] == k]
-            *rejected, (_, f, slope, t, value) = trials
-            assert value <= f + learners.ARMIJO * t * slope, name
-            for _, f, slope, t, value in rejected:
-                assert not value <= f + learners.ARMIJO * t * slope, name
+        searches = _search_trials(log)
+        assert len(searches) in (len(iterates) - 1, len(iterates)), name
+        for k, (x, d, f, slope, calls) in enumerate(searches):
+            assert (f, slope) == (iterates[k][0], float(np.vdot(iterates[k][1], d))), name
+            steps = [float(np.vdot(log["points"][c] - x, d) / np.vdot(d, d)) for c in calls]
+            accepted = k + 1 < len(iterates)
+            for c, t in zip(calls, steps):
+                meets = log["values"][c] <= f + learners.ARMIJO * t * slope
+                assert meets == (accepted and c == calls[-1]), name
 
 
-@pytest.mark.parametrize("name", ["lmnn", "mmc_full", "mmc_diagonal"])
-def test_last_point_memo_changes_no_fit(monkeypatch, name):
-    # the memo only skips recomputing the accepted trial at the next iterate:
-    # without it the metric and the whole trace come out the same
+@pytest.mark.parametrize("name", ["lsml", "lmnn", "mmc_full", "mmc_diagonal"])
+def test_line_search_evaluates_each_trial_once_and_keeps_the_accepted_one(monkeypatch, name):
     ds = make_dataset(np.random.default_rng(23), 120, 5)
-    fit, kernel, extra = {
-        "lmnn": (lambda: fit_lmnn(ds), "_lmnn_value", 0),
-        # fit_mmc evaluates the dissimilar sum once more, to rescale the result
-        "mmc_full": (lambda: fit_mmc(ds, "full"), "_dissimilar_sum", 1),
-        "mmc_diagonal": (lambda: fit_mmc(ds, "diagonal"), "_dissimilar_sum", 1),
-    }[name]
-    calls = []
-    counted = getattr(learners, kernel)
-    monkeypatch.setattr(learners, kernel, lambda *args: calls.append(1) or counted(*args))
+    fit, objective, sign = _engine_cases(ds)[name]
+    logs = _record_engine(monkeypatch)
+    trace = fit()[1]
+    log = logs[-1]
+    # evaluate runs at the start and at every trial, gradient at every iterate
+    assert len(log["values"]) == 1 + trace.evaluations - trace.iterations
+    assert len(log["gradients"]) == trace.iterations
+    for k, (x, d, f, slope, calls) in enumerate(_search_trials(log)):
+        # replay the backtracking: every trial is evaluate(x + t d), from t = 1
+        t = 1.0
+        for c in calls:
+            point, value = log["points"][c], log["values"][c]
+            assert np.array_equal(point, x + t * d)
+            want = objective(point)
+            assert abs(value - want) <= 1e-12 * abs(want)
+            if value <= f + learners.ARMIJO * t * slope:
+                # accepted: the next iterate, with its gradient taken before any other evaluation
+                assert c == calls[-1]
+                assert sign * value == trace.objective_values[k + 1]
+                assert log["gradients"][k + 1][0] == c + 1
+                break
+            quadratic = -0.5 * t * t * slope / (value - f - t * slope)
+            t = quadratic if 0.1 * t <= quadratic <= 0.9 * t else 0.5 * t
+        else:
+            assert k == trace.iterations - 1  # only the final search may fail
+
+
+@pytest.mark.parametrize("name", ["lsml", "lmnn", "mmc_full", "mmc_diagonal"])
+def test_reevaluating_the_accepted_trial_changes_no_fit(monkeypatch, name):
+    # the engine reuses the accepted trial's value and state at the next
+    # iterate; evaluating that point again gives the same metric and trace
+    ds = make_dataset(np.random.default_rng(23), 120, 5)
+    fit = _engine_cases(ds)[name][0]
     metric, trace = fit()
-    # computed: the start and every trial; the iterates after it reuse their accepted trial
-    assert len(calls) == 1 + (trace.evaluations - trace.iterations) + extra
-    monkeypatch.setattr(learners, "_last_point_memo", lambda fun: fun)
-    plain_metric, plain_trace = fit()
-    assert np.array_equal(metric.matrix, plain_metric.matrix)
-    assert trace == plain_trace
+    search = learners._armijo
+
+    def reevaluating(evaluate, x, d, f, slope):
+        point, accepted, trials = search(evaluate, x, d, f, slope)
+        return point, (None if point is None else evaluate(point)), trials
+
+    monkeypatch.setattr(learners, "_armijo", reevaluating)
+    again, again_trace = fit()
+    assert np.array_equal(metric.matrix, again.matrix)
+    assert trace == again_trace
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"max_iter": 0},
+        {"max_iter": -3},
+        {"tol": -1.0},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+    ],
+)
+def test_optimizer_options_reject_no_iterations_and_bad_tolerances(options):
+    with pytest.raises(ConfigurationError):
+        OptimizerOptions(**options)
+    OptimizerOptions(max_iter=1, tol=0.0)  # the least values a config may set
 
 
 def test_lmnn_fit_peak_memory_is_its_workspace():
@@ -763,3 +813,10 @@ def test_metric_save_load_round_trip_is_exact(tmp_path):
     assert np.array_equal(loaded.matrix, metric.matrix)
     first = path.read_text().splitlines()[0]
     assert first == "5"
+
+
+def test_load_metric_names_the_file_and_row_of_a_non_numeric_value(tmp_path):
+    path = tmp_path / "metric.txt"
+    path.write_text("2\n1.0 abc\n0 1\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=r"metric\.txt: matrix row 1: .*'abc'"):
+        load_metric(path)
