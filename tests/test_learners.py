@@ -470,7 +470,8 @@ def test_lmnn_single_class_collapses_to_trace_guard():
     assert np.trace(metric.matrix) == pytest.approx(3.0)
 
 
-def test_lmnn_singleton_class_is_warned_and_skipped():
+def test_lmnn_singleton_class_lenient_vs_strict():
+    # the strict mode is gone: the lenient one, warn and skip, is the only one
     rng = np.random.default_rng(13)
     x = rng.normal(size=(8, 2))
     ds = toy(x, [1, 1, 1, 2, 2, 2, 4, 5], scale=(1, 5))
@@ -751,9 +752,10 @@ def test_line_search_evaluates_each_trial_once_and_keeps_the_accepted_one(monkey
 
 
 @pytest.mark.parametrize("name", ["lsml", "lmnn", "mmc_full", "mmc_diagonal"])
-def test_reevaluating_the_accepted_trial_changes_no_fit(monkeypatch, name):
-    # the engine reuses the accepted trial's value and state at the next
-    # iterate; evaluating that point again gives the same metric and trace
+def test_last_point_memo_changes_no_fit(monkeypatch, name):
+    # the engine keeps the last point it evaluated, the accepted trial, and
+    # reuses its value and state at the next iterate; evaluating that point
+    # again gives the same metric and trace
     ds = make_dataset(np.random.default_rng(23), 120, 5)
     fit = _engine_cases(ds)[name][0]
     metric, trace = fit()
