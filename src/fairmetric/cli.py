@@ -18,8 +18,9 @@ import configparser
 import itertools
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .constraints import describe_triplets, triplet_blocks
 from .core import (
@@ -27,7 +28,9 @@ from .core import (
     EvalReport,
     ExperimentConfig,
     LabeledDataset,
-    require_finite,
+    check_config_fields,
+    config_field,
+    config_key,
 )
 from .errors import ConfigurationError, FairmetricError, NumericalError
 from .evaluation import (
@@ -81,110 +84,71 @@ def _write_text(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # Experiment config file (INI-style key-value sections)
 
-_ALLOWED_KEYS = {
-    "data": {"defendants", "survey", "label_source", "label_mode"},
-    "experiment": {
-        "mode",
-        "train_size",
-        "test_size",
-        "n_repeats",
-        "k_neighbors",
-        "seed",
-        "sigma_train",
-        "sigma_test",
-        "triplet_subsample",
-        "triplet_variant",
-        "menu",
-    },
-    "sweep": {"sigma_train_list", "sigma_test_list"},
-    "learners": {
-        "alpha",
-        "mmc_form",
-        "lmnn_k_targets",
-        "lmnn_mu",
-        "lsml_max_iter",
-        "lsml_tol",
-        "lmnn_max_iter",
-        "lmnn_tol",
-        "mmc_max_iter",
-        "mmc_tol",
-    },
-}
-
-
-_CONFIG_KEY_ALIASES = {"rng_seed": "seed"}  # ExperimentConfig field -> config key
-
 
 @dataclass(frozen=True)
 class RunSpec:
-    mode: str
-    defendants: Path
-    survey: Path | None
-    label_source: str
-    label_mode: str
-    menu: tuple[str, ...]
-    config: ExperimentConfig
-    sigma_train_list: tuple[float, ...]
-    sigma_test_list: tuple[float, ...]
+    """One `experiment` run: its config file's [data] and [sweep] keys, its mode
+    and menu, and the `ExperimentConfig` that holds every other key."""
+
+    defendants: Path = config_field("data")
+    survey: Path | None = config_field("data", None)
+    label_source: str = config_field("data", "compas", choices=("compas", "survey"))
+    label_mode: str = config_field("data", "pooled_median")
+    mode: str = config_field("experiment", "figure1", choices=("figure1", "sweep"))
+    menu: tuple[str, ...] = config_field("experiment", DEFAULT_MENU, choices=DEFAULT_MENU)
+    sigma_train_list: tuple[float, ...] = config_field("sweep", (0.0, 2.0), sign="nonnegative")
+    sigma_test_list: tuple[float, ...] = config_field(
+        "sweep", (0.0, 2.0, 4.0, 6.0), sign="nonnegative"
+    )
+    config: ExperimentConfig = field(default_factory=ExperimentConfig)
+
+    def __post_init__(self):
+        check_config_fields(self)
+        parse_label_mode(self.label_mode)
+        if self.label_source == "survey" and self.survey is None:
+            raise ConfigurationError("config [data] label_source=survey requires 'survey'")
+        require_distinct_sigmas("sigma_train_list", self.sigma_train_list)
+        require_distinct_sigmas("sigma_test_list", self.sigma_test_list)
 
 
-def _typed(section: str, key: str, raw: str, cast):
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigurationError(f"config [{section}] {key}: cannot parse {raw!r}") from None
+# config key -> (section, the dataclass it sets, its field, the field's type)
+_CONFIG_KEYS = {
+    config_key(spec): (spec.metadata["section"], owner, spec, hints[spec.name])
+    for owner in (RunSpec, ExperimentConfig)
+    for hints in [get_type_hints(owner)]
+    for spec in fields(owner)
+    if "section" in spec.metadata
+}
+_ALLOWED_KEYS = {
+    section: {key for key, (at, *_) in _CONFIG_KEYS.items() if at == section}
+    for section, *_ in _CONFIG_KEYS.values()
+}
 
 
-def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    items = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not items:
-        raise ConfigurationError(f"config [{section}] {key}: empty list")
-    values = tuple(_typed(section, key, tok, float) for tok in items)
-    for value in values:
-        require_finite(f"config [{section}] {key}", value)
-        if value < 0:
-            raise ConfigurationError(f"config [{section}] {key}: must be nonnegative, got {value}")
-    require_distinct_sigmas(f"config [{section}] {key}", values)
-    return values
-
-
-def _learner_names(raw: str) -> tuple[str, ...]:
-    menu = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    if not menu:
-        raise ConfigurationError("config [experiment] menu: empty list")
-    for name in menu:
-        if name not in DEFAULT_MENU:
-            raise ConfigurationError(
-                f"config [experiment] menu: unknown learner {name!r} "
-                f"(known: {', '.join(DEFAULT_MENU)})"
-            )
-        if menu.count(name) > 1:
-            raise ConfigurationError(f"config [experiment] menu: learner {name!r} repeated")
-    return menu
-
-
-def _experiment_config(parser: configparser.ConfigParser, overrides: dict) -> ExperimentConfig:
-    """Each field from its command-line override, else its config key, else its default."""
-    values = {}
-    for spec in fields(ExperimentConfig):
-        key = _CONFIG_KEY_ALIASES.get(spec.name, spec.name)
-        section = next(s for s, keys in _ALLOWED_KEYS.items() if key in keys)
-        if overrides.get(key) is not None:
-            values[spec.name] = overrides[key]
-        elif parser.has_option(section, key):
-            raw = parser.get(section, key)
-            values[spec.name] = _typed(section, key, raw, type(spec.default))
-    return ExperimentConfig(**values)
+def _parse(kind, raw: str, base: Path):
+    """One config value by its field's type: a number or string, a path relative to
+    the config file, or a comma list of either."""
+    if get_origin(kind) is tuple:  # tuple[str, ...] or tuple[float, ...]
+        item = get_args(kind)[0]
+        return tuple(item(tok.strip()) for tok in raw.split(",") if tok.strip())
+    if Path in (kind, *get_args(kind)):  # Path or Path | None
+        if not raw:
+            raise ValueError("empty path")
+        return (base / raw).resolve()
+    return kind(raw)
 
 
 def read_run_spec(config_path, overrides: dict | None = None) -> RunSpec:
+    """Read a config file; `overrides` maps config keys to values that replace the file's."""
     config_path = Path(config_path)
     if not config_path.exists():
         raise ConfigurationError(f"config file not found: {config_path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header can name the section "", so [DEFAULT] reads as an ordinary, unknown section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
-        parser.read(config_path, encoding="utf-8")
-    except configparser.Error as exc:
+        with config_path.open(encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigurationError(f"cannot parse config {config_path}: {exc}") from exc
     for section in parser.sections():
         if section not in _ALLOWED_KEYS:
@@ -193,45 +157,20 @@ def read_run_spec(config_path, overrides: dict | None = None) -> RunSpec:
             if key not in _ALLOWED_KEYS[section]:
                 raise ConfigurationError(f"config [{section}]: unknown key {key!r}")
     overrides = overrides or {}
-    base = config_path.parent
-
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
-
-    defendants_raw = get("data", "defendants")
-    if defendants_raw is None:
-        raise ConfigurationError("config [data] must set 'defendants'")
-    defendants = (base / defendants_raw).resolve()
-    survey_raw = get("data", "survey")
-    survey = (base / survey_raw).resolve() if survey_raw else None
-    label_source = get("data", "label_source", "compas")
-    if label_source not in ("compas", "survey"):
-        raise ConfigurationError(f"config [data] label_source must be compas|survey, got {label_source!r}")
-    label_mode = overrides.get("label_mode") or get("data", "label_mode", "pooled_median")
-    parse_label_mode(label_mode)
-    if label_source == "survey" and survey is None:
-        raise ConfigurationError("config [data] label_source=survey requires 'survey'")
-
-    mode = get("experiment", "mode", "figure1")
-    if mode not in ("figure1", "sweep"):
-        raise ConfigurationError(f"config [experiment] mode must be figure1|sweep, got {mode!r}")
-    menu = _learner_names(get("experiment", "menu", ", ".join(DEFAULT_MENU)))
-    config = _experiment_config(parser, overrides)
-    sweep_train = get("sweep", "sigma_train_list", "0, 2")
-    sweep_test = get("sweep", "sigma_test_list", "0, 2, 4, 6")
-    return RunSpec(
-        mode=mode,
-        defendants=defendants,
-        survey=survey,
-        label_source=label_source,
-        label_mode=label_mode,
-        menu=menu,
-        config=config,
-        sigma_train_list=_float_list("sweep", "sigma_train_list", sweep_train),
-        sigma_test_list=_float_list("sweep", "sigma_test_list", sweep_test),
-    )
+    values = {RunSpec: {}, ExperimentConfig: {}}
+    for key, (section, owner, spec, kind) in _CONFIG_KEYS.items():
+        raw = overrides.get(key)
+        if raw is None:
+            raw = parser.get(section, key, fallback=None)
+        if raw is None:
+            if spec.default is MISSING:
+                raise ConfigurationError(f"config [{section}] must set {key!r}")
+            continue
+        try:
+            values[owner][spec.name] = _parse(kind, str(raw), config_path.parent)
+        except ValueError:
+            raise ConfigurationError(f"config [{section}] {key}: cannot parse {raw!r}") from None
+    return RunSpec(config=ExperimentConfig(**values[ExperimentConfig]), **values[RunSpec])
 
 
 def _load_run_dataset(spec: RunSpec) -> LabeledDataset:
@@ -407,12 +346,13 @@ def _build_parser() -> _Parser:
 
     p_exp = sub.add_parser("experiment", help="run the learner comparison or sigma sweep")
     p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--seed", type=int, default=None)
+    # --seed, --label-mode and --triplet-variant replace their config keys' values
+    p_exp.add_argument("--seed", default=None, help="nonnegative integer")
     p_exp.add_argument("--threads", type=int, default=1)
     p_exp.add_argument("--out-dir", default="out")
     p_exp.add_argument("--label-mode", default=None,
                        help="per_respondent:<id> | pooled_median | pooled_rounded_mean")
-    p_exp.add_argument("--triplet-variant", choices=TRIPLET_VARIANTS, default=None)
+    p_exp.add_argument("--triplet-variant", default=None, help=" | ".join(TRIPLET_VARIANTS))
 
     p_rep = sub.add_parser("report-survey", help="reproduce the survey analysis tables")
     p_rep.add_argument("--survey", required=True)
@@ -442,7 +382,6 @@ def main(argv=None) -> int:
                 "label_mode": args.label_mode,
                 "triplet_variant": args.triplet_variant,
             }
-            overrides = {k: v for k, v in overrides.items() if v is not None}
             return cmd_experiment(args.config, args.out_dir, overrides, threads=args.threads)
         if args.command == "report-survey":
             return cmd_report_survey(args.survey, args.out_dir, args.confidence_threshold)

@@ -7,7 +7,7 @@ can be shared freely across concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -282,6 +282,50 @@ def require_finite(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
+_SIGNS = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
+
+
+def config_field(section: str, default=MISSING, *, key=None, sign=None, choices=()):
+    """A key of the experiment config file, declared once as a dataclass field.
+
+    The field states its [section], its key (the field name unless `key` is
+    given), its default (none: the config must set it) and the checks that
+    `check_config_fields` runs on its value, or on each item of a comma list.
+    """
+    meta = {"section": section, "key": key, "sign": sign, "choices": choices}
+    return field(default=default, metadata=meta)
+
+
+def config_key(spec) -> str:
+    """The config-file key of a field declared by `config_field`."""
+    return spec.metadata["key"] or spec.name
+
+
+def check_config_fields(obj) -> None:
+    """Run the declared checks of every `config_field` of a dataclass instance.
+
+    A number must be finite and of its sign, a string one of its choices, and a
+    comma list nonempty, without repeats. An unset optional value (None) passes.
+    """
+    for spec in fields(obj):
+        value = getattr(obj, spec.name)
+        if "section" not in spec.metadata or value is None:
+            continue
+        name, sign, choices = config_key(spec), spec.metadata["sign"], spec.metadata["choices"]
+        items = value if isinstance(value, tuple) else (value,)
+        if not items:
+            raise ConfigurationError(f"{name}: empty list")
+        for item in items:
+            if isinstance(item, float):
+                require_finite(name, item)
+            if sign and not _SIGNS[sign](item):
+                raise ConfigurationError(f"{name} must be {sign}, got {item}")
+            if choices and item not in choices:
+                raise ConfigurationError(f"{name}: unknown {item!r} (known: {', '.join(choices)})")
+            if items.count(item) > 1:
+                raise ConfigurationError(f"{name}: {item!r} repeated")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """All knobs of the split/repeat protocol and the learners.
@@ -290,59 +334,32 @@ class ExperimentConfig:
     5 neighbors, alpha = 0.01.
     """
 
-    train_size: int = 140
-    test_size: int = 60
-    n_repeats: int = 10
-    k_neighbors: int = 5
-    sigma_train: float = 0.0
-    sigma_test: float = 0.0
-    alpha: float = 0.01
-    triplet_subsample: int = 5000
-    rng_seed: int = 0
-    triplet_variant: str = "literal"
-    mmc_form: str = "full"
-    lmnn_k_targets: int = 3
-    lmnn_mu: float = 0.5
-    lsml_max_iter: int = 1000
-    lsml_tol: float = 1e-6
-    lmnn_max_iter: int = 300
-    lmnn_tol: float = 1e-6
-    mmc_max_iter: int = 300
-    mmc_tol: float = 1e-6
+    train_size: int = config_field("experiment", 140, sign="positive")
+    test_size: int = config_field("experiment", 60, sign="positive")
+    n_repeats: int = config_field("experiment", 10, sign="positive")
+    k_neighbors: int = config_field("experiment", 5, sign="positive")
+    sigma_train: float = config_field("experiment", 0.0, sign="nonnegative")
+    sigma_test: float = config_field("experiment", 0.0, sign="nonnegative")
+    alpha: float = config_field("learners", 0.01, sign="positive")
+    triplet_subsample: int = config_field("experiment", 5000, sign="positive")
+    rng_seed: int = config_field("experiment", 0, key="seed", sign="nonnegative")
+    triplet_variant: str = config_field("experiment", "literal", choices=TRIPLET_VARIANTS)
+    mmc_form: str = config_field("learners", "full", choices=MMC_FORMS)
+    lmnn_k_targets: int = config_field("learners", 3, sign="positive")
+    lmnn_mu: float = config_field("learners", 0.5)
+    lsml_max_iter: int = config_field("learners", 1000, sign="positive")
+    lsml_tol: float = config_field("learners", 1e-6, sign="nonnegative")
+    lmnn_max_iter: int = config_field("learners", 300, sign="positive")
+    lmnn_tol: float = config_field("learners", 1e-6, sign="nonnegative")
+    mmc_max_iter: int = config_field("learners", 300, sign="positive")
+    mmc_tol: float = config_field("learners", 1e-6, sign="nonnegative")
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, float):
-                require_finite(name, value)
-        positive = {
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "n_repeats": self.n_repeats,
-            "k_neighbors": self.k_neighbors,
-            "triplet_subsample": self.triplet_subsample,
-            "lmnn_k_targets": self.lmnn_k_targets,
-            "lsml_max_iter": self.lsml_max_iter,
-            "lmnn_max_iter": self.lmnn_max_iter,
-            "mmc_max_iter": self.mmc_max_iter,
-        }
-        for name, value in positive.items():
-            if value < 1:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
-        for name in ("lsml_tol", "lmnn_tol", "mmc_tol"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        check_config_fields(self)
         if self.k_neighbors > self.train_size:
             raise ConfigurationError(
                 f"k_neighbors = {self.k_neighbors} exceeds train_size = {self.train_size}"
             )
-        if self.alpha <= 0:
-            raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
-        if self.sigma_train < 0 or self.sigma_test < 0:
-            raise ConfigurationError("sigma_train and sigma_test must be nonnegative")
-        if self.triplet_variant not in TRIPLET_VARIANTS:
-            raise ConfigurationError(f"unknown triplet variant {self.triplet_variant!r}")
-        if self.mmc_form not in MMC_FORMS:
-            raise ConfigurationError(f"unknown MMC form {self.mmc_form!r}")
         if not 0.0 < self.lmnn_mu < 1.0:
             raise ConfigurationError(f"lmnn_mu must lie in (0, 1), got {self.lmnn_mu}")
 

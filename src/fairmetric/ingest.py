@@ -235,6 +235,13 @@ class CsvTable:
             raise IngestionError(f"{self.path}: missing column(s) {', '.join(missing)}")
 
 
+def _utf8_lines(fh, path: Path) -> Iterator[str]:
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise IngestionError(f"{path}: not UTF-8 text") from None
+
+
 @contextmanager
 def read_csv(path, what: str) -> Iterator[CsvTable]:
     """Open a CSV file under the row rules every input table shares.
@@ -247,8 +254,12 @@ def read_csv(path, what: str) -> Iterator[CsvTable]:
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"{what} file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        fh = path.open(newline="", encoding="utf-8")
+    except OSError as exc:  # a directory, say
+        raise IngestionError(f"{what} file {path}: cannot open: {exc.strerror}") from None
+    with fh:
+        reader = csv.reader(_utf8_lines(fh, path))
         lines = ([cell.strip() for cell in cells] for cells in reader if cells)
         header = next(lines, None)
         if header is None:

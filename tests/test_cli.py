@@ -7,6 +7,7 @@ import pytest
 from fairmetric.cli import (
     _ALLOWED_KEYS,
     LAYOUTS,
+    RunSpec,
     _write_text,
     cmd_ingest,
     load_encoded_defendants,
@@ -374,6 +375,17 @@ def test_experiment_missing_config_exits_1(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "none.ini")]) == 1
 
 
+@pytest.mark.parametrize("config", ["directory", "latin-1"])
+def test_experiment_with_an_unreadable_config_exits_1(tmp_path, capsys, config):
+    cfg = tmp_path / "exp.ini"
+    if config == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes("[data]\ndefendants = d\xe9.csv\n".encode("latin-1"))
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 1
+    assert f"cannot parse config {cfg}" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[experiment]\nmystery = 1\n", encoding="utf-8")
@@ -416,6 +428,65 @@ def test_every_config_field_is_read_from_its_key(tmp_path, field):
     assert replace(config, **{field.name: default}) == ExperimentConfig()
 
 
+# (section, non-default text, the value it reads as) of every key RunSpec holds itself
+RUN_SPEC_KEYS = {
+    "mode": ("experiment", "sweep", "sweep"),
+    "label_source": ("data", "survey", "survey"),
+    "label_mode": ("data", "pooled_rounded_mean", "pooled_rounded_mean"),
+    "menu": ("experiment", "lsml, euclidean", ("lsml", "euclidean")),
+    "sigma_train_list": ("sweep", "1, 3", (1.0, 3.0)),
+    "sigma_test_list": ("sweep", "5", (5.0,)),
+}
+
+
+def write_config_sections(path, sections):
+    lines = []
+    for section, entries in sections.items():
+        lines += [f"[{section}]"] + [f"{key} = {value}" for key, value in entries.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("key", sorted(RUN_SPEC_KEYS))
+def test_every_run_spec_key_is_read_from_its_key(tmp_path, key):
+    section, text, value = RUN_SPEC_KEYS[key]
+    data = {"defendants": "d.csv", "survey": "s.csv"}
+    base = read_run_spec(write_config_sections(tmp_path / "base.ini", {"data": data}))
+    sections = {"data": dict(data)}
+    sections.setdefault(section, {})[key] = text
+    spec = read_run_spec(write_config_sections(tmp_path / "exp.ini", sections))
+    assert getattr(spec, key) == value != getattr(base, key)
+    assert replace(spec, **{key: getattr(base, key)}) == base
+    assert (base.defendants, base.survey) == (tmp_path / "d.csv", tmp_path / "s.csv")
+
+
+def test_allowed_keys_hold_each_declared_key_once():
+    declared = {"seed" if f.name == "rng_seed" else f.name for f in fields(ExperimentConfig)}
+    declared |= {f.name for f in fields(RunSpec) if f.name != "config"}
+    listed = [key for keys in _ALLOWED_KEYS.values() for key in keys]
+    assert len(listed) == len(declared) == 27
+    assert set(listed) == declared
+    assert set(_ALLOWED_KEYS) == {"data", "experiment", "sweep", "learners"}
+
+
+def test_config_rejects_a_default_section(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[DEFAULT]\nn_repeats = 1\n[data]\ndefendants = d.csv\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=r"unknown section \[DEFAULT\]"):
+        read_run_spec(cfg)
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 1
+    assert "[DEFAULT]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["defendants", "survey"])
+def test_config_rejects_an_empty_path(tmp_path, capsys, key):
+    data = {"defendants": "d.csv", key: ""}
+    cfg = write_config_sections(tmp_path / "exp.ini", {"data": data})
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 1
+    assert f"[data] {key}: cannot parse ''" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -439,6 +510,7 @@ def test_every_config_field_is_read_from_its_key(tmp_path, field):
         ("sweep", "sigma_train_list", "0, 0"),
         ("sweep", "sigma_train_list", "1.0000001, 1.0000002"),  # both name lsml(sigma=1)
         ("sweep", "sigma_test_list", "2, 2"),
+        ("experiment", "seed", "-1"),
     ],
 )
 def test_experiment_rejects_bad_config_values_with_exit_1(ingested, capsys, section, key, value):
@@ -449,6 +521,24 @@ def test_experiment_rejects_bad_config_values_with_exit_1(ingested, capsys, sect
     with pytest.raises(ConfigurationError):
         read_run_spec(cfg)
     assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--seed", "-1", "seed"),
+        ("--seed", "1.5", "seed"),
+        ("--triplet-variant", "nope", "triplet_variant"),
+        ("--label-mode", "nope", "label mode"),
+    ],
+)
+def test_experiment_rejects_bad_override_flags_with_exit_1(tmp_path, capsys, flag, value, key):
+    # the defendants file does not exist: the flag is rejected before any data is read
+    cfg = write_minimal_config(tmp_path / "exp.ini", tmp_path / "absent.csv")
+    argv = ["experiment", "--config", str(cfg), flag, value, "--out-dir", str(tmp_path / "run")]
+    assert main(argv) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 

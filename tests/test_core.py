@@ -149,6 +149,7 @@ def test_experiment_config_validation():
         {"lsml_tol": float("nan")},
         {"lmnn_tol": float("inf")},
         {"mmc_tol": float("nan")},
+        {"rng_seed": -1},
     ):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**bad)

@@ -253,6 +253,28 @@ def test_a_faulty_row_names_the_file_row_and_column(tmp_path, kind, row, fragmen
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize("kind", TABLES)
+def test_every_table_rejects_a_directory_with_exit_2(tmp_path, kind):
+    with pytest.raises(IngestionError, match="cannot open") as info:
+        TABLES[kind][0](tmp_path)
+    assert info.value.exit_code == 2
+    assert str(tmp_path) in str(info.value)
+
+
+@pytest.mark.parametrize("kind", TABLES)
+def test_every_table_rejects_a_file_that_is_not_utf8_with_exit_2(tmp_path, kind):
+    _, header, rows = TABLES[kind]
+    path = tmp_path / "latin1.csv"
+    # blank lines push the undecodable byte past the first block the reader decodes,
+    # so it is met while the caller iterates over the rows
+    text = "\n".join([header, rows[0], "\n" * 10_000, rows[1].replace("b", "\xe9", 1)]) + "\n"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(IngestionError, match="not UTF-8 text") as info:
+        TABLES[kind][0](path)
+    assert info.value.exit_code == 2
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_every_table_rejects_a_repeated_column_name(tmp_path):
     for kind, (_, header, rows) in TABLES.items():
         repeated = header.rsplit(",", 1)[0] + "," + header.split(",")[0]

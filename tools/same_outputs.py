@@ -15,7 +15,10 @@ survey CSVs under a schema manifest written to the temporary directory, which
 declares `id`, `compas_decile` and every feature column as numeric.
 No workload leaves a report cell empty, so four configs derived from the first
 `smoke_figure1` and `smoke_sweep` datasets run as well: one with N/A cells and
-one where every cell is empty (exit 3) per mode.
+one where every cell is empty (exit 3) per mode. Two more runs check how the
+config is read, both on the first `smoke_figure1` dataset: one passes
+`--seed`, `--label-mode` and `--triplet-variant`, and one reads a config that
+states every key, each the dataset config leaves unset at its default.
 
 Prints each difference and exits 1 on any difference or any run that exits
 with another status than expected, 0 when everything matches. A differing
@@ -35,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,15 +54,46 @@ STATUS = "<exit status and stdout>"  # compared along with the files; no file ha
 DUMPS = (("literal", "0"), ("symmetric", "1"))  # (variant, sigma) for dump-triplets
 DUMP_WORKLOAD = "smoke_figure1"
 MAX_LINES = 10  # differing lines shown per file
-# workload -> (name, keys set in its first dataset's config, expected exit status)
+
+
+class Derived(NamedTuple):
+    """A run on a workload's first dataset, under a config derived from its own."""
+
+    name: str
+    edits: dict = {}  # {section: {key: value}} set over the dataset's config
+    defaults: dict = {}  # the same, set only where the dataset's config leaves a key unset
+    flags: tuple = ()  # more `experiment` arguments
+    status: int = 0  # the exit status expected
+
+
+# Every config key at its default, bar `defendants` and `survey`, which have none
+# to state: the dataset's config sets them.
+EVERY_KEY = {
+    "data": {"label_source": "compas", "label_mode": "pooled_median"},
+    "experiment": {
+        "mode": "figure1", "train_size": "140", "test_size": "60", "n_repeats": "10",
+        "k_neighbors": "5", "seed": "0", "sigma_train": "0", "sigma_test": "0",
+        "triplet_subsample": "5000", "triplet_variant": "literal",
+        "menu": "euclidean, precision, lmnn, mmc, lsml",
+    },
+    "sweep": {"sigma_train_list": "0, 2", "sigma_test_list": "0, 2, 4, 6"},
+    "learners": {
+        "alpha": "0.01", "mmc_form": "full", "lmnn_k_targets": "3", "lmnn_mu": "0.5",
+        "lsml_max_iter": "1000", "lsml_tol": "1e-6", "lmnn_max_iter": "300",
+        "lmnn_tol": "1e-6", "mmc_max_iter": "300", "mmc_tol": "1e-6",
+    },
+}
+FLAGS = ("--seed", "7", "--label-mode", "pooled_rounded_mean", "--triplet-variant", "symmetric")
 DERIVED = {
     "smoke_figure1": (
-        ("na_triplet_cells", {"experiment": {"sigma_test": "50"}}, 0),
-        ("every_fit_fails", {"experiment": {"menu": "lsml", "sigma_train": "9"}}, 3),
+        Derived("na_triplet_cells", edits={"experiment": {"sigma_test": "50"}}),
+        Derived("every_fit_fails", edits={"experiment": {"menu": "lsml", "sigma_train": "9"}}, status=3),
+        Derived("flag_overrides", flags=FLAGS),
+        Derived("every_key", defaults=EVERY_KEY),
     ),
     "smoke_sweep": (
-        ("na_column", {"sweep": {"sigma_train_list": "0, 9"}}, 0),
-        ("every_cell_empty", {"sweep": {"sigma_test_list": "50"}}, 3),
+        Derived("na_column", edits={"sweep": {"sigma_train_list": "0, 9"}}),
+        Derived("every_cell_empty", edits={"sweep": {"sigma_test_list": "50"}}, status=3),
     ),
 }
 
@@ -88,15 +123,16 @@ def write_manifest(defendants: Path) -> Path:
     return manifest
 
 
-def derive_config(config: Path, name: str, edits: dict) -> Path:
-    """Write a copy of `config` beside it as <name>.ini, with the keys in `edits` set."""
+def derive_config(config: Path, derived: Derived) -> Path:
+    """Write a copy of `config` beside it as <name>.ini, with the keys of `derived` set."""
     parser = configparser.ConfigParser()
+    parser.read_dict(derived.defaults)
     parser.read(config, encoding="utf-8")
-    parser.read_dict(edits)
-    derived = config.with_name(f"{name}.ini")
-    with derived.open("w", encoding="utf-8") as fh:
+    parser.read_dict(derived.edits)
+    path = config.with_name(f"{derived.name}.ini")
+    with path.open("w", encoding="utf-8") as fh:
         parser.write(fh)
-    return derived
+    return path
 
 
 def describe(name: str, old: bytes, new: bytes) -> list[str]:
@@ -170,14 +206,15 @@ def main(argv=None) -> int:
                     files += count
                     problems += found
                 print(f"seed {seed} {workload.name}: {len(configs)} datasets, {files} files compared")
-                for name, edits, status in DERIVED.get(workload.name, ()):
-                    config = derive_config(configs[0], name, edits)
+                for derived in DERIVED.get(workload.name, ()):
+                    config = derive_config(configs[0], derived)
                     run = ["experiment", "--config", str(config), "--out-dir", ".",
-                           "--threads", str(workload.threads)]
-                    label = f"seed{seed}/{workload.name}/{name}"
-                    files, found = compare(label, run, trees, work, status)
+                           "--threads", str(workload.threads), *derived.flags]
+                    label = f"seed{seed}/{workload.name}/{derived.name}"
+                    files, found = compare(label, run, trees, work, derived.status)
                     problems += found
-                    print(f"seed {seed} {workload.name} {name} (exit {status}): {files} files compared")
+                    print(f"seed {seed} {workload.name} {derived.name} (exit {derived.status}): "
+                          f"{files} files compared")
                 data = configs[0].parent / fixtures.DEFENDANTS_NAME
                 if workload.labels == "survey":
                     survey = str(configs[0].parent / fixtures.SURVEY_NAME)
