@@ -119,13 +119,12 @@ def default_schema(include_race: bool = False) -> FeatureSchema:
 
 
 def parse_schema_manifest(path) -> FeatureSchema:
-    path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"schema manifest not found: {path}")
     columns: list[ColumnSpec] = []
     id_column = "id"
     label_column = "compas_decile"
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    with _text_lines(path, "schema manifest") as (path, lines):
+        lines = list(lines)
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -143,7 +142,7 @@ def parse_schema_manifest(path) -> FeatureSchema:
             except ConfigurationError as exc:
                 raise IngestionError(f"{path}:{lineno}: {exc}") from exc
         else:
-            raise IngestionError(f"{path}:{lineno}: cannot parse manifest line {raw!r}")
+            raise IngestionError(f"{path}:{lineno}: cannot parse manifest line {raw.rstrip()!r}")
     if not columns:
         raise IngestionError(f"{path}: manifest declares no columns")
     return FeatureSchema(columns=tuple(columns), id_column=id_column, label_column=label_column)
@@ -235,11 +234,26 @@ class CsvTable:
             raise IngestionError(f"{self.path}: missing column(s) {', '.join(missing)}")
 
 
-def _utf8_lines(fh, path: Path) -> Iterator[str]:
+@contextmanager
+def _text_lines(path, what: str) -> Iterator[tuple[Path, Iterator[str]]]:
+    """Open an input file as UTF-8 text; yield its path and its lines, endings kept.
+
+    A missing file, one that cannot be opened (a directory, say) or text that
+    is not UTF-8, met while the caller reads the lines, is an IngestionError
+    naming the file.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise IngestionError(f"{what} file not found: {path}")
     try:
-        yield from fh
-    except UnicodeDecodeError:
-        raise IngestionError(f"{path}: not UTF-8 text") from None
+        fh = path.open(newline="", encoding="utf-8")
+    except OSError as exc:  # a directory, say
+        raise IngestionError(f"{what} file {path}: cannot open: {exc.strerror}") from None
+    with fh:
+        try:
+            yield path, fh
+        except UnicodeDecodeError:
+            raise IngestionError(f"{path}: not UTF-8 text") from None
 
 
 @contextmanager
@@ -251,15 +265,8 @@ def read_csv(path, what: str) -> Iterator[CsvTable]:
     read (holding the whole table would only feed the garbage collector); each
     must have the header's cell count, and there must be one.
     """
-    path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"{what} file not found: {path}")
-    try:
-        fh = path.open(newline="", encoding="utf-8")
-    except OSError as exc:  # a directory, say
-        raise IngestionError(f"{what} file {path}: cannot open: {exc.strerror}") from None
-    with fh:
-        reader = csv.reader(_utf8_lines(fh, path))
+    with _text_lines(path, what) as (path, text):
+        reader = csv.reader(text)
         lines = ([cell.strip() for cell in cells] for cells in reader if cells)
         header = next(lines, None)
         if header is None:

@@ -16,7 +16,7 @@ Each learner hands the engine evaluate(x) -> (f, state) and
 gradient(state) -> g. The line search calls evaluate at every trial x + t d,
 and the accepted trial, with its value and state, is the next iterate: no point
 is evaluated twice, and the engine asks for a gradient only from the state of
-the point it evaluated last. So LMNN's and both MMC forms' states can be views
+the point it evaluated last. So LMNN's and MMC's states can be views
 of a workspace made once per fit call (_Workspace), holding their (n, n) Gram
 and Laplacian arrays and LMNN's (pairs, n) margins. Each evaluation overwrites
 them, by the same operations in the same order as on fresh arrays, so the
@@ -46,14 +46,17 @@ Objectives (X is the training matrix, d_M the Mahalanobis distance):
          over pairs i<j. MMC minimizes <M, X^T L(S) X> subject to sum over
          dissimilar pairs of d_M >= 1 and M PSD; that sum has gradient
          X^T L(W) X with W_ij = 1 / (2 d_M(i,j)) on the dissimilar pairs. The
-         full form runs gradient ascent on it against the linear similar-sum
-         cap, projecting each step exactly onto the PSD cone cut by that cap
-         (project_psd_cap); the diagonal form minimizes
-             g(w) = <diag(w), X^T L(S) X> - log(sum_dis d_w)
-         over nonnegative axis weights. The full form starts at I, scaled
-         down onto the cap when I breaks it; the diagonal form at the
-         minimizer of g on the ray c 1, c = 1 / (2 tr(X^T L(S) X)), or at 1
-         when that trace is 0. Either way the returned matrix is rescaled so the
+         fit runs gradient ascent on it against the linear similar-sum cap
+         <M, X^T L(S) X> <= 1, from I scaled down onto the cap when I breaks
+         it, projecting each step exactly onto the PSD cone cut by the cap
+         (project_psd_cap). The diagonal form is the same fit restricted to
+         diagonal M: it multiplies the cap matrix, the gradient and the point
+         it projects by the mask `keep` = I (the full form's mask is 1). The
+         projection stays exact: with the cap matrix xs diagonal, the clip of
+         a diagonal a - lam * xs is diagonal, and a matrix splits orthogonally
+         into its diagonal part plus the rest, so its projection onto the
+         diagonal matrices of the capped cone is the capped-cone projection of
+         its diagonal part. Either way the returned matrix is rescaled so the
          dissimilar-distance sum equals 1.
 """
 
@@ -66,7 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MMC_FORMS, LabeledDataset, MahalanobisMetric, TripletSet
+from .core import MMC_FORMS, ExperimentConfig, LabeledDataset, MahalanobisMetric, TripletSet
 from .errors import (
     ConfigurationError,
     ConditionWarning,
@@ -88,7 +91,8 @@ DEGENERATE_TRACE = 1e-8
 ZERO_DISTANCE = 1e-15
 STEP_RANGE = (1e-30, 1e30)  # Barzilai-Borwein step clip [lambda_min, lambda_max]
 ARMIJO = 1e-4  # sufficient decrease, as a fraction of the directional derivative t <g, d>
-CAP_TOL = 1e-9  # MMC full form: an active similar-sum cap ends in [1 - CAP_TOL, 1]
+CAP_TOL = 1e-9  # MMC: an active similar-sum cap ends in [1 - CAP_TOL, 1]
+_DEFAULTS = ExperimentConfig()  # the learners' defaults are the config's
 
 
 @dataclass(frozen=True)
@@ -116,10 +120,13 @@ class OptimizerTrace:
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """max_iter caps the iterates, the start included; tol is the relative-decrease stop."""
+    """max_iter caps the iterates, the start included; tol is the relative-decrease stop.
 
-    max_iter: int = 1000
-    tol: float = 1e-6
+    The defaults are LSML's; fit_lmnn and fit_mmc default to their own config keys.
+    """
+
+    max_iter: int = _DEFAULTS.lsml_max_iter
+    tol: float = _DEFAULTS.lsml_tol
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -331,7 +338,7 @@ def _clip_to_floored_cone(m: np.ndarray):
 def fit_lsml(
     train: LabeledDataset,
     triplets: TripletSet,
-    alpha: float = 0.01,
+    alpha: float = _DEFAULTS.alpha,
     opts: OptimizerOptions | None = None,
 ) -> tuple[MahalanobisMetric, OptimizerTrace]:
     """Least squared-residual metric learning from triplet relative comparisons."""
@@ -505,14 +512,14 @@ def _clip_to_cone(m: np.ndarray):
 
 def fit_lmnn(
     train: LabeledDataset,
-    k_targets: int = 3,
-    mu: float = 0.5,
+    k_targets: int = _DEFAULTS.lmnn_k_targets,
+    mu: float = _DEFAULTS.lmnn_mu,
     opts: OptimizerOptions | None = None,
 ) -> tuple[MahalanobisMetric, OptimizerTrace]:
     """Large-margin nearest neighbor with rating values as classes."""
     if not 0.0 < mu < 1.0:
         raise ConfigurationError(f"mu must lie in (0, 1), got {mu}")
-    opts = opts or OptimizerOptions(max_iter=300)
+    opts = opts or OptimizerOptions(_DEFAULTS.lmnn_max_iter, _DEFAULTS.lmnn_tol)
     problem = lmnn_problem(train, k_targets)
     ws = _problem_workspace(problem)
     m, trace = _spg(
@@ -534,17 +541,22 @@ def _mmc_pairs(train: LabeledDataset):
 
     Rows with equal features are left out of the mask: the Gram form can leave
     them a d^2 near 1e-16 * |x|^2 for 0, and 0.5 / d would swamp the gradient.
+    When every similar pair has equal features, tr(xs) = 0: the cap bounds no
+    M and the dissimilar sum has no maximum.
     """
     x, labels = train.features, train.labels
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     if not same.any():
         raise ConstraintError("MMC needs at least one similar pair")
+    _, row = np.unique(x, axis=0, return_inverse=True)
+    apart = row[:, None] != row[None, :]
+    if not (same & apart).any():
+        raise ConstraintError("MMC needs a similar pair whose features differ")
     dissimilar = labels[:, None] != labels[None, :]
     if not dissimilar.any():
         raise ConstraintError("MMC needs at least one dissimilar pair")
-    _, row = np.unique(x, axis=0, return_inverse=True)
-    dissimilar &= row[:, None] != row[None, :]
+    dissimilar &= apart
     xs = _laplacian_form(x, same.astype(float))
     return 0.5 * (xs + xs.T), dissimilar.astype(float)
 
@@ -563,30 +575,6 @@ def _dissimilar_ascent(dist: np.ndarray, x: np.ndarray, dissimilar: np.ndarray, 
     w *= dissimilar
     w *= dist > ZERO_DISTANCE
     return _laplacian_form(x, w)
-
-
-def _fit_mmc_diagonal(x, xs, dissimilar, opts: OptimizerOptions):
-    sim_col = np.diag(xs)  # similar-pair squared-distance sum per axis
-    ws = _workspace(x.shape[0])
-
-    def evaluate(w):
-        total, dist = _dissimilar_sum(np.diag(w), x, dissimilar, ws)
-        value = float(sim_col @ w) - math.log(total) if total > 0.0 else math.inf
-        return value, (total, dist)
-
-    def gradient(state):
-        total, dist = state
-        return sim_col - np.diag(_dissimilar_ascent(dist, x, dissimilar, ws)) / max(total, ZERO_DISTANCE)
-
-    def project(w):
-        return np.maximum(w, 0.0), int(bool(np.any(w < 0.0)))
-
-    # g(c 1) = c tr(xs) - log(c) / 2 - log(sum_dis d_1) is least at c = 1 / (2 tr(xs)); at
-    # tr(xs) = 0 every similar pair has equal features and g has no minimum on the ray
-    similar_trace = float(sim_col.sum())
-    start = 0.5 / similar_trace if similar_trace > 0.0 else 1.0
-    w, trace = _spg(np.full(x.shape[1], start), evaluate, gradient, project, opts)
-    return np.diag(np.maximum(w, 0.0)), trace
 
 
 def project_psd_cap(a: np.ndarray, xs: np.ndarray):
@@ -647,7 +635,9 @@ def project_psd_cap(a: np.ndarray, xs: np.ndarray):
         lam += step
 
 
-def _fit_mmc_full(x, xs, dissimilar, opts: OptimizerOptions):
+def _fit_mmc(x, xs, dissimilar, opts: OptimizerOptions, keep):
+    """MMC's capped ascent of the dissimilar sum; `keep` masks the form (see the module docstring)."""
+    xs = keep * xs
     ws = _workspace(x.shape[0])
 
     def evaluate(m):
@@ -656,13 +646,13 @@ def _fit_mmc_full(x, xs, dissimilar, opts: OptimizerOptions):
 
     def gradient(dist):
         g = _dissimilar_ascent(dist, x, dissimilar, ws)
-        return -0.5 * (g + g.T)
+        return -0.5 * keep * (g + g.T)
 
     m0 = np.eye(x.shape[1])
     init_val = float((m0 * xs).sum())
     if init_val > 1.0:
         m0 = m0 / init_val
-    m, trace = _spg(m0, evaluate, gradient, lambda m: project_psd_cap(m, xs), opts)
+    m, trace = _spg(m0, evaluate, gradient, lambda m: project_psd_cap(keep * m, xs), opts)
     # ascent trace of the dissimilar sum
     trace = replace(trace, objective_values=tuple(-v for v in trace.objective_values))
     # projection first: rescaling by a positive scalar preserves the cone, so the
@@ -672,16 +662,16 @@ def _fit_mmc_full(x, xs, dissimilar, opts: OptimizerOptions):
 
 def fit_mmc(
     train: LabeledDataset,
-    form: str = "full",
+    form: str = _DEFAULTS.mmc_form,
     opts: OptimizerOptions | None = None,
 ) -> tuple[MahalanobisMetric, OptimizerTrace]:
     """Mahalanobis metric for clustering from the pairs the ratings define."""
     if form not in MMC_FORMS:
         raise ConfigurationError(f"unknown MMC form {form!r}")
-    opts = opts or OptimizerOptions(max_iter=300)
+    opts = opts or OptimizerOptions(_DEFAULTS.mmc_max_iter, _DEFAULTS.mmc_tol)
     xs, dissimilar = _mmc_pairs(train)
-    fit = _fit_mmc_diagonal if form == "diagonal" else _fit_mmc_full
-    m, trace = fit(train.features, xs, dissimilar, opts)
+    keep = np.eye(train.d) if form == "diagonal" else 1.0
+    m, trace = _fit_mmc(train.features, xs, dissimilar, opts, keep)
     total, _ = _dissimilar_sum(m, train.features, dissimilar, _workspace(train.n))
     if total <= 0.0:
         raise NumericalError("dissimilar-distance sum collapsed to zero in MMC")

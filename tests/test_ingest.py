@@ -128,6 +128,22 @@ def test_schema_manifest_rejects_garbage(tmp_path):
         parse_schema_manifest(manifest)
 
 
+def test_schema_manifest_that_is_a_directory_exits_2(tmp_path):
+    with pytest.raises(IngestionError, match="cannot open") as info:
+        parse_schema_manifest(tmp_path)
+    assert info.value.exit_code == 2
+    assert str(tmp_path) in str(info.value)
+
+
+def test_schema_manifest_that_is_not_utf8_exits_2(tmp_path):
+    manifest = tmp_path / "schema.txt"
+    manifest.write_bytes("column \xe2ge numeric\n".encode("latin-1"))
+    with pytest.raises(IngestionError, match="not UTF-8 text") as info:
+        parse_schema_manifest(manifest)
+    assert info.value.exit_code == 2
+    assert str(info.value).startswith(f"{manifest}: ")
+
+
 def test_default_schema_dimensions():
     assert default_schema().encoded_dim == 10
     assert default_schema(include_race=True).encoded_dim == 16

@@ -133,21 +133,27 @@ def test_mmc_diagonal_kills_noise_axis():
     w = np.diag(metric.matrix)
     assert w[1] <= 0.05 * w[0]
 
-    # grid-search oracle on the diagonal objective agrees the optimum has w1 = 0
+    # grid-search oracle: along the similar-sum cap, the dissimilar sum is
+    # largest where all the weight is on axis 0
     pairs = build_pairs(ds)
     vs = x[pairs.similar[:, 0]] - x[pairs.similar[:, 1]]
     vd = x[pairs.dissimilar[:, 0]] - x[pairs.dissimilar[:, 1]]
     sim_col = (vs**2).sum(axis=0)
     dis_sq = vd**2
 
-    def g(wvec):
-        total = np.sqrt(dis_sq @ wvec).sum()
-        return float(sim_col @ wvec) - float(np.log(total))
+    def total(share):  # the weights put `share` of the cap on axis 0 and the rest on axis 1
+        return float(np.sqrt(dis_sq @ (np.array([share, 1.0 - share]) / sim_col)).sum())
 
-    grid0 = np.logspace(-4, 2, 30)
-    grid1 = np.concatenate([[0.0], np.logspace(-6, 1, 25)])
-    _, _, best_w1 = min((g(np.array([a, b])), a, b) for a in grid0 for b in grid1)
-    assert best_w1 == 0.0
+    _, best_share = max((total(share), share) for share in np.linspace(0.0, 1.0, 201))
+    assert best_share == 1.0
+
+
+@pytest.mark.parametrize("form", ["diagonal", "full"])
+def test_mmc_raises_when_every_similar_pair_coincides(form):
+    # tr(xs) = 0: the similar-sum cap bounds no metric, so the dissimilar sum has no maximum
+    ds = toy([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [3.0, 1.0]], [1, 1, 2, 2, 3])
+    with pytest.raises(ConstraintError, match="similar pair whose features differ"):
+        fit_mmc(ds, form)
 
 
 def test_mmc_single_class_raises():
@@ -182,26 +188,22 @@ def _mmc_objective(monkeypatch, ds, form):
 
 
 def _mmc_pair_oracle(ds, form):
-    """The same objective and gradient, summed over build_pairs' pair differences."""
+    """The same objective and gradient, summed over build_pairs' pair differences.
+
+    Both forms descend minus the dissimilar-distance sum; the diagonal form's
+    gradient keeps only its diagonal.
+    """
     pairs = build_pairs(ds)
     x = ds.features
-    vs = x[pairs.similar[:, 0]] - x[pairs.similar[:, 1]]
     vd = x[pairs.dissimilar[:, 0]] - x[pairs.dissimilar[:, 1]]
+    keep = np.eye(ds.d) if form == "diagonal" else 1.0
 
     def dissimilar(m):  # the distance sum and its gradient in M
         dist = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", vd, m, vd), 0.0))
         inv2d = np.where(dist > 0.0, 0.5 / np.where(dist > 0.0, dist, 1.0), 0.0)
         return float(dist.sum()), (vd * inv2d[:, None]).T @ vd
 
-    if form == "full":
-        return (lambda m: -dissimilar(m)[0]), (lambda m: -dissimilar(m)[1])
-    sim_col = (vs**2).sum(axis=0)
-
-    def grad(w):
-        total, g = dissimilar(np.diag(w))
-        return sim_col - np.diag(g) / total
-
-    return (lambda w: float(sim_col @ w) - np.log(dissimilar(np.diag(w))[0])), grad
+    return (lambda m: -dissimilar(m)[0]), (lambda m: -keep * dissimilar(m)[1])
 
 
 def _duplicated_fold(rng):
@@ -222,7 +224,7 @@ def test_mmc_gram_kernel_matches_pair_oracle(monkeypatch, form, fold):
         fun, grad = _mmc_objective(monkeypatch, ds, form)
         oracle_fun, oracle_grad = _mmc_pair_oracle(ds, form)
         for _ in range(3):
-            point = random_spd(rng, 4) if form == "full" else rng.uniform(0.1, 2.0, 4)
+            point = random_spd(rng, 4) if form == "full" else np.diag(rng.uniform(0.1, 2.0, 4))
             want = oracle_fun(point)
             assert abs(fun(point) - want) <= 1e-12 * abs(want)
             want = oracle_grad(point)
@@ -314,12 +316,12 @@ def test_mmc_full_trace_is_nondecreasing():
     assert np.all(diffs >= -1e-9)
 
 
-def test_mmc_diagonal_trace_is_nonincreasing():
+def test_mmc_diagonal_trace_is_nondecreasing():
     rng = np.random.default_rng(7)
     ds = make_dataset(rng, 30, 3)
     _, trace = fit_mmc(ds, form="diagonal")
     diffs = np.diff(np.asarray(trace.objective_values))
-    assert np.all(diffs <= 1e-9)
+    assert np.all(diffs >= -1e-9)
 
 
 @pytest.mark.parametrize("seed", [20, 24])
@@ -330,26 +332,26 @@ def test_mmc_diagonal_converges_well_before_max_iter(seed):
 
 
 @pytest.mark.parametrize("seed", [20, 24])
-def test_mmc_diagonal_starts_at_the_ray_minimizer(seed):
-    # g(c 1) = c tr(xs) - log(c) / 2 - log sum_dis d_1 is least at c = 1 / (2 tr(xs))
+def test_mmc_forms_start_at_identity_scaled_onto_the_cap(seed):
+    # both forms start at I / max(1, tr xs), tr xs the similar-pair sum of squared
+    # distances. When that rounds above the cap, each form's projection moves it
+    # into [1 - CAP_TOL, 1] (seed 20), and the dissimilar sum by at most CAP_TOL
+    # relative, so the two forms' first values agree to that tolerance
     ds = make_dataset(np.random.default_rng(seed), 50, 4)
-    g = _mmc_pair_oracle(ds, "diagonal")[0]
     pairs = build_pairs(ds)
     vs = ds.features[pairs.similar[:, 0]] - ds.features[pairs.similar[:, 1]]
-    start = np.full(4, 0.5 / float((vs**2).sum()))
-    _, trace = fit_mmc(ds, "diagonal")
-    first = trace.objective_values[0]
-    assert abs(first - g(start)) <= 1e-12 * abs(first)
-    for c in (0.5, 0.9, 1.1, 2.0):
-        assert first <= g(c * start)
+    want = -_mmc_pair_oracle(ds, "full")[0](np.eye(4) / max(1.0, float((vs**2).sum())))
+    for form in ("full", "diagonal"):
+        first = fit_mmc(ds, form)[1].objective_values[0]
+        assert abs(first - want) <= learners.CAP_TOL * want, form
 
 
-def test_mmc_diagonal_starts_at_ones_when_similar_pairs_coincide():
-    # every similar pair has equal features: tr(xs) = 0 and g has no minimum on the ray
-    ds = toy([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [3.0, 1.0]], [1, 1, 2, 2, 3])
-    _, trace = fit_mmc(ds, "diagonal", OptimizerOptions(max_iter=2))
-    want = _mmc_pair_oracle(ds, "diagonal")[0](np.ones(2))
-    assert abs(trace.objective_values[0] - want) <= 1e-12 * abs(want)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mmc_diagonal_fit_is_exactly_diagonal(seed):
+    rng = np.random.default_rng(seed)
+    for ds in (make_dataset(rng, 60, 10), _duplicated_fold(rng)):
+        m = fit_mmc(ds, "diagonal")[0].matrix
+        assert np.array_equal(m, np.diag(np.diag(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +645,9 @@ def _engine_cases(ds):
     return {
         "lsml": (lambda: fit_lsml(ds, triplets, 0.01), lambda m: lsml_objective(m, ds, triplets, 0.01), 1.0),
         "lmnn": (lambda: fit_lmnn(ds, 3), lambda m: lmnn_objective(m, problem, 0.5), 1.0),
-        # MMC full traces the ascent of the dissimilar sum
+        # MMC traces the ascent of the dissimilar sum
         "mmc_full": (lambda: fit_mmc(ds, "full"), _mmc_pair_oracle(ds, "full")[0], -1.0),
-        "mmc_diagonal": (lambda: fit_mmc(ds, "diagonal"), _mmc_pair_oracle(ds, "diagonal")[0], 1.0),
+        "mmc_diagonal": (lambda: fit_mmc(ds, "diagonal"), _mmc_pair_oracle(ds, "diagonal")[0], -1.0),
     }
 
 

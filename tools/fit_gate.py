@@ -69,7 +69,9 @@ def _fit(learner: str, ds, seed: int):
     """Fit `learner` on `ds`; return its score at the returned metric, its trace and the fit time."""
     from fairmetric import learners
     from fairmetric.constraints import sample_triplets
+    from fairmetric.core import ExperimentConfig
 
+    defaults = ExperimentConfig()  # the learners' defaults
     triplets = sample_triplets(ds, 0.0, TRIPLETS, seed, "literal") if learner == "lsml" else None
     start = time.perf_counter()
     if learner == "lsml":
@@ -81,9 +83,10 @@ def _fit(learner: str, ds, seed: int):
     elapsed = time.perf_counter() - start
     m = metric.matrix
     if learner == "lsml":
-        return learners.lsml_objective(m, ds, triplets, 0.01), trace, elapsed
+        return learners.lsml_objective(m, ds, triplets, defaults.alpha), trace, elapsed
     if learner == "lmnn":
-        return learners.lmnn_objective(m, learners.lmnn_problem(ds, 3), 0.5), trace, elapsed
+        problem = learners.lmnn_problem(ds, defaults.lmnn_k_targets)
+        return learners.lmnn_objective(m, problem, defaults.lmnn_mu), trace, elapsed
     return _mmc_ratio(m, ds), trace, elapsed
 
 

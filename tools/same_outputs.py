@@ -18,7 +18,9 @@ No workload leaves a report cell empty, so four configs derived from the first
 one where every cell is empty (exit 3) per mode. Two more runs check how the
 config is read, both on the first `smoke_figure1` dataset: one passes
 `--seed`, `--label-mode` and `--triplet-variant`, and one reads a config that
-states every key, each the dataset config leaves unset at its default.
+states every key, each the dataset config leaves unset at its default. No
+workload fits MMC's diagonal form, so one more run on that dataset sets
+`mmc_form = diagonal`.
 
 Prints each difference and exits 1 on any difference or any run that exits
 with another status than expected, 0 when everything matches. A differing
@@ -90,6 +92,7 @@ DERIVED = {
         Derived("every_fit_fails", edits={"experiment": {"menu": "lsml", "sigma_train": "9"}}, status=3),
         Derived("flag_overrides", flags=FLAGS),
         Derived("every_key", defaults=EVERY_KEY),
+        Derived("mmc_diagonal", edits={"learners": {"mmc_form": "diagonal"}}),
     ),
     "smoke_sweep": (
         Derived("na_column", edits={"sweep": {"sigma_train_list": "0, 9"}}),
