@@ -86,8 +86,16 @@ def cross_distances(metric: MahalanobisMetric, xa: np.ndarray, xb: np.ndarray) -
 
 
 def fold_distances(metric: MahalanobisMetric, fold: LabeledDataset) -> np.ndarray:
-    """(n, n) d_M between the rows of a fold; its diagonal is exactly 0."""
-    return cross_distances(metric, fold.features, fold.features)
+    """(n, n) d_M between the rows of a fold; its diagonal is exactly 0.
+
+    Each pair i < j is computed once and mirrored. A negated difference has the
+    same quadratic form, so the result equals `cross_distances(fold, fold)`.
+    """
+    x = fold.features
+    i, j = np.triu_indices(x.shape[0], 1)
+    out = np.zeros((x.shape[0], x.shape[0]))
+    out[i, j] = out[j, i] = np.sqrt(np.maximum(quad_forms(x[i] - x[j], metric.matrix), 0.0))
+    return out
 
 
 def counted_violation_loss(distances: np.ndarray, rule: TripletRule) -> float:

@@ -17,11 +17,11 @@ gradient(state) -> g. The line search calls evaluate at every trial x + t d,
 and the accepted trial, with its value and state, is the next iterate: no point
 is evaluated twice, and the engine asks for a gradient only from the state of
 the point it evaluated last. So LMNN's and MMC's states can be views
-of a workspace made once per fit call (_Workspace), holding their (n, n) Gram
-and Laplacian arrays and LMNN's (pairs, n) margins. Each evaluation overwrites
-them, by the same operations in the same order as on fresh arrays, so the
-results are the same bits and the fit does not page in new memory at every
-evaluation.
+of a workspace made once per fit call (_Workspace), holding their (n, n)
+squared distances, Laplacian weights and LMNN's mask of active impostors.
+Each evaluation overwrites them, by the same operations in the same order as
+on fresh arrays, so the results are the same bits and the fit does not page
+in new memory at every evaluation.
 
 Objectives (X is the training matrix, d_M the Mahalanobis distance):
 
@@ -37,8 +37,21 @@ Objectives (X is the training matrix, d_M the Mahalanobis distance):
   LMNN   eps(M) = (1-mu) * sum over target pairs of d^2_M(i,j)
                 + mu * sum over (i,j,l), y_l != y_i, of
                        [1 + d^2_M(i,j) - d^2_M(i,l)]_+,
-         with target neighbors fixed under the Euclidean metric up front,
-         minimized from M = I.
+         with target neighbors fixed under the Euclidean metric up front.
+         Each evaluation takes one (n, n) slab per target rank: d^2 with
+         +inf on same-rating entries against the threshold 1 + d^2(i, j) of
+         each anchor's target of that rank. Along the ray cI, with
+         b = d^2(i,l) - d^2(i,j) at I per hinge and P = tr(sum of the target
+         pairs' outer products),
+             eps(cI) = (1-mu) c P + mu * sum [1 - c b]_+,
+         convex and piecewise linear in c. Its slope rises by mu b where the
+         hinge of a b > 0 vanishes, at c = 1/b, so it is least at
+             c* = 1 / b_(k),
+         where b_(1) <= b_(2) <= ... are the positive b and b_(k) is the
+         first whose running sum exceeds ((1-mu) P + mu sum_{b<=0} (-b)) / mu.
+         The minimization starts at c* I (c* may exceed 1), or at I when no
+         b_(k) exists: then eps(cI) falls all the way to c = 0, as when there
+         is no impostor.
 
   MMC    equal ratings make a similar pair (indicator S), unequal ones a
          dissimilar pair; no pair set is stored. With the Laplacian
@@ -371,42 +384,51 @@ class LmnnProblem:
     """Fixed target-neighbor structure LMNN optimizes over."""
 
     features: np.ndarray
-    target_pairs: np.ndarray  # (p, 2) rows (i, target j), same rating, i nondecreasing
-    impostor_mask: np.ndarray  # (p, n) bool: row r marks every l with y_l != y_i of pair r
+    target_pairs: np.ndarray  # (p, 2) rows (i, target j), same rating, i nondecreasing, then j nearest first
+    target_ranks: np.ndarray  # (p,) rank of j among i's targets, 0 for the nearest
+    same_label: np.ndarray  # (n, n) bool: y_i == y_l, the diagonal included
     pull_gram: np.ndarray  # sum over target pairs of (x_i - x_j)(x_i - x_j)^T
 
 
+_TARGET_BLOCK = 1 << 15  # difference rows per block of lmnn_problem's per-class distances
+
+
 def lmnn_problem(train: LabeledDataset, k_targets: int) -> LmnnProblem:
+    """Each row's k_targets nearest same-rating rows under the Euclidean metric, lower index first on ties."""
     if k_targets < 1:
         raise ConfigurationError(f"k_targets must be >= 1, got {k_targets}")
-    x = train.features
-    labels = train.labels
-    pairs: list[tuple[int, int]] = []
-    warned: set[int] = set()
-    for i in range(train.n):
-        same = np.flatnonzero(labels == labels[i])
-        same = same[same != i]
-        if same.size == 0:
-            if int(labels[i]) not in warned:
-                warned.add(int(labels[i]))
-                warnings.warn(
-                    f"rating class {int(labels[i])} has a single member; skipped",
-                    SmallClassWarning,
-                    stacklevel=2,
-                )
+    x, labels = train.features, train.labels
+    _, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+    for row in np.sort(first[sizes == 1]):
+        warnings.warn(
+            f"rating class {int(labels[row])} has a single member; skipped",
+            SmallClassWarning,
+            stacklevel=2,
+        )
+    targets = np.full((train.n, k_targets), -1, dtype=np.int64)
+    by_class = np.argsort(labels, kind="stable")  # each class's rows, ascending
+    for members in np.split(by_class, np.cumsum(sizes)[:-1]):
+        if members.size < 2:
             continue
-        diffs = x[same] - x[i]
-        order = np.argsort(np.einsum("ij,ij->i", diffs, diffs), kind="stable")
-        targets = same[order[: min(k_targets, same.size)]]
-        pairs.extend((i, int(j)) for j in targets)
-    if not pairs:
+        ranks = min(k_targets, members.size - 1)
+        xc = x[members]
+        step = max(1, _TARGET_BLOCK // members.size)
+        for lo in range(0, members.size, step):
+            block = np.arange(lo, min(lo + step, members.size))
+            diffs = (xc[None, :, :] - xc[block][:, None, :]).reshape(-1, train.d)
+            d2 = np.einsum("ij,ij->i", diffs, diffs).reshape(block.size, members.size)
+            d2[np.arange(block.size), block] = np.inf  # not its own target
+            targets[members[block], :ranks] = members[np.argsort(d2, axis=1, kind="stable")[:, :ranks]]
+    anchor, rank = np.nonzero(targets >= 0)
+    if anchor.size == 0:
         raise ConstraintError("no rating class has two members; LMNN cannot build target pairs")
-    tp = np.asarray(pairs, dtype=np.int64)
+    tp = np.stack([anchor, targets[anchor, rank]], axis=1)
     vp = x[tp[:, 0]] - x[tp[:, 1]]
     return LmnnProblem(
         features=x,
         target_pairs=tp,
-        impostor_mask=labels[tp[:, 0], None] != labels[None, :],
+        target_ranks=rank,
+        same_label=labels[:, None] == labels[None, :],
         pull_gram=vp.T @ vp,
     )
 
@@ -415,22 +437,23 @@ def lmnn_problem(train: LabeledDataset, k_targets: int) -> LmnnProblem:
 class _Workspace:
     """The arrays one LMNN or MMC fit overwrites at every evaluation.
 
-    `gram` holds the (n, n) squared distances (MMC takes their square roots in
-    place, LMNN's gradient reuses it for its counts once the value has read
-    it) and `lap` the outer sum s_i + s_j, then the Laplacian weights. LMNN
-    adds its (pairs, n) margins z and their active impostors. Each fit call
-    makes its own workspace; the public objective and gradient functions make
-    a fresh one per call.
+    `gram` holds the (n, n) squared distances: MMC takes their square roots in
+    place, LMNN writes +inf on its same-label entries, and LMNN's gradient
+    writes its symmetrized counts there once it has read them. `lap` holds the
+    outer sum s_i + s_j, then MMC's Laplacian weights, LMNN's hinges of one
+    target rank or its counts. `mask` is LMNN's (n, n) mask of the impostors
+    active for one target rank; MMC's is empty. Each fit call makes its own
+    workspace; the public objective and gradient functions make a fresh one
+    per call.
     """
 
     gram: np.ndarray
     lap: np.ndarray
-    margins: np.ndarray
-    active: np.ndarray
+    mask: np.ndarray
 
 
-def _workspace(n: int, pairs: int = 0) -> _Workspace:
-    return _Workspace(np.empty((n, n)), np.empty((n, n)), np.empty((pairs, n)), np.empty((pairs, n), dtype=bool))
+def _workspace(n: int, mask: bool = False) -> _Workspace:
+    return _Workspace(np.empty((n, n)), np.empty((n, n)), np.empty((n, n) if mask else (0, 0), dtype=bool))
 
 
 def _pairwise_sq(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -454,26 +477,43 @@ def _laplacian_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x.T @ w @ x
 
 
-def _lmnn_value(m: np.ndarray, problem: LmnnProblem, mu: float, ws: _Workspace):
-    """LMNN's value at m and the (pairs, n) mask of active impostors, z[r, l] > 0 with y_l != y_i.
-
-    z[r, l] = 1 + d2[i, j] - d2[i, l] for target pair r = (i, j); d2 and z
-    live in ws, and the returned mask is ws.active.
-    """
+def _impostor_d2(m: np.ndarray, problem: LmnnProblem, ws: _Workspace):
+    """d2 at m in ws.gram, +inf on its same-label entries, and the target pairs' d2, read before."""
     d2 = _pairwise_sq(np.asarray(m, dtype=float), problem.features, ws)
     i, j = problem.target_pairs.T
     target_d2 = d2[i, j]
-    z = np.take(d2, i, axis=0, out=ws.margins, mode="clip")  # "clip": the indices are valid, and unbuffered
-    np.subtract((1.0 + target_d2)[:, None], z, out=z)
-    active = np.greater(z, 0.0, out=ws.active)
-    active &= problem.impostor_mask
+    np.putmask(d2, problem.same_label, np.inf)
+    return d2, target_d2
+
+
+def _by_rank(values: np.ndarray, problem: LmnnProblem) -> np.ndarray:
+    """(ranks, n): each pair's value at [its rank, its anchor], -inf where an anchor has no target of that rank."""
+    out = np.full((int(problem.target_ranks.max()) + 1, problem.features.shape[0]), -np.inf)
+    out[problem.target_ranks, problem.target_pairs[:, 0]] = values
+    return out
+
+
+def _lmnn_value(m: np.ndarray, problem: LmnnProblem, mu: float, ws: _Workspace):
+    """LMNN's value at m, and the state its gradient reads: d2 and the thresholds thr.
+
+    thr[r, i] = 1 + d2[i, j] for i's target j of rank r, so the hinge of
+    (i, j, l) is [thr[r, i] - d2[i, l]]_+. Impostors of i are the l with
+    finite d2[i, l], and a missing target's thr is -inf, so one (n, n) slab
+    per rank holds every hinge of that rank and no other.
+    """
+    d2, target_d2 = _impostor_d2(m, problem, ws)
+    thr = _by_rank(1.0 + target_d2, problem)
+    hinge = ws.lap
+    push = 0.0
+    for row in thr:
+        np.subtract(row[:, None], d2, out=hinge)
+        push += float(np.maximum(hinge, 0.0, out=hinge).sum())
     pull = float(target_d2.sum())
-    push = float(z[active].sum())
-    return (1.0 - mu) * pull + mu * push, active
+    return (1.0 - mu) * pull + mu * push, (d2, thr)
 
 
 def _problem_workspace(problem: LmnnProblem) -> _Workspace:
-    return _workspace(problem.features.shape[0], problem.target_pairs.shape[0])
+    return _workspace(problem.features.shape[0], mask=True)
 
 
 def lmnn_objective(m: np.ndarray, problem: LmnnProblem, mu: float) -> float:
@@ -485,24 +525,52 @@ def lmnn_gradient(m: np.ndarray, problem: LmnnProblem, mu: float) -> np.ndarray:
     return _lmnn_grad(_lmnn_value(m, problem, mu, ws)[1], problem, mu, ws)
 
 
-def _lmnn_grad(active, problem: LmnnProblem, mu: float, ws: _Workspace) -> np.ndarray:
+def _lmnn_grad(state, problem: LmnnProblem, mu: float, ws: _Workspace) -> np.ndarray:
     x = problem.features
     i, j = problem.target_pairs.T
+    d2, thr = state
     # c[i, j] counts the active impostors of pair (i, j), and c[i, l] is minus
-    # the number of i's pairs that l is active for. Pairs are grouped by anchor,
-    # so the second count loops over target ranks, not pairs (a grouped
-    # reduceat measured 3x slower at 420 rows). Targets are never impostors and
-    # the counts are integers, so every entry is exact.
-    anchors, starts, sizes = np.unique(i, return_index=True, return_counts=True)
-    c = ws.gram  # the value, d2's last reader, is computed
+    # the number of i's pairs that l is active for. l is active for i's target
+    # of rank r when d2[i, l] < thr[r, i], which is z = thr[r, i] - d2[i, l] > 0
+    # (the sign of a float difference is exact). Targets are never impostors
+    # and the counts are integers, so every entry is exact.
+    c = ws.lap  # the value, the hinges' last reader, is computed
     c.fill(0.0)
-    c[i, j] = active.sum(axis=1)
-    for rank in range(sizes.max()):
-        has = sizes > rank
-        c[anchors[has]] -= active[starts[has] + rank]
-    push = _laplacian_form(x, np.add(c, c.T, out=ws.lap))
+    counts = np.empty(thr.shape)
+    for rank, row in enumerate(thr):
+        active = np.less(d2, row[:, None], out=ws.mask)
+        np.subtract(c, active, out=c)
+        counts[rank] = np.count_nonzero(active, axis=1)
+    c[i, j] = counts[problem.target_ranks, i]
+    push = _laplacian_form(x, np.add(c, c.T, out=ws.gram))  # the counts were d2's last reader
     grad = (1.0 - mu) * problem.pull_gram + mu * 0.5 * (push + push.T)
     return 0.5 * (grad + grad.T)
+
+
+def _lmnn_ray_start(problem: LmnnProblem, mu: float, ws: _Workspace) -> float:
+    """c*, the minimizer of eps(cI) over c > 0 (see the module docstring); 1 when eps(cI) has none.
+
+    The running sum over the ascending positive b passes its bound long
+    before the large b, whose hinges vanish first along the ray. So only the
+    b below a cutoff are sorted, and the cutoff widens when their sum stays
+    within the bound.
+    """
+    d2, target_d2 = _impostor_d2(np.eye(problem.features.shape[1]), problem, ws)
+    base = _by_rank(target_d2, problem)
+    neg_b = ws.lap
+    need = (1.0 - mu) / mu * float(np.trace(problem.pull_gram))
+    for row in base:  # hinges with b <= 0 never vanish: each adds -b to the slope
+        need += float(np.maximum(np.subtract(row[:, None], d2, out=neg_b), 0.0, out=neg_b).sum())
+    for cutoff in (4.0, 64.0, np.inf):
+        falls = []
+        for row in base:
+            np.subtract(row[:, None], d2, out=neg_b)
+            falls.append(-neg_b[(neg_b < 0.0) & (neg_b > -cutoff)])
+        b = np.sort(np.concatenate(falls))
+        running = np.cumsum(b)
+        if running.size and running[-1] > need:
+            return 1.0 / float(b[np.searchsorted(running, need, side="right")])
+    return 1.0
 
 
 def _clip_to_cone(m: np.ndarray):
@@ -522,10 +590,11 @@ def fit_lmnn(
     opts = opts or OptimizerOptions(_DEFAULTS.lmnn_max_iter, _DEFAULTS.lmnn_tol)
     problem = lmnn_problem(train, k_targets)
     ws = _problem_workspace(problem)
+    start = _lmnn_ray_start(problem, mu, ws)
     m, trace = _spg(
-        np.eye(train.d),
+        start * np.eye(train.d),
         lambda m: _lmnn_value(m, problem, mu, ws),
-        lambda active: _lmnn_grad(active, problem, mu, ws),
+        lambda state: _lmnn_grad(state, problem, mu, ws),
         _clip_to_cone,
         opts,
     )

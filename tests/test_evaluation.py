@@ -285,6 +285,19 @@ def test_cross_distances_is_exact_both_ways_round():
         assert np.array_equal(got, reference.reshape(len(q), len(train)))
 
 
+@pytest.mark.parametrize("n", [2, 3, 37, 180])
+def test_fold_distances_mirror_is_cross_distances(n):
+    # the upper triangle, mirrored, gives the bits of every pair computed both ways
+    rng = np.random.default_rng(n)
+    for trial in range(4):
+        d = int(rng.integers(1, 11))
+        features = rng.normal(size=(n, d))
+        features[n // 2 :: 5] = features[0]  # duplicated rows: zero distances off the diagonal
+        fold = toy(features, rng.integers(1, 6, n), scale=(1, 5))
+        metric = MahalanobisMetric(random_spd(rng, d)) if trial % 2 else euclidean_baseline(d)
+        assert np.array_equal(fold_distances(metric, fold), cross_distances(metric, features, features))
+
+
 def test_knn_losses_perfect_predictor():
     rng = np.random.default_rng(3)
     train = make_dataset(rng, 10, 2)

@@ -460,7 +460,9 @@ def test_lmnn_separated_clusters_have_no_active_hinge():
     g = x @ metric.matrix @ x.T
     s = np.diag(g)
     d2 = s[:, None] + s[None, :] - 2 * g
-    for (i, j), impostors in zip(problem.target_pairs, problem.impostor_mask):
+    labels = ds.labels
+    for i, j in problem.target_pairs:
+        impostors = labels != labels[i]
         z = 1.0 + d2[i, j] - d2[i, impostors]
         assert impostors.any() and np.all(z <= 1e-8)
 
@@ -552,6 +554,58 @@ def test_lmnn_kernels_match_triple_loop_oracle(labels, mu):
         assert np.array_equal(problem.target_pairs, pairs)
         assert lmnn_objective(m, problem, mu) == pytest.approx(objective, rel=1e-12)
         assert np.array_equal(lmnn_gradient(m, problem, mu), gradient)
+
+
+def _lmnn_ray_oracle(x, labels, pairs, mu):
+    """argmin over c > 0 of eps(cI), walking every breakpoint of its slope in order.
+
+    With b = d2(i, l) - d2(i, j) at I per hinge, eps(cI) = (1 - mu) c P + mu
+    sum [1 - c b]_+. Its slope near c = 0 is (1 - mu) P - mu sum b, and the
+    hinge of a b > 0 leaves it, adding mu b, at c = 1 / b. Returns 1.0 when the
+    slope never gets past 0.
+    """
+
+    def d2(a, b):
+        return float((x[a] - x[b]) @ (x[a] - x[b]))
+
+    falls = [d2(i, l) - d2(i, j) for i, j in pairs for l in range(len(labels)) if labels[l] != labels[i]]
+    slope = (1.0 - mu) * sum(d2(i, j) for i, j in pairs) - mu * sum(falls)
+    for b in sorted((b for b in falls if b > 0.0), reverse=True):
+        slope += mu * b
+        if slope >= 0.0:
+            return 1.0 / b
+    return 1.0
+
+
+def _lmnn_start(monkeypatch, ds, **kwargs):
+    """The point fit_lmnn hands the engine, and its trace."""
+    starts = []
+    engine = learners._spg
+
+    def recording(x0, *args):
+        starts.append(np.array(x0))
+        return engine(x0, *args)
+
+    monkeypatch.setattr(learners, "_spg", recording)
+    _, trace = fit_lmnn(ds, **kwargs)
+    return starts[0], trace
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lmnn_starts_at_the_ray_minimizer(monkeypatch, seed):
+    ds = make_dataset(np.random.default_rng(seed), 40, 3)
+    problem = lmnn_problem(ds, 3)
+    start, trace = _lmnn_start(monkeypatch, ds)
+    c = start[0, 0]
+    assert np.array_equal(start, c * np.eye(3))
+    assert c == pytest.approx(_lmnn_ray_oracle(ds.features, ds.labels, problem.target_pairs, 0.5), rel=1e-12)
+    first = trace.objective_values[0]
+    assert first == lmnn_objective(c * np.eye(3), problem, 0.5)
+    for scale in (0.5, 0.9, 1.1, 2.0):
+        assert first <= lmnn_objective(scale * c * np.eye(3), problem, 0.5)
+    # one rating class: no impostor, so eps(cI) = (1 - mu) c P falls to c = 0; the fit keeps I
+    single = toy(np.random.default_rng(seed).normal(size=(12, 3)), [2] * 12, scale=(1, 5))
+    assert np.array_equal(_lmnn_start(monkeypatch, single, k_targets=2)[0], np.eye(3))
 
 
 def test_lmnn_gradient_matches_finite_differences():
@@ -790,10 +844,11 @@ def test_optimizer_options_reject_no_iterations_and_bad_tolerances(options):
 
 
 def test_lmnn_fit_peak_memory_is_its_workspace():
-    # 420 rows, 1,260 target pairs: the workspace's two (n, n) and one (pairs, n)
-    # float arrays and its (pairs, n) mask, with the problem's impostor mask,
-    # hold 7.7 MB. One more (pairs, n) float temporary (4 MB) breaks the bound,
-    # the traced peak of scoring on figure1_large.
+    # 420 rows: the workspace's two (n, n) float arrays and (n, n) mask, with
+    # the problem's same-label mask, hold 3.0 MB; the fit peaks at 4.1 MB, in
+    # its ray start's selection of the b. The bound leaves 2 MB over the
+    # workspace, so one (pairs, n) float array (1,260 target pairs, 4 MB),
+    # the layout of the hinges before the per-rank slabs, breaks it.
     ds = make_dataset(np.random.default_rng(1), 420, 10)
     tracemalloc.start()
     try:
@@ -801,7 +856,7 @@ def test_lmnn_fit_peak_memory_is_its_workspace():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 13.2 * 2**20
+    assert peak <= 5.0 * 2**20
 
 
 # ---------------------------------------------------------------------------

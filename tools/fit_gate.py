@@ -15,8 +15,9 @@ Prints one row per learner and n: the worst and best relative objective change
 summed iterations, objective evaluations and fit time, old -> new. LSML and
 LMNN are scored by their objectives at the returned metric, and both MMC forms
 by the scale-invariant sum over similar pairs of d^2 over the squared sum over
-dissimilar pairs of d; all three are minimized. Exits 1 if any fit raises or
-a tree's run fails, else 0.
+dissimilar pairs of d; all three are minimized. Exits 1 if any fit raises, a
+tree's run fails, or a row has more unconverged fits in NEW_SRC than in
+OLD_SRC, else 0.
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ def main(argv=None) -> int:
     for side, (learner, n, seed), error in failed:
         print(f"fit_gate: {side} {learner} n={n} seed={seed} raised {error}", file=sys.stderr)
 
+    worse = []  # rows with more unconverged fits in the new tree
     print(f"{len(SEEDS)} seeds per row; objective change (new - old) / |old|, + = worse")
     header = ("learner", "n", "worst", "best", "unconverged", "iterations", "evaluations", "fit_s")
     print("  ".join(f"{h:>13}" for h in header))
@@ -156,18 +158,24 @@ def main(argv=None) -> int:
             def total(side, field):
                 return sum(side[k][field] for k in keys)
 
+            was, now = (sum(not side[k]["converged"] for k in keys) for side in (old, new))
+            if now > was:
+                worse.append(f"fit_gate: {learner} n={n} has {now} unconverged fits in the new tree, against {was}")
+
             cells = (
                 learner,
                 n,
                 f"{max(change):+.2e}",
                 f"{min(change):+.2e}",
-                f"{sum(not old[k]['converged'] for k in keys)} -> {sum(not new[k]['converged'] for k in keys)}",
+                f"{was} -> {now}",
                 f"{total(old, 'iterations')} -> {total(new, 'iterations')}",
                 f"{total(old, 'evaluations')} -> {total(new, 'evaluations')}",
                 f"{total(old, 'fit_s'):.2f} -> {total(new, 'fit_s'):.2f}",
             )
             print("  ".join(f"{c:>13}" for c in cells))
-    return 1 if failed else 0
+    for message in worse:
+        print(message, file=sys.stderr)
+    return 1 if failed or worse else 0
 
 
 if __name__ == "__main__":
