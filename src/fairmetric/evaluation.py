@@ -44,7 +44,6 @@ from .errors import ConfigurationError, EvaluationError, FairmetricError
 from .ingest import standardize
 from .numerics import quad_forms
 from .learners import (
-    OptimizerOptions,
     OptimizerTrace,
     euclidean_baseline,
     fit_lmnn,
@@ -257,7 +256,6 @@ def prepare_repeat(
 
 def _lsml_entry(config: ExperimentConfig, sigma: float):
     """LSML on training triplets drawn at `sigma`; the draw's seed depends only on the repeat."""
-    opts = OptimizerOptions(max_iter=config.lsml_max_iter, tol=config.lsml_tol)
 
     def fit(data: RepeatData):
         triplets = sample_triplets(
@@ -267,7 +265,7 @@ def _lsml_entry(config: ExperimentConfig, sigma: float):
             subseed(config.rng_seed, data.repeat, 1),
             config.triplet_variant,
         )
-        return fit_lsml(data.train, triplets, config.alpha, opts)
+        return fit_lsml(data.train, triplets, config)
 
     return fit
 
@@ -278,11 +276,9 @@ def _learner_entry(name: str, config: ExperimentConfig):
     if name == "precision":
         return lambda data: (precision_baseline(data.train), None)
     if name == "lmnn":
-        opts = OptimizerOptions(max_iter=config.lmnn_max_iter, tol=config.lmnn_tol)
-        return lambda data: fit_lmnn(data.train, config.lmnn_k_targets, config.lmnn_mu, opts)
+        return lambda data: fit_lmnn(data.train, config)
     if name == "mmc":
-        opts = OptimizerOptions(max_iter=config.mmc_max_iter, tol=config.mmc_tol)
-        return lambda data: fit_mmc(data.train, config.mmc_form, opts)
+        return lambda data: fit_mmc(data.train, config)
     if name == "lsml":
         return _lsml_entry(config, config.sigma_train)
     raise ConfigurationError(f"unknown learner {name!r}")

@@ -2,7 +2,7 @@
 
 All iterative learners share one engine, monotone spectral projected gradient
 (SPG; Birgin, Martinez & Raydan, SIAM J. Optim. 2000), and are deterministic:
-same data, constraints, and options give the same metric. Each iteration
+same data, constraints and config give the same metric. Each iteration
 projects once at the Barzilai-Borwein step lam, d = P(x - lam g) - x, halving
 lam while d is no descent direction, then backtracks along the segment
 x + t d, t <= 1, to the Armijo rule f(x + t d) <= f(x) + 1e-4 t <g, d>. Every
@@ -82,7 +82,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MMC_FORMS, ExperimentConfig, LabeledDataset, MahalanobisMetric, TripletSet
+from .core import ExperimentConfig, LabeledDataset, MahalanobisMetric, TripletSet
 from .errors import (
     ConfigurationError,
     ConditionWarning,
@@ -131,23 +131,6 @@ class OptimizerTrace:
         return len(self.objective_values)
 
 
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """max_iter caps the iterates, the start included; tol is the relative-decrease stop.
-
-    The defaults are LSML's; fit_lmnn and fit_mmc default to their own config keys.
-    """
-
-    max_iter: int = _DEFAULTS.lsml_max_iter
-    tol: float = _DEFAULTS.lsml_tol
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ConfigurationError(f"max_iter must be positive, got {self.max_iter}")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ConfigurationError(f"tol must be finite and nonnegative, got {self.tol}")
-
-
 def _clip_step(lam: float) -> float:
     return min(max(lam, STEP_RANGE[0]), STEP_RANGE[1])
 
@@ -194,7 +177,7 @@ def _armijo(evaluate, x, d, f, slope):
             return None, None, trials
 
 
-def _spg(x0, evaluate, gradient, project, opts: OptimizerOptions):
+def _spg(x0, evaluate, gradient, project, max_iter: int, tol: float):
     """Monotone spectral projected gradient, as the module docstring describes.
 
     evaluate(x) returns (f, state) at a feasible x, and gradient(state) the
@@ -202,7 +185,8 @@ def _spg(x0, evaluate, gradient, project, opts: OptimizerOptions):
     point evaluate saw last, before evaluating another, so a state may be a
     view of arrays the next evaluation overwrites. project(x) returns the
     projection of x onto the (convex) feasible set and 1 if it altered x,
-    else 0. Returns the final iterate and its OptimizerTrace.
+    else 0. max_iter caps the iterates, the start included, and tol is the
+    relative-decrease stop. Returns the final iterate and its OptimizerTrace.
     """
     x, projection_count = project(np.array(x0, dtype=float))
     f, state = evaluate(x)
@@ -213,7 +197,7 @@ def _spg(x0, evaluate, gradient, project, opts: OptimizerOptions):
     lam = _clip_step(1.0 / scale) if scale > 0.0 else STEP_RANGE[1]
     small_streak = 0
     converged = False
-    for _ in range(opts.max_iter - 1):
+    for _ in range(max_iter - 1):
         direction = _descent_direction(x, g, lam, project)
         if direction is None:
             converged = True
@@ -234,7 +218,7 @@ def _spg(x0, evaluate, gradient, project, opts: OptimizerOptions):
         x, f, g = x_new, f_new, g_new
         values.append(f)
         projection_count += changed
-        if rel_change <= opts.tol:
+        if rel_change <= tol:
             small_streak += 1
             if small_streak >= 2:
                 converged = True
@@ -349,17 +333,15 @@ def _clip_to_floored_cone(m: np.ndarray):
 
 
 def fit_lsml(
-    train: LabeledDataset,
-    triplets: TripletSet,
-    alpha: float = _DEFAULTS.alpha,
-    opts: OptimizerOptions | None = None,
+    train: LabeledDataset, triplets: TripletSet, config: ExperimentConfig = _DEFAULTS
 ) -> tuple[MahalanobisMetric, OptimizerTrace]:
-    """Least squared-residual metric learning from triplet relative comparisons."""
+    """Least squared-residual metric learning from triplet relative comparisons.
+
+    Reads `alpha`, `lsml_max_iter` and `lsml_tol` from the config.
+    """
     if len(triplets) == 0:
         raise ConstraintError("LSML needs a nonempty triplet set")
-    if alpha <= 0:
-        raise ConfigurationError(f"alpha must be > 0, got {alpha}")
-    opts = opts or OptimizerOptions()
+    alpha = config.alpha
     vab, vac = _triplet_diffs(train, triplets)
 
     def evaluate(m):
@@ -371,7 +353,14 @@ def fit_lsml(
     # start at c* I, the minimizer of J on the ray cI (see the module docstring)
     prior_weight = alpha * train.d
     start = prior_weight / (prior_weight + evaluate(np.eye(train.d))[0])
-    m, trace = _spg(start * np.eye(train.d), evaluate, gradient, _clip_to_floored_cone, opts)
+    m, trace = _spg(
+        start * np.eye(train.d),
+        evaluate,
+        gradient,
+        _clip_to_floored_cone,
+        config.lsml_max_iter,
+        config.lsml_tol,
+    )
     return _finalize_metric(m), trace
 
 
@@ -579,16 +568,14 @@ def _clip_to_cone(m: np.ndarray):
 
 
 def fit_lmnn(
-    train: LabeledDataset,
-    k_targets: int = _DEFAULTS.lmnn_k_targets,
-    mu: float = _DEFAULTS.lmnn_mu,
-    opts: OptimizerOptions | None = None,
+    train: LabeledDataset, config: ExperimentConfig = _DEFAULTS
 ) -> tuple[MahalanobisMetric, OptimizerTrace]:
-    """Large-margin nearest neighbor with rating values as classes."""
-    if not 0.0 < mu < 1.0:
-        raise ConfigurationError(f"mu must lie in (0, 1), got {mu}")
-    opts = opts or OptimizerOptions(_DEFAULTS.lmnn_max_iter, _DEFAULTS.lmnn_tol)
-    problem = lmnn_problem(train, k_targets)
+    """Large-margin nearest neighbor with rating values as classes.
+
+    Reads `lmnn_k_targets`, `lmnn_mu`, `lmnn_max_iter` and `lmnn_tol` from the config.
+    """
+    mu = config.lmnn_mu
+    problem = lmnn_problem(train, config.lmnn_k_targets)
     ws = _problem_workspace(problem)
     start = _lmnn_ray_start(problem, mu, ws)
     m, trace = _spg(
@@ -596,7 +583,8 @@ def fit_lmnn(
         lambda m: _lmnn_value(m, problem, mu, ws),
         lambda state: _lmnn_grad(state, problem, mu, ws),
         _clip_to_cone,
-        opts,
+        config.lmnn_max_iter,
+        config.lmnn_tol,
     )
     return _finalize_metric(m), trace
 
@@ -704,10 +692,20 @@ def project_psd_cap(a: np.ndarray, xs: np.ndarray):
         lam += step
 
 
-def _fit_mmc(x, xs, dissimilar, opts: OptimizerOptions, keep):
-    """MMC's capped ascent of the dissimilar sum; `keep` masks the form (see the module docstring)."""
+def fit_mmc(
+    train: LabeledDataset, config: ExperimentConfig = _DEFAULTS
+) -> tuple[MahalanobisMetric, OptimizerTrace]:
+    """Mahalanobis metric for clustering from the pairs the ratings define.
+
+    Reads `mmc_form`, `mmc_max_iter` and `mmc_tol` from the config. The fit is
+    the capped ascent of the dissimilar sum, and `keep` masks the form (see
+    the module docstring).
+    """
+    x = train.features
+    xs, dissimilar = _mmc_pairs(train)
+    keep = np.eye(train.d) if config.mmc_form == "diagonal" else 1.0
     xs = keep * xs
-    ws = _workspace(x.shape[0])
+    ws = _workspace(train.n)
 
     def evaluate(m):
         total, dist = _dissimilar_sum(m, x, dissimilar, ws)
@@ -717,31 +715,24 @@ def _fit_mmc(x, xs, dissimilar, opts: OptimizerOptions, keep):
         g = _dissimilar_ascent(dist, x, dissimilar, ws)
         return -0.5 * keep * (g + g.T)
 
-    m0 = np.eye(x.shape[1])
+    m0 = np.eye(train.d)
     init_val = float((m0 * xs).sum())
     if init_val > 1.0:
         m0 = m0 / init_val
-    m, trace = _spg(m0, evaluate, gradient, lambda m: project_psd_cap(keep * m, xs), opts)
+    m, trace = _spg(
+        m0,
+        evaluate,
+        gradient,
+        lambda m: project_psd_cap(keep * m, xs),
+        config.mmc_max_iter,
+        config.mmc_tol,
+    )
     # ascent trace of the dissimilar sum
     trace = replace(trace, objective_values=tuple(-v for v in trace.objective_values))
     # projection first: rescaling by a positive scalar preserves the cone, so the
     # dissimilar constraint ends up active with equality to float precision
-    return psd_project(0.5 * (m + m.T)), trace
-
-
-def fit_mmc(
-    train: LabeledDataset,
-    form: str = _DEFAULTS.mmc_form,
-    opts: OptimizerOptions | None = None,
-) -> tuple[MahalanobisMetric, OptimizerTrace]:
-    """Mahalanobis metric for clustering from the pairs the ratings define."""
-    if form not in MMC_FORMS:
-        raise ConfigurationError(f"unknown MMC form {form!r}")
-    opts = opts or OptimizerOptions(_DEFAULTS.mmc_max_iter, _DEFAULTS.mmc_tol)
-    xs, dissimilar = _mmc_pairs(train)
-    keep = np.eye(train.d) if form == "diagonal" else 1.0
-    m, trace = _fit_mmc(train.features, xs, dissimilar, opts, keep)
-    total, _ = _dissimilar_sum(m, train.features, dissimilar, _workspace(train.n))
+    m = psd_project(0.5 * (m + m.T))
+    total, _ = _dissimilar_sum(m, x, dissimilar, ws)
     if total <= 0.0:
         raise NumericalError("dissimilar-distance sum collapsed to zero in MMC")
     return MahalanobisMetric(m / total**2), trace  # the dissimilar sum is now 1

@@ -17,7 +17,7 @@ PREDICTION_NAMES = ("Extremely Unlikely", "Unlikely", "Neither", "Likely", "Extr
 def _by_respondent(records: list[SurveyRecord]) -> dict[str, list[SurveyRecord]]:
     """Each respondent's records, in record order; respondents in numeric-then-text id order."""
     ids = {r.respondent_id for r in records}
-    order = sorted(ids, key=lambda s: (0, int(s)) if s.isdigit() else (1, s))
+    order = sorted(ids, key=lambda s: (0, int(s)) if s.isdecimal() else (1, s))
     by_resp: dict[str, list[SurveyRecord]] = {rid: [] for rid in order}
     for rec in records:
         by_resp[rec.respondent_id].append(rec)

@@ -35,7 +35,6 @@ from fairmetric.evaluation import (
 )
 from fairmetric.ingest import attach_labels, default_schema, load_defendants, load_survey, standardize
 from fairmetric.learners import (
-    OptimizerOptions,
     euclidean_baseline,
     fit_lmnn,
     fit_lsml,
@@ -222,7 +221,7 @@ def test_criterion_5_synthetic_recovery():
             build_triplets(train, 1.0), 5000, subseed(seed, 0, 1)
         )
         test_triplets = build_triplets(test, 1.0)
-        metric, _ = fit_lsml(train, train_triplets, alpha=0.01)
+        metric, _ = fit_lsml(train, train_triplets, ExperimentConfig(alpha=0.01))
         base = triplet_violation_loss(euclidean_baseline(6), test, test_triplets)
         learned = triplet_violation_loss(metric, test, test_triplets)
         if seed < 2:  # independent brute-force recount of both losses
@@ -368,10 +367,10 @@ def _fit_everything(rng):
         triplets = build_triplets(ds, 0.0)
         fits.append((ds, "euclidean", euclidean_baseline(ds.d), pairs))
         fits.append((ds, "precision", precision_baseline(ds), pairs))
-        fits.append((ds, "lmnn", fit_lmnn(ds, 2)[0], pairs))
-        fits.append((ds, "mmc_full", fit_mmc(ds, "full")[0], pairs))
-        fits.append((ds, "mmc_diag", fit_mmc(ds, "diagonal")[0], pairs))
-        fits.append((ds, "lsml", fit_lsml(ds, triplets, 0.01)[0], pairs))
+        fits.append((ds, "lmnn", fit_lmnn(ds, ExperimentConfig(lmnn_k_targets=2))[0], pairs))
+        fits.append((ds, "mmc_full", fit_mmc(ds, ExperimentConfig(mmc_form="full"))[0], pairs))
+        fits.append((ds, "mmc_diag", fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))[0], pairs))
+        fits.append((ds, "lsml", fit_lsml(ds, triplets, ExperimentConfig(alpha=0.01))[0], pairs))
     return fits
 
 
@@ -410,12 +409,12 @@ def test_criterion_9_mmc_feasibility():
     for _ in range(5):
         ds = make_dataset(rng, 30, 3)
         pairs = build_pairs(ds)
-        full_metric, _ = fit_mmc(ds, "full")
+        full_metric, _ = fit_mmc(ds, ExperimentConfig(mmc_form="full"))
         vd = ds.features[pairs.dissimilar[:, 0]] - ds.features[pairs.dissimilar[:, 1]]
         q = np.einsum("ij,jk,ik->i", vd, full_metric.matrix, vd)
         total = float(np.sqrt(np.maximum(q, 0.0)).sum())
         worst_gap = max(worst_gap, abs(total - 1.0))
-        diag_metric, _ = fit_mmc(ds, "diagonal")
+        diag_metric, _ = fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))
         weights_ok &= bool(np.all(np.diag(diag_metric.matrix) >= 0.0))
     report(
         "C9",

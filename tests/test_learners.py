@@ -6,6 +6,7 @@ import pytest
 from fairmetric import learners
 from fairmetric.constraints import build_pairs, build_triplets
 from fairmetric.core import (
+    ExperimentConfig,
     LabeledDataset,
     MahalanobisMetric,
     RatingScale,
@@ -13,7 +14,6 @@ from fairmetric.core import (
 )
 from fairmetric.errors import ConditionWarning, ConfigurationError, ConstraintError, SmallClassWarning
 from fairmetric.learners import (
-    OptimizerOptions,
     euclidean_baseline,
     fit_lmnn,
     fit_lsml,
@@ -116,7 +116,7 @@ def test_mmc_1d_analytic_weight(form):
     # labels [1, 1, 2]: (0, 1) is similar, and (0, 2) and (1, 2) are dissimilar at
     # 10 and 9.9, so the dissimilar-sum normalization pins sqrt(w) * 19.9 = 1
     ds = toy(np.array([[0.0], [0.1], [10.0]]), [1, 1, 2])
-    metric, trace = fit_mmc(ds, form=form)
+    metric, trace = fit_mmc(ds, ExperimentConfig(mmc_form=form))
     assert metric.matrix[0, 0] == pytest.approx(1.0 / 19.9**2, abs=1e-9)
     assert trace.iterations == len(trace.objective_values)
 
@@ -129,7 +129,7 @@ def test_mmc_diagonal_kills_noise_axis():
     x[half:, 0] = rng.normal(6.0, 0.4, half)
     x[:, 1] = rng.normal(0.0, 1.0, n)  # same noise for both classes
     ds = toy(x, [1] * half + [2] * half)
-    metric, _ = fit_mmc(ds, form="diagonal")
+    metric, _ = fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))
     w = np.diag(metric.matrix)
     assert w[1] <= 0.05 * w[0]
 
@@ -153,36 +153,36 @@ def test_mmc_raises_when_every_similar_pair_coincides(form):
     # tr(xs) = 0: the similar-sum cap bounds no metric, so the dissimilar sum has no maximum
     ds = toy([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [3.0, 1.0]], [1, 1, 2, 2, 3])
     with pytest.raises(ConstraintError, match="similar pair whose features differ"):
-        fit_mmc(ds, form)
+        fit_mmc(ds, ExperimentConfig(mmc_form=form))
 
 
 def test_mmc_single_class_raises():
     ds = toy(np.random.default_rng(4).normal(size=(6, 2)), [2] * 6)
     with pytest.raises(ConstraintError):
-        fit_mmc(ds, form="full")
+        fit_mmc(ds, ExperimentConfig(mmc_form="full"))
     with pytest.raises(ConstraintError):
-        fit_mmc(ds, form="diagonal")
+        fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))
 
 
 def test_mmc_distinct_labels_raise():
     # every rating differs, so there is no similar pair
     ds = toy(np.random.default_rng(4).normal(size=(5, 2)), [1, 2, 3, 4, 5])
     with pytest.raises(ConstraintError):
-        fit_mmc(ds, form="full")
+        fit_mmc(ds, ExperimentConfig(mmc_form="full"))
     with pytest.raises(ConstraintError):
-        fit_mmc(ds, form="diagonal")
+        fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))
 
 
 def _mmc_objective(monkeypatch, ds, form):
     """The objective and gradient that fit_mmc hands to the optimizer."""
     engine, captured = learners._spg, []
 
-    def capture(x0, evaluate, gradient, project, opts):
+    def capture(x0, evaluate, gradient, project, max_iter, tol):
         captured.append((evaluate, gradient))
-        return engine(x0, evaluate, gradient, project, opts)
+        return engine(x0, evaluate, gradient, project, max_iter, tol)
 
     monkeypatch.setattr(learners, "_spg", capture)
-    fit_mmc(ds, form, OptimizerOptions(max_iter=2))
+    fit_mmc(ds, ExperimentConfig(mmc_form=form, mmc_max_iter=2))
     evaluate, gradient = captured[0]
     return (lambda x: evaluate(x)[0]), (lambda x: gradient(evaluate(x)[1]))
 
@@ -241,7 +241,7 @@ def _dissimilar_sum(metric, ds, pairs):
 def test_mmc_dissimilar_constraint_active(form):
     rng = np.random.default_rng(5)
     ds = make_dataset(rng, 40, 3)
-    metric, _ = fit_mmc(ds, form=form)
+    metric, _ = fit_mmc(ds, ExperimentConfig(mmc_form=form))
     assert _dissimilar_sum(metric, ds, build_pairs(ds)) == pytest.approx(1.0, abs=1e-3)
     if form == "diagonal":
         assert np.all(np.diag(metric.matrix) >= 0.0)
@@ -311,7 +311,7 @@ def test_project_psd_cap_without_clip_is_one_scalar_step(monkeypatch):
 def test_mmc_full_trace_is_nondecreasing():
     rng = np.random.default_rng(6)
     ds = make_dataset(rng, 30, 3)
-    metric, trace = fit_mmc(ds, form="full")
+    metric, trace = fit_mmc(ds, ExperimentConfig(mmc_form="full"))
     diffs = np.diff(np.asarray(trace.objective_values))
     assert np.all(diffs >= -1e-9)
 
@@ -319,14 +319,15 @@ def test_mmc_full_trace_is_nondecreasing():
 def test_mmc_diagonal_trace_is_nondecreasing():
     rng = np.random.default_rng(7)
     ds = make_dataset(rng, 30, 3)
-    _, trace = fit_mmc(ds, form="diagonal")
+    _, trace = fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))
     diffs = np.diff(np.asarray(trace.objective_values))
     assert np.all(diffs >= -1e-9)
 
 
 @pytest.mark.parametrize("seed", [20, 24])
 def test_mmc_diagonal_converges_well_before_max_iter(seed):
-    _, trace = fit_mmc(make_dataset(np.random.default_rng(seed), 50, 4), "diagonal")
+    ds = make_dataset(np.random.default_rng(seed), 50, 4)
+    _, trace = fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))
     assert trace.converged
     assert trace.iterations < 100
 
@@ -342,7 +343,7 @@ def test_mmc_forms_start_at_identity_scaled_onto_the_cap(seed):
     vs = ds.features[pairs.similar[:, 0]] - ds.features[pairs.similar[:, 1]]
     want = -_mmc_pair_oracle(ds, "full")[0](np.eye(4) / max(1.0, float((vs**2).sum())))
     for form in ("full", "diagonal"):
-        first = fit_mmc(ds, form)[1].objective_values[0]
+        first = fit_mmc(ds, ExperimentConfig(mmc_form=form))[1].objective_values[0]
         assert abs(first - want) <= learners.CAP_TOL * want, form
 
 
@@ -350,7 +351,7 @@ def test_mmc_forms_start_at_identity_scaled_onto_the_cap(seed):
 def test_mmc_diagonal_fit_is_exactly_diagonal(seed):
     rng = np.random.default_rng(seed)
     for ds in (make_dataset(rng, 60, 10), _duplicated_fold(rng)):
-        m = fit_mmc(ds, "diagonal")[0].matrix
+        m = fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))[0].matrix
         assert np.array_equal(m, np.diag(np.diag(m)))
 
 
@@ -363,7 +364,7 @@ def test_lsml_satisfied_triplets_return_identity():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [0.0, 1.0], [1.0, 1.0], [5.0, 1.0]])
     ds = toy(x, [1, 2, 5, 1, 2, 5])
     triplets = build_triplets(ds, 0.0)
-    metric, trace = fit_lsml(ds, triplets, alpha=0.01)
+    metric, trace = fit_lsml(ds, triplets, ExperimentConfig(alpha=0.01))
     assert trace.objective_values[0] == 0.0
     assert np.array_equal(metric.matrix, np.eye(2))
 
@@ -374,7 +375,7 @@ def test_lsml_shrinks_axis_for_violated_triplet_small_alpha():
     alpha = 1e-3
     ds = toy(np.array([[0.0], [2.0], [1.0]]), [1, 1, 1])
     triplets = TripletSet(np.array([[0, 1, 2]]), sigma=0.0)
-    metric, _ = fit_lsml(ds, triplets, alpha=alpha)
+    metric, _ = fit_lsml(ds, triplets, ExperimentConfig(alpha=alpha))
     w_fit = metric.matrix[0, 0]
     assert w_fit < 0.01  # axis weight shrinks toward zero
     assert w_fit == pytest.approx(alpha / (1 + alpha), rel=0.05)
@@ -389,7 +390,7 @@ def test_lsml_huge_alpha_returns_identity():
     rng = np.random.default_rng(8)
     ds = make_dataset(rng, 30, 4)
     triplets = build_triplets(ds, 0.0)
-    metric, _ = fit_lsml(ds, triplets, alpha=1e6)
+    metric, _ = fit_lsml(ds, triplets, ExperimentConfig(alpha=1e6))
     assert np.linalg.norm(metric.matrix - np.eye(4), "fro") < 1e-2
 
 
@@ -411,11 +412,11 @@ def test_lsml_trace_is_nonincreasing_and_empty_set_rejected():
     rng = np.random.default_rng(10)
     ds = make_dataset(rng, 25, 3)
     triplets = build_triplets(ds, 0.0)
-    _, trace = fit_lsml(ds, triplets, alpha=0.01)
+    _, trace = fit_lsml(ds, triplets, ExperimentConfig(alpha=0.01))
     diffs = np.diff(np.asarray(trace.objective_values))
     assert np.all(diffs <= 1e-9)
     with pytest.raises(ConstraintError):
-        fit_lsml(ds, TripletSet(np.empty((0, 3), dtype=int), 0.0), alpha=0.01)
+        fit_lsml(ds, TripletSet(np.empty((0, 3), dtype=int), 0.0), ExperimentConfig(alpha=0.01))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -423,7 +424,7 @@ def test_lsml_metric_is_off_the_eigenvalue_floor(seed):
     # the minimizer is well conditioned; a fit that stalls on the floored cone's
     # boundary ends with lambda_min / lambda_max at RELATIVE_EIG_FLOOR
     ds = make_dataset(np.random.default_rng(seed), 30, 3)
-    metric, trace = fit_lsml(ds, build_triplets(ds, 0.0), alpha=0.01)
+    metric, trace = fit_lsml(ds, build_triplets(ds, 0.0), ExperimentConfig(alpha=0.01))
     w = np.linalg.eigvalsh(metric.matrix)
     assert trace.converged
     assert w[0] / w[-1] > 1e-3
@@ -437,7 +438,7 @@ def test_lsml_starts_at_the_ray_minimizer(seed):
     triplets = build_triplets(ds, 0.0)
     alpha = 0.01
     start = alpha * 3 / (alpha * 3 + lsml_objective(np.eye(3), ds, triplets, alpha))
-    _, trace = fit_lsml(ds, triplets, alpha=alpha)
+    _, trace = fit_lsml(ds, triplets, ExperimentConfig(alpha=alpha))
     first = trace.objective_values[0]
     assert first == lsml_objective(start * np.eye(3), ds, triplets, alpha)
     for c in (0.5, 0.9, 1.1, 2.0):
@@ -455,7 +456,7 @@ def test_lmnn_separated_clusters_have_no_active_hinge():
     n, half = 20, 10
     x = np.vstack([rng.normal(0.0, 0.3, (half, 2)), rng.normal(10.0, 0.3, (half, 2))])
     ds = toy(x, [1] * half + [5] * half, scale=(1, 5))
-    metric, _ = fit_lmnn(ds, k_targets=1)
+    metric, _ = fit_lmnn(ds, ExperimentConfig(lmnn_k_targets=1))
     problem = lmnn_problem(ds, 1)
     g = x @ metric.matrix @ x.T
     s = np.diag(g)
@@ -470,7 +471,7 @@ def test_lmnn_separated_clusters_have_no_active_hinge():
 def test_lmnn_single_class_collapses_to_trace_guard():
     rng = np.random.default_rng(12)
     ds = toy(rng.normal(size=(12, 3)), [2] * 12, scale=(1, 5))
-    metric, _ = fit_lmnn(ds, k_targets=2)
+    metric, _ = fit_lmnn(ds, ExperimentConfig(lmnn_k_targets=2))
     assert np.trace(metric.matrix) == pytest.approx(3.0)
 
 
@@ -480,7 +481,7 @@ def test_lmnn_singleton_class_lenient_vs_strict():
     x = rng.normal(size=(8, 2))
     ds = toy(x, [1, 1, 1, 2, 2, 2, 4, 5], scale=(1, 5))
     with pytest.warns(SmallClassWarning) as caught:
-        metric, _ = fit_lmnn(ds, k_targets=2)
+        metric, _ = fit_lmnn(ds, ExperimentConfig(lmnn_k_targets=2))
     assert metric.d == 2
     # one warning per singleton class, and neither anchors nor targets a pair
     assert sorted(str(w.message) for w in caught) == [
@@ -577,7 +578,7 @@ def _lmnn_ray_oracle(x, labels, pairs, mu):
     return 1.0
 
 
-def _lmnn_start(monkeypatch, ds, **kwargs):
+def _lmnn_start(monkeypatch, ds, config=ExperimentConfig()):
     """The point fit_lmnn hands the engine, and its trace."""
     starts = []
     engine = learners._spg
@@ -587,7 +588,7 @@ def _lmnn_start(monkeypatch, ds, **kwargs):
         return engine(x0, *args)
 
     monkeypatch.setattr(learners, "_spg", recording)
-    _, trace = fit_lmnn(ds, **kwargs)
+    _, trace = fit_lmnn(ds, config)
     return starts[0], trace
 
 
@@ -605,7 +606,7 @@ def test_lmnn_starts_at_the_ray_minimizer(monkeypatch, seed):
         assert first <= lmnn_objective(scale * c * np.eye(3), problem, 0.5)
     # one rating class: no impostor, so eps(cI) = (1 - mu) c P falls to c = 0; the fit keeps I
     single = toy(np.random.default_rng(seed).normal(size=(12, 3)), [2] * 12, scale=(1, 5))
-    assert np.array_equal(_lmnn_start(monkeypatch, single, k_targets=2)[0], np.eye(3))
+    assert np.array_equal(_lmnn_start(monkeypatch, single, ExperimentConfig(lmnn_k_targets=2))[0], np.eye(3))
 
 
 def test_lmnn_gradient_matches_finite_differences():
@@ -626,7 +627,7 @@ def test_lmnn_gradient_matches_finite_differences():
 def test_lmnn_trace_is_nonincreasing():
     rng = np.random.default_rng(15)
     ds = make_dataset(rng, 30, 3)
-    _, trace = fit_lmnn(ds, k_targets=2)
+    _, trace = fit_lmnn(ds, ExperimentConfig(lmnn_k_targets=2))
     diffs = np.diff(np.asarray(trace.objective_values))
     assert np.all(diffs <= 1e-9)
 
@@ -639,10 +640,10 @@ def _fit_all(ds):
     fits = {
         "euclidean": euclidean_baseline(ds.d),
         "precision": precision_baseline(ds),
-        "lmnn": fit_lmnn(ds, k_targets=2)[0],
-        "mmc_full": fit_mmc(ds, "full")[0],
-        "mmc_diag": fit_mmc(ds, "diagonal")[0],
-        "lsml": fit_lsml(ds, build_triplets(ds, 0.0), 0.01)[0],
+        "lmnn": fit_lmnn(ds, ExperimentConfig(lmnn_k_targets=2))[0],
+        "mmc_full": fit_mmc(ds, ExperimentConfig(mmc_form="full"))[0],
+        "mmc_diag": fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))[0],
+        "lsml": fit_lsml(ds, build_triplets(ds, 0.0), ExperimentConfig(alpha=0.01))[0],
     }
     return fits
 
@@ -662,10 +663,10 @@ def test_learners_are_deterministic():
     ds = make_dataset(rng, 25, 3)
     triplets = build_triplets(ds, 1.0)
     for fit in (
-        lambda: fit_lsml(ds, triplets, 0.01)[0].matrix,
-        lambda: fit_lmnn(ds, 2)[0].matrix,
-        lambda: fit_mmc(ds, "full")[0].matrix,
-        lambda: fit_mmc(ds, "diagonal")[0].matrix,
+        lambda: fit_lsml(ds, triplets, ExperimentConfig(alpha=0.01))[0].matrix,
+        lambda: fit_lmnn(ds, ExperimentConfig(lmnn_k_targets=2))[0].matrix,
+        lambda: fit_mmc(ds, ExperimentConfig(mmc_form="full"))[0].matrix,
+        lambda: fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))[0].matrix,
     ):
         assert np.array_equal(fit(), fit())
 
@@ -673,7 +674,7 @@ def test_learners_are_deterministic():
 def test_trace_length_matches_iterations():
     rng = np.random.default_rng(18)
     ds = make_dataset(rng, 20, 3)
-    _, trace = fit_lsml(ds, build_triplets(ds, 0.0), 0.01, OptimizerOptions(max_iter=5))
+    _, trace = fit_lsml(ds, build_triplets(ds, 0.0), ExperimentConfig(alpha=0.01, lsml_max_iter=5))
     assert trace.iterations == len(trace.objective_values)
     assert trace.iterations <= 5
 
@@ -683,10 +684,10 @@ def test_projection_count_is_at_most_one_per_iteration():
     # projection clips several times per call (its search over lam) but counts once
     ds = make_dataset(np.random.default_rng(22), 50, 4)
     for name, fit in (
-        ("lsml", lambda: fit_lsml(ds, build_triplets(ds, 0.0), 0.01)),
-        ("lmnn", lambda: fit_lmnn(ds, 3)),
-        ("mmc_full", lambda: fit_mmc(ds, "full")),
-        ("mmc_diag", lambda: fit_mmc(ds, "diagonal")),
+        ("lsml", lambda: fit_lsml(ds, build_triplets(ds, 0.0), ExperimentConfig(alpha=0.01))),
+        ("lmnn", lambda: fit_lmnn(ds, ExperimentConfig(lmnn_k_targets=3))),
+        ("mmc_full", lambda: fit_mmc(ds, ExperimentConfig(mmc_form="full"))),
+        ("mmc_diag", lambda: fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))),
     ):
         trace = fit()[1]
         assert 0 < trace.projection_count <= trace.iterations, name
@@ -696,12 +697,14 @@ def _engine_cases(ds):
     """Per iterative learner: its fit, its objective from scratch and the sign of its trace."""
     triplets = build_triplets(ds, 0.0)
     problem = lmnn_problem(ds, 3)
+    lsml, lmnn = ExperimentConfig(alpha=0.01), ExperimentConfig(lmnn_k_targets=3, lmnn_mu=0.5)
+    full, diagonal = ExperimentConfig(mmc_form="full"), ExperimentConfig(mmc_form="diagonal")
     return {
-        "lsml": (lambda: fit_lsml(ds, triplets, 0.01), lambda m: lsml_objective(m, ds, triplets, 0.01), 1.0),
-        "lmnn": (lambda: fit_lmnn(ds, 3), lambda m: lmnn_objective(m, problem, 0.5), 1.0),
+        "lsml": (lambda: fit_lsml(ds, triplets, lsml), lambda m: lsml_objective(m, ds, triplets, 0.01), 1.0),
+        "lmnn": (lambda: fit_lmnn(ds, lmnn), lambda m: lmnn_objective(m, problem, 0.5), 1.0),
         # MMC traces the ascent of the dissimilar sum
-        "mmc_full": (lambda: fit_mmc(ds, "full"), _mmc_pair_oracle(ds, "full")[0], -1.0),
-        "mmc_diagonal": (lambda: fit_mmc(ds, "diagonal"), _mmc_pair_oracle(ds, "diagonal")[0], -1.0),
+        "mmc_full": (lambda: fit_mmc(ds, full), _mmc_pair_oracle(ds, "full")[0], -1.0),
+        "mmc_diagonal": (lambda: fit_mmc(ds, diagonal), _mmc_pair_oracle(ds, "diagonal")[0], -1.0),
     }
 
 
@@ -716,7 +719,7 @@ def _record_engine(monkeypatch):
     engine, search = learners._spg, learners._armijo
     logs = []
 
-    def recording_spg(x0, evaluate, gradient, project, opts):
+    def recording_spg(x0, evaluate, gradient, project, max_iter, tol):
         log = {"points": [], "values": [], "gradients": [], "searches": []}
         logs.append(log)
 
@@ -731,7 +734,7 @@ def _record_engine(monkeypatch):
             log["gradients"].append((len(log["values"]), g.copy()))
             return g
 
-        return engine(x0, logged_evaluate, logged_gradient, project, opts)
+        return engine(x0, logged_evaluate, logged_gradient, project, max_iter, tol)
 
     def recording_armijo(evaluate, x, d, f, slope):
         logs[-1]["searches"].append((x.copy(), d.copy(), f, slope, len(logs[-1]["values"])))
@@ -838,9 +841,39 @@ def test_last_point_memo_changes_no_fit(monkeypatch, name):
     ],
 )
 def test_optimizer_options_reject_no_iterations_and_bad_tolerances(options):
-    with pytest.raises(ConfigurationError):
-        OptimizerOptions(**options)
-    OptimizerOptions(max_iter=1, tol=0.0)  # the least values a config may set
+    # each learner's stop keys are checked once, by the config
+    for learner in ("lsml", "lmnn", "mmc"):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**{f"{learner}_{key}": value for key, value in options.items()})
+        # the least values a config may set
+        ExperimentConfig(**{f"{learner}_max_iter": 1, f"{learner}_tol": 0.0})
+
+
+def test_each_learner_reads_only_its_own_keys():
+    # a config that sets every key of one learner, its cap at 3 iterations
+    # among them, leaves the other learners' fits as they are by default
+    ds = make_dataset(np.random.default_rng(18), 30, 3)
+    triplets = build_triplets(ds, 0.0)
+    fits = {
+        "lsml": lambda config: fit_lsml(ds, triplets, config),
+        "lmnn": lambda config: fit_lmnn(ds, config),
+        "mmc": lambda config: fit_mmc(ds, config),
+    }
+    own_keys = {
+        "lsml": {"alpha": 0.1, "lsml_max_iter": 3, "lsml_tol": 1e-9},
+        "lmnn": {"lmnn_k_targets": 2, "lmnn_mu": 0.3, "lmnn_max_iter": 3, "lmnn_tol": 1e-9},
+        "mmc": {"mmc_form": "diagonal", "mmc_max_iter": 3, "mmc_tol": 1e-9},
+    }
+    defaults = {name: fit(ExperimentConfig()) for name, fit in fits.items()}
+    for capped, keys in own_keys.items():
+        config = ExperimentConfig(**keys)
+        for name, fit in fits.items():
+            metric, trace = fit(config)
+            if name == capped:
+                assert trace.iterations == 3 and not trace.converged, name
+            else:
+                assert np.array_equal(metric.matrix, defaults[name][0].matrix), (capped, name)
+                assert trace == defaults[name][1], (capped, name)
 
 
 def test_lmnn_fit_peak_memory_is_its_workspace():

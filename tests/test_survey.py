@@ -153,6 +153,13 @@ def test_respondent_ids_sorted_naturally():
     assert table.respondent_ids == ("1", "2", "10", "18")
 
 
+def test_respondent_ids_that_int_cannot_parse_sort_as_text():
+    # "²".isdigit() is true, but int("²") raises; such ids sort after the numeric ones
+    records = [rec(r, d) for r in ("²", "10", "b", "2") for d in ("a", "b")]
+    assert confidence_accuracy_table(records).respondent_ids == ("2", "10", "b", "²")
+    assert bail_rate_table(records).n_respondents[2] == 4
+
+
 def test_threshold_and_empty_validation():
     with pytest.raises(ConfigurationError):
         confidence_accuracy_table([], 4)

@@ -5,10 +5,13 @@
 OLD_SRC and NEW_SRC are directories holding a `fairmetric` package, such as
 the `src/` of two checkouts. The folds are `make_dataset(default_rng(seed), n,
 10)` of `tests/conftest.py` (labels drawn before features), for seeds 1-12 and
-n in {140, 420}. On each fold, each tree fits LSML on `sample_triplets(fold,
-0.0, 5000, seed, "literal")`, LMNN, MMC full and MMC diagonal, all with their
-defaults, in its own subprocess with one BLAS thread; the trees run one after
-the other.
+n in {140, 420}. On each fold, each tree fits LSML, LMNN, MMC full and MMC
+diagonal through the menu entry of `evaluation.build_learner_menu`, under a
+default `ExperimentConfig` with `rng_seed` = seed (and `mmc_form` set), on a
+repeat 0 whose train and test folds are the fold. So LSML fits the triplets
+its entry draws, `sample_triplets(fold, 0.0, 5000, subseed(seed, 0, 1),
+"literal")`, and its fit time includes that draw. Each tree runs in its own
+subprocess with one BLAS thread; the trees run one after the other.
 
 Prints one row per learner and n: the worst and best relative objective change
 (new - old) / |old| over the folds, + = worse; the unconverged fits; and the
@@ -37,7 +40,6 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = range(1, 13)
 SIZES = (140, 420)
 DIM = 10
-TRIPLETS = 5000
 LEARNERS = ("lsml", "lmnn", "mmc_full", "mmc_diagonal")
 
 
@@ -70,24 +72,25 @@ def _fit(learner: str, ds, seed: int):
     """Fit `learner` on `ds`; return its score at the returned metric, its trace and the fit time."""
     from fairmetric import learners
     from fairmetric.constraints import sample_triplets
-    from fairmetric.core import ExperimentConfig
+    from fairmetric.core import ExperimentConfig, subseed
+    from fairmetric.evaluation import RepeatData, build_learner_menu
 
-    defaults = ExperimentConfig()  # the learners' defaults
-    triplets = sample_triplets(ds, 0.0, TRIPLETS, seed, "literal") if learner == "lsml" else None
+    name, _, form = learner.partition("_")
+    config = ExperimentConfig(rng_seed=seed, mmc_form=form or "full")
+    fit = build_learner_menu((name,), config)[name]
     start = time.perf_counter()
-    if learner == "lsml":
-        metric, trace = learners.fit_lsml(ds, triplets)
-    elif learner == "lmnn":
-        metric, trace = learners.fit_lmnn(ds)
-    else:
-        metric, trace = learners.fit_mmc(ds, learner.removeprefix("mmc_"))
+    metric, trace = fit(RepeatData(0, ds, ds, ()))
     elapsed = time.perf_counter() - start
     m = metric.matrix
     if learner == "lsml":
-        return learners.lsml_objective(m, ds, triplets, defaults.alpha), trace, elapsed
+        # the triplets the LSML entry drew
+        triplets = sample_triplets(
+            ds, config.sigma_train, config.triplet_subsample, subseed(seed, 0, 1), config.triplet_variant
+        )
+        return learners.lsml_objective(m, ds, triplets, config.alpha), trace, elapsed
     if learner == "lmnn":
-        problem = learners.lmnn_problem(ds, defaults.lmnn_k_targets)
-        return learners.lmnn_objective(m, problem, defaults.lmnn_mu), trace, elapsed
+        problem = learners.lmnn_problem(ds, config.lmnn_k_targets)
+        return learners.lmnn_objective(m, problem, config.lmnn_mu), trace, elapsed
     return _mmc_ratio(m, ds), trace, elapsed
 
 
