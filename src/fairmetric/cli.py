@@ -6,9 +6,13 @@ Subcommands:
   report-survey  reproduce the bail-rate and confidence-accuracy tables
   dump-triplets  write a triplet constraint set as CSV (columns a,b,c)
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage/config error or an output path that cannot be
+written, 2 data error, 3 numerical failure.
 All randomness derives from one root seed, so reruns with the same config are
-byte-identical.
+byte-identical at a fixed BLAS thread count: the fits' matrix products sum in
+an order that depends on it, so an MMC cell can differ between one and two
+OpenBLAS threads. CI, the benchmark and the tools/ gates pin one
+(OPENBLAS_NUM_THREADS=1).
 """
 
 from __future__ import annotations
@@ -256,6 +260,14 @@ def _write_fitted_metrics(out_dir: Path, outcomes, unsaved) -> None:
 # Commands
 
 
+def _require_directory_path(out_dir: Path) -> None:
+    """Reject an out dir whose nearest existing path component is not a directory,
+    creating nothing (a failed run leaves no out dir)."""
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigurationError(f"--out-dir {out_dir}: {existing} is not a directory")
+
+
 def cmd_ingest(defendants_path, survey_path, schema_path, out_dir) -> dict:
     schema = parse_schema_manifest(schema_path) if schema_path else default_schema()
     defendants = load_defendants(defendants_path, schema)
@@ -278,7 +290,9 @@ def cmd_ingest(defendants_path, survey_path, schema_path, out_dir) -> dict:
     return summary
 
 
-def cmd_experiment(config_path, out_dir="out", overrides=None, threads=1) -> int:
+def cmd_experiment(config_path, out_dir, overrides, threads) -> int:
+    out_dir = Path(out_dir)
+    _require_directory_path(out_dir)  # now, not after every fit has run
     spec = read_run_spec(config_path, overrides)
     dataset = _load_run_dataset(spec)
     if spec.mode == "sweep":
@@ -291,7 +305,6 @@ def cmd_experiment(config_path, out_dir="out", overrides=None, threads=1) -> int
     if all(cell is None for cell in report.cells.values()):
         raise NumericalError("every report cell is empty; no report produced")
     layout = LAYOUTS[spec.mode]
-    out_dir = Path(out_dir)
     text = render_report_text(report, layout)
     write_csv(out_dir / f"{layout.stem}.csv", report_csv_rows(report, layout))
     _write_text(out_dir / f"{layout.stem}.txt", text)
@@ -300,7 +313,7 @@ def cmd_experiment(config_path, out_dir="out", overrides=None, threads=1) -> int
     return 0
 
 
-def cmd_report_survey(survey_path, out_dir="out", confidence_threshold=4) -> int:
+def cmd_report_survey(survey_path, out_dir, confidence_threshold) -> int:
     records = load_survey(survey_path)
     table1 = bail_rate_table(records)
     table2 = confidence_accuracy_table(records, confidence_threshold)
@@ -382,7 +395,7 @@ def main(argv=None) -> int:
                 "label_mode": args.label_mode,
                 "triplet_variant": args.triplet_variant,
             }
-            return cmd_experiment(args.config, args.out_dir, overrides, threads=args.threads)
+            return cmd_experiment(args.config, args.out_dir, overrides, args.threads)
         if args.command == "report-survey":
             return cmd_report_survey(args.survey, args.out_dir, args.confidence_threshold)
         if args.command == "dump-triplets":
@@ -391,6 +404,10 @@ def main(argv=None) -> int:
     except FairmetricError as exc:
         print(f"fairmetric: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # every input is read through checks that raise FairmetricError
+        where = f" {exc.filename}" if exc.filename else ""
+        print(f"fairmetric: error: cannot write{where}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ can be shared freely across concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -50,7 +50,9 @@ class LabeledDataset:
     """Feature matrix plus per-row integer ratings.
 
     `ids` is optional row identity used to join survey records onto defendants;
-    purely numerical pipelines can leave it unset.
+    purely numerical pipelines can leave it unset. Derived datasets are
+    `dataclasses.replace` copies: they name only the fields they change, and
+    `__post_init__` checks the result.
     """
 
     features: np.ndarray  # (n, d) float
@@ -105,15 +107,10 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "LabeledDataset":
+        """The rows at `indices`, in that order, with their labels and ids."""
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            scale=self.scale,
-            feature_names=self.feature_names,
-            source_tag=self.source_tag,
-            ids=None if self.ids is None else tuple(self.ids[i] for i in idx),
-        )
+        ids = None if self.ids is None else tuple(self.ids[i] for i in idx)
+        return replace(self, features=self.features[idx], labels=self.labels[idx], ids=ids)
 
 
 @dataclass(frozen=True)

@@ -358,6 +358,17 @@ def _map_repeats(fn, n_repeats: int, threads: int) -> list:
     return [fn(r) for r in range(n_repeats)]
 
 
+def _provenance(config: ExperimentConfig, dataset: LabeledDataset, **own: str) -> dict[str, str]:
+    """The provenance keys both report modes write, plus the mode's `own`."""
+    return {
+        "label_source": dataset.source_tag,
+        "triplet_variant": config.triplet_variant,
+        "seed": repr(config.rng_seed),
+        "dispersion": "sample standard deviation",
+        **own,
+    }
+
+
 def run_experiment(
     config: ExperimentConfig,
     dataset: LabeledDataset,
@@ -380,14 +391,12 @@ def run_experiment(
         cells=aggregate_cells(outcomes, tuple(menu), LOSS_NAMES),
         rows=tuple(menu),
         columns=LOSS_NAMES,
-        provenance={
-            "label_source": dataset.source_tag,
-            "triplet_variant": config.triplet_variant,
-            "sigma_train": repr(config.sigma_train),
-            "sigma_test": repr(config.sigma_test),
-            "seed": repr(config.rng_seed),
-            "dispersion": "sample standard deviation",
-        },
+        provenance=_provenance(
+            config,
+            dataset,
+            sigma_train=repr(config.sigma_train),
+            sigma_test=repr(config.sigma_test),
+        ),
         outcomes=outcomes,
     )
 
@@ -442,12 +451,6 @@ def sigma_sweep(
         cells={(t, name): cell for (name, t), cell in cells.items()},
         rows=tuple(sigma_test_list),
         columns=columns,
-        provenance={
-            "label_source": dataset.source_tag,
-            "triplet_variant": config.triplet_variant,
-            "seed": repr(config.rng_seed),
-            "loss": LOSS_TRIPLET,
-            "dispersion": "sample standard deviation",
-        },
+        provenance=_provenance(config, dataset, loss=LOSS_TRIPLET),
         outcomes=outcomes,
     )

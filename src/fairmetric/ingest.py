@@ -29,7 +29,7 @@ import math
 import statistics
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,10 +64,6 @@ class ColumnSpec:
             return tuple(f"{self.name}={cat}" for cat in self.categories)
         return (self.name,)
 
-    @property
-    def encoded_width(self) -> int:
-        return len(self.categories) if self.kind == "categorical" else 1
-
 
 @dataclass(frozen=True)
 class FeatureSchema:
@@ -91,7 +87,7 @@ class FeatureSchema:
 
     @property
     def encoded_dim(self) -> int:
-        return sum(c.encoded_width for c in self.columns)
+        return len(self.encoded_names)
 
 
 # Best-effort reconstruction of the seven demographic / criminal-history
@@ -320,7 +316,7 @@ def defendants_from_table(table: CsvTable, schema: FeatureSchema, kind: str) -> 
                 encoded.append(float(row.choice(col.name, col.categories)))
             else:
                 at = row.choice(col.name, col.categories)
-                encoded.extend(float(i == at) for i in range(col.encoded_width))
+                encoded.extend(float(i == at) for i in range(len(col.categories)))
         features.append(encoded)
         labels.append(row.integer(schema.label_column, "label", COMPAS_SCALE))
     if len(labels) < 2:
@@ -406,7 +402,7 @@ def write_survey(records: list[SurveyRecord], path) -> None:
                 rec.respondent_id,
                 rec.defendant_id,
                 str(rec.recidivism_prediction),
-                "yes" if rec.bail_granted else "no",
+                _BAIL_WORDS[0 if rec.bail_granted else 1],
                 str(rec.confidence),
                 str(int(rec.ground_truth_recidivated)),
             ]
@@ -478,14 +474,11 @@ def attach_labels(
             label = _round_half_up(statistics.mean(per_resp.values()))
         keep.append(row)
         labels.append(label)
-    idx = np.asarray(keep, dtype=np.int64)
-    return LabeledDataset(
-        features=defendants.features[idx],
+    return replace(
+        defendants.subset(keep),
         labels=np.asarray(labels),
         scale=SURVEY_SCALE,
-        feature_names=defendants.feature_names,
         source_tag=f"{defendants.source_tag}|labels:{mode}",
-        ids=tuple(defendants.ids[i] for i in keep),
     )
 
 
@@ -516,13 +509,4 @@ def standardize(
         raise ConfigurationError(
             f"standardization stats for d={stats.mean.shape[0]} applied to d={dataset.d}"
         )
-    transformed = (x - stats.mean) / stats.scale
-    out = LabeledDataset(
-        features=transformed,
-        labels=dataset.labels,
-        scale=dataset.scale,
-        feature_names=dataset.feature_names,
-        source_tag=dataset.source_tag,
-        ids=dataset.ids,
-    )
-    return out, stats
+    return replace(dataset, features=(x - stats.mean) / stats.scale), stats

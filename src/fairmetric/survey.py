@@ -4,6 +4,7 @@ and decision accuracy by confidence."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -22,6 +23,16 @@ def _by_respondent(records: list[SurveyRecord]) -> dict[str, list[SurveyRecord]]
     for rec in records:
         by_resp[rec.respondent_id].append(rec)
     return by_resp
+
+
+def _shares(by_resp: dict[str, list[SurveyRecord]], keep, hit) -> list[float | None]:
+    """Per respondent, the share of their records passing `keep` that also pass `hit`;
+    None for a respondent with no record passing `keep`."""
+    shares: list[float | None] = []
+    for records in by_resp.values():
+        hits = [hit(r) for r in records if keep(r)]
+        shares.append(sum(hits) / len(hits) if hits else None)
+    return shares
 
 
 @dataclass(frozen=True)
@@ -47,32 +58,19 @@ def bail_rate_table(records: list[SurveyRecord]) -> BailRateTable:
     if not records:
         raise ConfigurationError("no survey records")
     by_resp = _by_respondent(records)
-    mean_row: list[float | None] = []
-    max_row: list[float | None] = []
-    min_row: list[float | None] = []
-    counts: list[int] = []
+    rates = []  # per level: the bail rate of each respondent with records at that level
     for level in PREDICTION_LEVELS:
-        rates = []
-        for mine in by_resp.values():
-            granted = [r.bail_granted for r in mine if r.recidivism_prediction == level]
-            if granted:
-                rates.append(sum(granted) / len(granted))
-        counts.append(len(rates))
-        if rates:
-            mean_row.append(float(np.mean(rates)))
-            max_row.append(float(np.max(rates)))
-            min_row.append(float(np.min(rates)))
-        else:
-            mean_row.append(None)
-            max_row.append(None)
-            min_row.append(None)
+        at_level = _shares(
+            by_resp, lambda r: r.recidivism_prediction == level, attrgetter("bail_granted")
+        )
+        rates.append([rate for rate in at_level if rate is not None])
     return BailRateTable(
         levels=PREDICTION_LEVELS,
         level_names=PREDICTION_NAMES,
-        mean=tuple(mean_row),
-        max=tuple(max_row),
-        min=tuple(min_row),
-        n_respondents=tuple(counts),
+        mean=tuple(float(np.mean(r)) if r else None for r in rates),
+        max=tuple(float(np.max(r)) if r else None for r in rates),
+        min=tuple(float(np.min(r)) if r else None for r in rates),
+        n_respondents=tuple(len(r) for r in rates),
     )
 
 
@@ -98,18 +96,14 @@ class ConfidenceAccuracyTable:
     low_confidence: StratumRow
 
 
-def _stratum(records_by_resp: dict[str, list[SurveyRecord]], keep) -> StratumRow:
-    per: list[float | None] = []
-    for records in records_by_resp.values():
-        mine = [r for r in records if keep(r)]
-        per.append(sum(decision_correct(r) for r in mine) / len(mine) if mine else None)
+def _stratum(by_resp: dict[str, list[SurveyRecord]], keep) -> StratumRow:
+    per = _shares(by_resp, keep, decision_correct)
     present = [v for v in per if v is not None]
     if present:
         mean = float(np.mean(present))
         std = float(np.std(present, ddof=1)) if len(present) > 1 else 0.0
     else:
-        mean = None
-        std = None
+        mean = std = None
     return StratumRow(mean=mean, std=std, n_respondents=len(present), per_respondent=tuple(per))
 
 
@@ -175,29 +169,29 @@ def _acc(value: float | None) -> str:
     return "N/A" if value is None else f"{value:.3f}"
 
 
+# each stratum of a ConfidenceAccuracyTable: its field (the CSV's name), its text
+# label, and its column head in the text's per-respondent table
+_STRATA = (
+    ("overall", "Overall", "Overall"),
+    ("high_confidence", "High confidence", "High"),
+    ("low_confidence", "Low confidence", "Low"),
+)
+
+
 def render_confidence_accuracy_text(table: ConfidenceAccuracyTable) -> str:
     lines = [
         f"Accuracy vs confidence (high = Q3 >= {table.threshold}; "
         "dispersion = sample standard deviation across respondents)",
         "Stratum".ljust(18) + "Mean".rjust(8) + "Std".rjust(8),
     ]
-    for name, row in (
-        ("Overall", table.overall),
-        ("High confidence", table.high_confidence),
-        ("Low confidence", table.low_confidence),
-    ):
-        lines.append(name.ljust(18) + _acc(row.mean).rjust(8) + _acc(row.std).rjust(8))
+    rows = [getattr(table, name) for name, _, _ in _STRATA]
+    for (_, label, _), row in zip(_STRATA, rows):
+        lines.append(label.ljust(18) + _acc(row.mean).rjust(8) + _acc(row.std).rjust(8))
     lines.append("")
     lines.append("Per respondent:")
-    header = "Respondent".ljust(12) + "Overall".rjust(10) + "High".rjust(10) + "Low".rjust(10)
-    lines.append(header)
+    lines.append("Respondent".ljust(12) + "".join(head.rjust(10) for _, _, head in _STRATA))
     for i, rid in enumerate(table.respondent_ids):
-        lines.append(
-            rid.ljust(12)
-            + _acc(table.overall.per_respondent[i]).rjust(10)
-            + _acc(table.high_confidence.per_respondent[i]).rjust(10)
-            + _acc(table.low_confidence.per_respondent[i]).rjust(10)
-        )
+        lines.append(rid.ljust(12) + "".join(_acc(r.per_respondent[i]).rjust(10) for r in rows))
     return "\n".join(lines) + "\n"
 
 
@@ -206,11 +200,8 @@ def confidence_accuracy_csv_rows(table: ConfidenceAccuracyTable) -> list[list[st
         f"r_{rid}" for rid in table.respondent_ids
     ]
     rows = [header]
-    for name, row in (
-        ("overall", table.overall),
-        ("high_confidence", table.high_confidence),
-        ("low_confidence", table.low_confidence),
-    ):
+    for name, _, _ in _STRATA:
+        row = getattr(table, name)
         rows.append(
             [name, _csv_num(row.mean), _csv_num(row.std), str(row.n_respondents)]
             + [_csv_num(v) for v in row.per_respondent]

@@ -628,6 +628,47 @@ def test_dump_triplets_rejects_a_sigma_that_is_not_finite(ingested, tmp_path, ca
     assert not dest.exists()
 
 
+def _no_input_may_be_read(*args, **kwargs):
+    raise AssertionError("the config was read before the out dir was checked")
+
+
+@pytest.mark.parametrize("command", ["ingest", "experiment", "report-survey", "dump-triplets"])
+def test_an_output_path_that_cannot_be_written_exits_1(ingested, capsys, monkeypatch, command):
+    tmp_path, out, _ = ingested
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file where a directory is needed\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "exp.ini", out)
+    argv, named = {
+        "ingest": (
+            ["ingest", "--defendants", str(tmp_path / "defendants.csv"),
+             "--survey", str(tmp_path / "survey.csv"), "--out-dir", str(blocker)],
+            blocker,
+        ),
+        "experiment": (
+            ["experiment", "--config", str(cfg), "--out-dir", str(blocker / "run")],
+            blocker / "run",
+        ),
+        "report-survey": (
+            ["report-survey", "--survey", str(out / "survey_canonical.csv"),
+             "--out-dir", str(blocker)],
+            blocker,
+        ),
+        # --out names an existing directory
+        "dump-triplets": (
+            ["dump-triplets", "--data", str(out / "defendants_encoded.csv"),
+             "--sigma", "2", "--out", str(out)],
+            out,
+        ),
+    }[command]
+    # experiment rejects its out dir before it reads any input, so no fit runs
+    monkeypatch.setattr("fairmetric.cli.read_run_spec", _no_input_may_be_read)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fairmetric: error: ") and err.count("\n") == 1
+    assert str(named) in err
+    assert blocker.read_text(encoding="utf-8") == "a file where a directory is needed\n"
+
+
 @pytest.mark.parametrize(
     "line, cell, value, message",
     [

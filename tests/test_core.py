@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from fairmetric.core import (
+    COMPAS_SCALE,
+    SURVEY_SCALE,
     ExperimentConfig,
     LabeledDataset,
     MahalanobisMetric,
@@ -14,6 +16,7 @@ from fairmetric.core import (
     subseed,
 )
 from fairmetric.errors import ConfigurationError, InvariantError
+from fairmetric.ingest import SurveyRecord, attach_labels, standardize
 
 from conftest import random_spd
 
@@ -103,14 +106,31 @@ def test_dataset_subset_keeps_order_and_ids():
     ds = LabeledDataset(
         np.arange(8.0).reshape(4, 2),
         [1, 2, 3, 4],
-        RatingScale(1, 5),
+        COMPAS_SCALE,
         ("a", "b"),
+        source_tag="defendants:d.csv",
         ids=("w", "x", "y", "z"),
     )
     sub = ds.subset([2, 0])
     assert sub.ids == ("y", "w")
     assert sub.labels.tolist() == [3, 1]
     assert sub.features[0, 0] == 4.0
+    # each derived dataset keeps every field it does not set
+    kept = ("feature_names", "source_tag", "scale")
+    assert [getattr(sub, name) for name in kept] == [getattr(ds, name) for name in kept]
+    z, _ = standardize(sub)
+    assert [getattr(z, name) for name in kept + ("ids",)] == [
+        getattr(sub, name) for name in kept + ("ids",)
+    ]
+    assert z.labels.tolist() == [3, 1]
+    survey = [SurveyRecord("r", "y", 5, True, 3, False), SurveyRecord("r", "w", 2, False, 3, True)]
+    labeled = attach_labels(ds, survey, "pooled_median")
+    assert labeled.ids == ("w", "y")  # in defendant-table order
+    assert labeled.labels.tolist() == [2, 5]
+    assert labeled.features.tolist() == ds.features[[0, 2]].tolist()
+    assert labeled.feature_names == ds.feature_names
+    assert labeled.scale == SURVEY_SCALE
+    assert labeled.source_tag == "defendants:d.csv|labels:pooled_median"
 
 
 def test_dataset_arrays_are_readonly():

@@ -81,6 +81,43 @@ def test_bail_rate_table_equals_a_scan_per_level_and_respondent():
     assert list(table.n_respondents) == expected["n"]
 
 
+def test_confidence_accuracy_table_equals_a_scan_per_stratum_and_respondent():
+    rng = np.random.default_rng(4)
+    respondents = ["10", "2", "b", "1", "a"]
+    records = [
+        rec(
+            respondents[int(rng.integers(5))],
+            i,
+            bail=bool(rng.integers(2)),
+            q3=int(rng.integers(1, 6)),
+            recid=bool(rng.integers(2)),
+        )
+        for i in range(300)
+    ]
+    # respondent c answers with low confidence only, so has no high-confidence share
+    records += [rec("c", f"c{i}", bail=i % 2 == 0, q3=1 + i % 3) for i in range(7)]
+    ordered = ["1", "2", "10", "a", "b", "c"]
+    table = confidence_accuracy_table(records, high_confidence_threshold=4)
+    assert table.respondent_ids == tuple(ordered)
+    strata = [
+        (table.overall, lambda r: True),
+        (table.high_confidence, lambda r: r.confidence >= 4),
+        (table.low_confidence, lambda r: r.confidence < 4),
+    ]
+    for row, keep in strata:
+        shares = []
+        for rid in ordered:
+            mine = [r for r in records if r.respondent_id == rid and keep(r)]
+            correct = [r.bail_granted != r.ground_truth_recidivated for r in mine]
+            shares.append(sum(correct) / len(correct) if correct else None)
+        present = [share for share in shares if share is not None]
+        assert list(row.per_respondent) == shares  # exact: same counts in the same order
+        assert row.mean == float(np.mean(present))
+        assert row.std == float(np.std(present, ddof=1))
+        assert row.n_respondents == len(present)
+    assert table.high_confidence.per_respondent[-1] is None
+
+
 def test_decision_correctness_rule():
     assert decision_correct(rec(1, "a", bail=True, recid=False))
     assert decision_correct(rec(1, "a", bail=False, recid=True))
