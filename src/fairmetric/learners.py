@@ -16,8 +16,8 @@ Each learner hands the engine evaluate(x) -> (f, state) and
 gradient(state) -> g. The line search calls evaluate at every trial x + t d,
 and the accepted trial, with its value and state, is the next iterate: no point
 is evaluated twice, and the engine asks for a gradient only from the state of
-the point it evaluated last. So LMNN's and MMC's states can be views
-of a workspace made once per fit call (_Workspace), holding their (n, n)
+the point it evaluated last. So LMNN's, MMC's and LSML's Gram-kernel states
+can use a workspace made once per fit call (_Workspace), holding their (n, n)
 squared distances, Laplacian weights and LMNN's mask of active impostors.
 Each evaluation overwrites them, by the same operations in the same order as
 on fresh arrays, so the results are the same bits and the fit does not page
@@ -33,6 +33,20 @@ Objectives (X is the training matrix, d_M the Mahalanobis distance):
              c* = alpha d / (alpha d + J(I)),
          which lies in (0, 1] and is 1 when I violates no triplet. The
          minimization starts at c* I, near the optimum's scale, not at I.
+         Each fit picks one of two kernels for d_M and the triplet term of
+         the gradient, from its n training rows, m triplets and d features.
+         When n^2 <= m d, the Gram kernel takes one (n, n) slab of d^2 per
+         evaluation (_pairwise_sq) and gathers the triplets' d^2 at the flat
+         indices a n + b and a n + c. Its gradient sums +w_ab at (a, b) and
+         -w_ac at (a, c) into an (n, n) W with one bincount, and takes
+         X^T L(W + W^T) X, which is sum_ij W_ij (x_i - x_j)(x_i - x_j)^T.
+         A pair of rows with equal features gets d = 0 exactly, as in MMC:
+         the Gram form's cancellation would leave it a d^2 near 1e-16 |x|^2,
+         past ZERO_DISTANCE, and resid / d would swamp the gradient.
+         Otherwise the difference-row kernel takes quad_forms over the (m, d)
+         rows x_a - x_b and x_a - x_c, and two (m, d) outer-product sums; at
+         n = 420 and m = 5000 it is about 4x faster. lsml_objective and
+         lsml_gradient always use the difference rows.
 
   LMNN   eps(M) = (1-mu) * sum over target pairs of d^2_M(i,j)
                 + mu * sum over (i,j,l), y_l != y_i, of
@@ -261,56 +275,146 @@ def precision_baseline(train: LabeledDataset) -> MahalanobisMetric:
 
 
 # ---------------------------------------------------------------------------
+# The (n, n) Gram form, shared by LSML's Gram kernel, LMNN and MMC
+
+
+@dataclass(frozen=True)
+class _Workspace:
+    """The arrays one LSML (Gram kernel), LMNN or MMC fit overwrites at every evaluation.
+
+    `gram` holds the (n, n) squared distances: MMC takes their square roots in
+    place, LMNN writes +inf on its same-label entries, and LMNN's and LSML's
+    gradients write their symmetrized counts or weights there once they have
+    read them. `lap` holds the outer sum s_i + s_j, then MMC's Laplacian
+    weights, LMNN's hinges of one target rank or its counts. `mask` is LMNN's
+    (n, n) mask of the impostors active for one target rank; the others' is
+    empty. Each fit call makes its own workspace; LMNN's public objective and
+    gradient functions make a fresh one per call.
+    """
+
+    gram: np.ndarray
+    lap: np.ndarray
+    mask: np.ndarray
+
+
+def _workspace(n: int, mask: bool = False) -> _Workspace:
+    return _Workspace(np.empty((n, n)), np.empty((n, n)), np.empty((n, n) if mask else (0, 0), dtype=bool))
+
+
+def _pairwise_sq(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Squared distances (s_i + s_j) - 2 g_ij from the Gram matrix g = x M x^T, s = diag(g), in ws.gram."""
+    g = np.matmul(x @ m, x.T, out=ws.gram)
+    s = np.diag(g).copy()
+    g *= 2.0
+    return np.subtract(np.add.outer(s, s, out=ws.lap), g, out=g)
+
+
+def _laplacian_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x^T (diag(w 1) - w) x, unsymmetrized; see the module docstring. Overwrites w.
+
+    Negation is exact and addition commutes, so -w_ii + rowsum_i is exactly
+    rowsum_i - w_ii and w ends as diag(w 1) - w.
+    """
+    rowsum = w.sum(axis=1)
+    np.negative(w, out=w)
+    diag = np.arange(w.shape[0])
+    w[diag, diag] += rowsum
+    return x.T @ w @ x
+
+
+def _row_ids(x: np.ndarray) -> np.ndarray:
+    """One id per row of x, equal exactly when two rows have equal features."""
+    return np.unique(x, axis=0, return_inverse=True)[1]
+
+
+# ---------------------------------------------------------------------------
 # LSML
 
 
-def _triplet_diffs(train: LabeledDataset, triplets: TripletSet):
+def _checked_indices(train: LabeledDataset, triplets: TripletSet) -> np.ndarray:
     idx = triplets.indices
     if idx.size and idx.max() >= train.n:
         raise ConfigurationError("triplet indices exceed dataset size")
+    return idx
+
+
+def _row_kernel(train: LabeledDataset, triplets: TripletSet):
+    """LSML's difference-row kernel, on the (m, d) rows x_a - x_b and x_a - x_c; see the module docstring."""
+    idx = _checked_indices(train, triplets)
     x = train.features
     vab = x[idx[:, 0]] - x[idx[:, 1]]
     vac = x[idx[:, 0]] - x[idx[:, 2]]
-    return vab, vac
+
+    def squared(m):
+        return quad_forms(vab, m), quad_forms(vac, m)
+
+    def add_data_term(grad, wab, wac):
+        return grad + (vab * wab[:, None]).T @ vab - (vac * wac[:, None]).T @ vac
+
+    return squared, add_data_term
+
+
+def _gram_kernel(train: LabeledDataset, triplets: TripletSet):
+    """LSML's Gram kernel, one (n, n) slab of d^2 per evaluation; see the module docstring."""
+    idx = _checked_indices(train, triplets)  # before any flat index is formed
+    x, n, m = train.features, train.n, len(triplets)
+    flat = np.concatenate([idx[:, 0] * n + idx[:, 1], idx[:, 0] * n + idx[:, 2]])
+    row = _row_ids(x)
+    equal = np.flatnonzero(row[flat // n] == row[flat % n])
+    ws = _workspace(n)
+
+    def squared(metric):
+        d2 = _pairwise_sq(metric, x, ws).take(flat)
+        d2[equal] = 0.0
+        return d2[:m], d2[m:]
+
+    def add_data_term(grad, wab, wac):
+        w = np.bincount(flat, weights=np.concatenate([wab, -wac]), minlength=n * n).reshape(n, n)
+        return grad + _laplacian_form(x, np.add(w, w.T, out=ws.gram))  # d^2 was gathered already
+
+    return squared, add_data_term
 
 
 def lsml_objective(m: np.ndarray, train: LabeledDataset, triplets: TripletSet, alpha: float) -> float:
-    vab, vac = _triplet_diffs(train, triplets)
-    return _lsml_value(np.asarray(m, dtype=float), vab, vac, alpha)[0]
+    squared, _ = _row_kernel(train, triplets)
+    m = np.asarray(m, dtype=float)
+    return _lsml_value(m, *squared(m), alpha)[0]
 
 
 def lsml_gradient(m: np.ndarray, train: LabeledDataset, triplets: TripletSet, alpha: float) -> np.ndarray:
-    vab, vac = _triplet_diffs(train, triplets)
-    return _lsml_grad(_lsml_value(np.asarray(m, dtype=float), vab, vac, alpha)[1], vab, vac, alpha)
+    squared, add_data_term = _row_kernel(train, triplets)
+    m = np.asarray(m, dtype=float)
+    return _lsml_grad(_lsml_value(m, *squared(m), alpha)[1], add_data_term, alpha)
 
 
-def _lsml_value(m, vab, vac, alpha):
-    """LSML's value at m and the parts its gradient reuses: (w, v, dab, dac, resid).
+def _lsml_value(m, dab2, dac2, alpha):
+    """LSML's value at m from the triplets' squared distances, and the parts its gradient reuses.
 
-    One eigh of m = V W V^T, with W floored at RELATIVE_EIG_FLOOR * w_max
-    (and at least ABSOLUTE_EIG_FLOOR), gives logdet(m) and the gradient's
-    m^-1; dab and dac are the triplet distances and resid = dab - dac.
+    The parts are (w, v, dab, dac, resid). One eigh of m = V W V^T, with W
+    floored at RELATIVE_EIG_FLOOR * w_max (and at least ABSOLUTE_EIG_FLOOR),
+    gives logdet(m) and the gradient's m^-1; dab and dac are the triplet
+    distances, the roots of dab2 and dac2, and resid = dab - dac.
     """
     w, v = np.linalg.eigh(0.5 * (m + m.T))
     w = np.maximum(w, max(RELATIVE_EIG_FLOOR * float(w[-1]), ABSOLUTE_EIG_FLOOR))
     logdet = float(np.log(w).sum())
     trace = float(np.trace(m))
-    dab = np.sqrt(np.maximum(quad_forms(vab, m), 0.0))
-    dac = np.sqrt(np.maximum(quad_forms(vac, m), 0.0))
+    dab = np.sqrt(np.maximum(dab2, 0.0))
+    dac = np.sqrt(np.maximum(dac2, 0.0))
     resid = dab - dac
     value = alpha * (trace - logdet - m.shape[0]) + float(np.sum(np.square(np.maximum(resid, 0.0))))
     return value, (w, v, dab, dac, resid)
 
 
-def _lsml_grad(parts, vab, vac, alpha):
-    """LSML's gradient from the parts _lsml_value returns."""
+def _lsml_grad(parts, add_data_term, alpha):
+    """LSML's gradient from the parts _lsml_value returns; a kernel adds the triplets' term."""
     w, v, dab, dac, resid = parts
     grad = alpha * (np.eye(w.shape[0]) - (v / w) @ v.T)
     active = resid > 0
     if np.any(active):
         wab = np.where(active & (dab > ZERO_DISTANCE), resid / np.maximum(dab, ZERO_DISTANCE), 0.0)
         wac = np.where(active & (dac > ZERO_DISTANCE), resid / np.maximum(dac, ZERO_DISTANCE), 0.0)
-        grad = grad + (vab * wab[:, None]).T @ vab - (vac * wac[:, None]).T @ vac
+        grad = add_data_term(grad, wab, wac)
     return 0.5 * (grad + grad.T)
 
 
@@ -342,13 +446,15 @@ def fit_lsml(
     if len(triplets) == 0:
         raise ConstraintError("LSML needs a nonempty triplet set")
     alpha = config.alpha
-    vab, vac = _triplet_diffs(train, triplets)
+    # the Gram kernel costs O(n^2) per evaluation, the difference rows O(m d)
+    kernel = _gram_kernel if train.n**2 <= len(triplets) * train.d else _row_kernel
+    squared, add_data_term = kernel(train, triplets)
 
     def evaluate(m):
-        return _lsml_value(m, vab, vac, alpha)
+        return _lsml_value(m, *squared(m), alpha)
 
     def gradient(parts):
-        return _lsml_grad(parts, vab, vac, alpha)
+        return _lsml_grad(parts, add_data_term, alpha)
 
     # start at c* I, the minimizer of J on the ray cI (see the module docstring)
     prior_weight = alpha * train.d
@@ -420,50 +526,6 @@ def lmnn_problem(train: LabeledDataset, k_targets: int) -> LmnnProblem:
         same_label=labels[:, None] == labels[None, :],
         pull_gram=vp.T @ vp,
     )
-
-
-@dataclass(frozen=True)
-class _Workspace:
-    """The arrays one LMNN or MMC fit overwrites at every evaluation.
-
-    `gram` holds the (n, n) squared distances: MMC takes their square roots in
-    place, LMNN writes +inf on its same-label entries, and LMNN's gradient
-    writes its symmetrized counts there once it has read them. `lap` holds the
-    outer sum s_i + s_j, then MMC's Laplacian weights, LMNN's hinges of one
-    target rank or its counts. `mask` is LMNN's (n, n) mask of the impostors
-    active for one target rank; MMC's is empty. Each fit call makes its own
-    workspace; the public objective and gradient functions make a fresh one
-    per call.
-    """
-
-    gram: np.ndarray
-    lap: np.ndarray
-    mask: np.ndarray
-
-
-def _workspace(n: int, mask: bool = False) -> _Workspace:
-    return _Workspace(np.empty((n, n)), np.empty((n, n)), np.empty((n, n) if mask else (0, 0), dtype=bool))
-
-
-def _pairwise_sq(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Squared distances (s_i + s_j) - 2 g_ij from the Gram matrix g = x M x^T, s = diag(g), in ws.gram."""
-    g = np.matmul(x @ m, x.T, out=ws.gram)
-    s = np.diag(g).copy()
-    g *= 2.0
-    return np.subtract(np.add.outer(s, s, out=ws.lap), g, out=g)
-
-
-def _laplacian_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x^T (diag(w 1) - w) x, unsymmetrized; see the module docstring. Overwrites w.
-
-    Negation is exact and addition commutes, so -w_ii + rowsum_i is exactly
-    rowsum_i - w_ii and w ends as diag(w 1) - w.
-    """
-    rowsum = w.sum(axis=1)
-    np.negative(w, out=w)
-    diag = np.arange(w.shape[0])
-    w[diag, diag] += rowsum
-    return x.T @ w @ x
 
 
 def _impostor_d2(m: np.ndarray, problem: LmnnProblem, ws: _Workspace):
@@ -606,7 +668,7 @@ def _mmc_pairs(train: LabeledDataset):
     np.fill_diagonal(same, False)
     if not same.any():
         raise ConstraintError("MMC needs at least one similar pair")
-    _, row = np.unique(x, axis=0, return_inverse=True)
+    row = _row_ids(x)
     apart = row[:, None] != row[None, :]
     if not (same & apart).any():
         raise ConstraintError("MMC needs a similar pair whose features differ")

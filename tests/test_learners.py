@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairmetric import learners
-from fairmetric.constraints import build_pairs, build_triplets
+from fairmetric.constraints import build_pairs, build_triplets, sample_triplets
 from fairmetric.core import (
     ExperimentConfig,
     LabeledDataset,
@@ -28,6 +28,7 @@ from fairmetric.learners import (
     project_psd_cap,
     save_metric,
 )
+from fairmetric.numerics import quad_forms
 
 from conftest import make_dataset, random_spd, toy
 
@@ -173,8 +174,8 @@ def test_mmc_distinct_labels_raise():
         fit_mmc(ds, ExperimentConfig(mmc_form="diagonal"))
 
 
-def _mmc_objective(monkeypatch, ds, form):
-    """The objective and gradient that fit_mmc hands to the optimizer."""
+def _engine_objective(monkeypatch, fit):
+    """The objective and gradient that the fit run by fit() hands to the optimizer."""
     engine, captured = learners._spg, []
 
     def capture(x0, evaluate, gradient, project, max_iter, tol):
@@ -182,7 +183,7 @@ def _mmc_objective(monkeypatch, ds, form):
         return engine(x0, evaluate, gradient, project, max_iter, tol)
 
     monkeypatch.setattr(learners, "_spg", capture)
-    fit_mmc(ds, ExperimentConfig(mmc_form=form, mmc_max_iter=2))
+    fit()
     evaluate, gradient = captured[0]
     return (lambda x: evaluate(x)[0]), (lambda x: gradient(evaluate(x)[1]))
 
@@ -221,7 +222,8 @@ def test_mmc_gram_kernel_matches_pair_oracle(monkeypatch, form, fold):
     rng = np.random.default_rng(0)
     folds = [make_dataset(rng, n, 4) for n in (60, 140)] if fold == "random" else [_duplicated_fold(rng)]
     for ds in folds:
-        fun, grad = _mmc_objective(monkeypatch, ds, form)
+        config = ExperimentConfig(mmc_form=form, mmc_max_iter=2)
+        fun, grad = _engine_objective(monkeypatch, lambda: fit_mmc(ds, config))
         oracle_fun, oracle_grad = _mmc_pair_oracle(ds, form)
         for _ in range(3):
             point = random_spd(rng, 4) if form == "full" else np.diag(rng.uniform(0.1, 2.0, 4))
@@ -445,6 +447,69 @@ def test_lsml_starts_at_the_ray_minimizer(seed):
         assert first <= lsml_objective(c * start * np.eye(3), ds, triplets, alpha)
     assert trace.converged
     assert trace.iterations < 25
+
+
+def _lsml_fold(fold):
+    """(fold, triplets) on which fit_lsml takes its Gram kernel, n^2 <= m d."""
+    rng = np.random.default_rng(0)
+    ds, m = {
+        "train140": lambda: (make_dataset(rng, 140, 10), 5000),  # the paper's training fold
+        "small": lambda: (make_dataset(rng, 30, 4), 300),
+        "duplicated": lambda: (_duplicated_fold(rng), 20000),  # 1 in 5 pairs have equal features
+    }[fold]()
+    triplets = sample_triplets(ds, 0.0, m, 0)
+    assert len(triplets) == m and ds.n**2 <= m * ds.d
+    return ds, triplets
+
+
+@pytest.mark.parametrize("fold", ["train140", "small", "duplicated"])
+def test_lsml_gram_kernel_matches_difference_row_oracle(monkeypatch, fold):
+    # on the duplicated fold the Gram form leaves pairs of equal rows a d^2
+    # near 1e-16 |x|^2 unless they are zeroed, which moves value and gradient
+    # by about 2e-10
+    ds, triplets = _lsml_fold(fold)
+    alpha = ExperimentConfig().alpha
+    config = ExperimentConfig(lsml_max_iter=2)
+    fun, grad = _engine_objective(monkeypatch, lambda: fit_lsml(ds, triplets, config))
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        point = random_spd(rng, ds.d)
+        want = lsml_objective(point, ds, triplets, alpha)
+        assert abs(fun(point) - want) <= 1e-12 * abs(want)
+        want = lsml_gradient(point, ds, triplets, alpha)
+        assert np.abs(grad(point) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "n, m, gram", [(140, 5000, True), (420, 5000, False), (100, 1000, True), (100, 999, False)]
+)
+def test_lsml_takes_the_gram_kernel_when_n_squared_is_at_most_m_d(monkeypatch, n, m, gram):
+    # d = 10: n^2 = m d exactly at (100, 1000), one triplet short at (100, 999)
+    ds = make_dataset(np.random.default_rng(n), n, 10)
+    triplets = sample_triplets(ds, 0.0, m, 0)
+    assert len(triplets) == m
+    calls = []  # the rows of each quad_forms call
+
+    def counting(diffs, matrix):
+        calls.append(diffs.shape[0])
+        return quad_forms(diffs, matrix)
+
+    monkeypatch.setattr(learners, "quad_forms", counting)
+    _, trace = fit_lsml(ds, triplets)
+    if gram:
+        assert calls == []
+    else:
+        assert len(calls) >= trace.evaluations and set(calls) == {m}
+
+
+@pytest.mark.parametrize("m", [1, 40])
+def test_lsml_rejects_a_triplet_index_past_the_fold_on_either_kernel(m):
+    # 10 rows, d = 3: one triplet takes the difference rows, 40 the Gram kernel
+    ds = make_dataset(np.random.default_rng(0), 10, 3)
+    idx = np.tile([0, 1, 2], (m, 1))
+    idx[-1] = (0, 1, 10)
+    with pytest.raises(ConfigurationError, match="exceed dataset size"):
+        fit_lsml(ds, TripletSet(idx, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,18 @@ Prints each difference and exits 1 on any difference or any run that exits
 with another status than expected, 0 when everything matches. A differing
 metric file (`metrics/.../*.txt`) is shown as its largest entry difference,
 relative to its largest entry; any other file as the lines that differ,
-old -> new. Reads `perfbench/` and writes nothing under it; all files
-(derived configs included) go to a temporary directory that is removed at
-the end.
+old -> new. After the differences comes one line per workload, over all
+seeds and all of its runs: the number of files that differ, and the largest
+metric-file move, relative to that file's largest entry. Reads `perfbench/`
+and writes nothing under it; all files (derived configs included) go to a
+temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import subprocess
 import sys
@@ -138,22 +141,26 @@ def derive_config(config: Path, derived: Derived) -> Path:
     return path
 
 
-def describe(name: str, old: bytes, new: bytes) -> list[str]:
-    """How `new` differs from `old`: for a metric file its largest entry
-    difference, relative to its largest entry; else the differing lines (CSV
-    rows), old -> new."""
+def describe(name: str, old: bytes, new: bytes) -> tuple[list[str], float]:
+    """How `new` differs from `old`, and the move of a metric file.
+
+    For a metric file the lines give its largest entry difference, relative
+    to its largest entry, and the move is that ratio (inf when the entry
+    count changed). For any other file they give the differing lines (CSV
+    rows), old -> new, and the move is 0.
+    """
     old_lines = old.decode(errors="replace").splitlines()
     new_lines = new.decode(errors="replace").splitlines()
     if name.startswith("metrics") and name.endswith(".txt"):
         a = np.array([float(v) for line in old_lines[1:] for v in line.split()])
         b = np.array([float(v) for line in new_lines[1:] for v in line.split()])
         if a.shape != b.shape:
-            return [f"{a.size} entries -> {b.size} entries"]
+            return [f"{a.size} entries -> {b.size} entries"], math.inf
         # relative to the largest entry: entries near zero carry only rounding noise
         at = int(np.argmax(np.abs(a - b)))
         rel = abs(a[at] - b[at]) / max(float(np.abs(a).max()), np.finfo(float).tiny)
         return [f"largest entry difference {rel:.3e}, relative to the largest entry "
-                f"(entry {at}: {float(a[at])!r} -> {float(b[at])!r})"]
+                f"(entry {at}: {float(a[at])!r} -> {float(b[at])!r})"], rel
     width = max(len(old_lines), len(new_lines))
     old_lines += ["<none>"] * (width - len(old_lines))
     new_lines += ["<none>"] * (width - len(new_lines))
@@ -161,27 +168,39 @@ def describe(name: str, old: bytes, new: bytes) -> list[str]:
     shown = [f"line {i + 1}: {a} -> {b}" for i, a, b in moved[:MAX_LINES]]
     if len(moved) > MAX_LINES:
         shown.append(f"... and {len(moved) - MAX_LINES} more differing lines")
-    return shown
+    return shown, 0.0
+
+
+class Comparison(NamedTuple):
+    files: int  # files compared
+    problems: list[str]
+    differing: int  # files that differ or that one tree alone wrote, not counting STATUS
+    largest_move: float  # the largest move describe() gave, 0 when none
 
 
 def compare(
     label: str, args: list[str], trees: dict[str, Path], work: Path, status: int = 0
-) -> tuple[int, list[str]]:
-    """Run `args` from both trees; return the number of files compared and the problems found."""
+) -> Comparison:
+    """Run `args` from both trees and compare their outputs."""
     runs = [run_cli(src, args, work / side / label) for side, src in trees.items()]
     (old, _), (new, _) = runs
-    problems = []
+    problems, differing, largest = [], 0, 0.0
     for name in sorted(old.keys() | new.keys()):
+        if old.get(name) == new.get(name):
+            continue
         if name not in old or name not in new:
             problems.append(f"{label}: {name} written by one tree only")
-        elif old[name] != new[name]:
-            details = "".join(f"\n    {line}" for line in describe(name, old[name], new[name]))
+        else:
+            lines, move = describe(name, old[name], new[name])
+            details = "".join(f"\n    {line}" for line in lines)
             problems.append(f"{label}: {name} differs{details}")
+            largest = max(largest, move)
+        differing += name != STATUS
     for side, (outputs, stderr) in zip(trees, runs):
         if not outputs[STATUS].startswith(b"exit %d\n" % status):
             sys.stderr.write(stderr.decode(errors="replace"))
             problems.append(f"{label}: the {side} tree's run did not exit {status}")
-    return len(old) - 1, problems
+    return Comparison(len(old) - 1, problems, differing, largest)
 
 
 def main(argv=None) -> int:
@@ -196,27 +215,35 @@ def main(argv=None) -> int:
             parser.error(f"{side} source tree {src} holds no fairmetric package")
 
     problems: list[str] = []
+    moves = {name: [0, 0.0] for name in fixtures.WORKLOADS}  # differing files, largest metric move
+
+    def check(workload: str, label: str, run: list[str], status: int = 0) -> int:
+        """compare() a run that belongs to `workload`; return the number of files compared."""
+        result = compare(label, run, trees, work, status)
+        problems.extend(result.problems)
+        tally = moves[workload]
+        tally[0] += result.differing
+        tally[1] = max(tally[1], result.largest_move)
+        return result.files
+
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         work = Path(tmp)
         for seed in args.seeds:
             for workload in fixtures.WORKLOADS.values():
-                configs = fixtures.write_fixtures(workload, seed, work / "inputs" / f"seed{seed}" / workload.name)
+                name = workload.name
+                configs = fixtures.write_fixtures(workload, seed, work / "inputs" / f"seed{seed}" / name)
                 files = 0
                 for config in configs:
-                    label = f"seed{seed}/{workload.name}/{config.parent.name}"
-                    run = ["experiment", "--config", str(config), "--out-dir", "."]
-                    count, found = compare(label, run + ["--threads", str(workload.threads)], trees, work)
-                    files += count
-                    problems += found
-                print(f"seed {seed} {workload.name}: {len(configs)} datasets, {files} files compared")
-                for derived in DERIVED.get(workload.name, ()):
+                    run = ["experiment", "--config", str(config), "--out-dir", ".",
+                           "--threads", str(workload.threads)]
+                    files += check(name, f"seed{seed}/{name}/{config.parent.name}", run)
+                print(f"seed {seed} {name}: {len(configs)} datasets, {files} files compared")
+                for derived in DERIVED.get(name, ()):
                     config = derive_config(configs[0], derived)
                     run = ["experiment", "--config", str(config), "--out-dir", ".",
                            "--threads", str(workload.threads), *derived.flags]
-                    label = f"seed{seed}/{workload.name}/{derived.name}"
-                    files, found = compare(label, run, trees, work, derived.status)
-                    problems += found
-                    print(f"seed {seed} {workload.name} {derived.name} (exit {derived.status}): "
+                    files = check(name, f"seed{seed}/{name}/{derived.name}", run, derived.status)
+                    print(f"seed {seed} {name} {derived.name} (exit {derived.status}): "
                           f"{files} files compared")
                 data = configs[0].parent / fixtures.DEFENDANTS_NAME
                 if workload.labels == "survey":
@@ -225,23 +252,23 @@ def main(argv=None) -> int:
                               "--schema", str(write_manifest(data)), "--out-dir", "."]
                     report = ["report-survey", "--survey", survey, "--out-dir", "."]
                     for command, run in (("ingest", ingest), ("report-survey", report)):
-                        files, found = compare(f"seed{seed}/{workload.name}/{command}", run, trees, work)
-                        problems += found
-                        print(f"seed {seed} {workload.name} {command}: {files} files compared")
-                if workload.name != DUMP_WORKLOAD:
+                        files = check(name, f"seed{seed}/{name}/{command}", run)
+                        print(f"seed {seed} {name} {command}: {files} files compared")
+                if name != DUMP_WORKLOAD:
                     continue
                 for variant, sigma in DUMPS:
-                    label = f"seed{seed}/dump-triplets-{variant}-{sigma}"
                     run = ["dump-triplets", "--data", str(data), "--sigma", sigma,
                            "--triplet-variant", variant, "--out", "triplets.csv"]
-                    files, found = compare(label, run, trees, work)
-                    problems += found
+                    files = check(name, f"seed{seed}/dump-triplets-{variant}-{sigma}", run)
                     print(f"seed {seed} dump-triplets {variant} sigma={sigma}: {files} file compared")
     for problem in problems:
         print(f"same_outputs: {problem}", file=sys.stderr)
+    sys.stderr.flush()
+    for name, (differing, largest) in moves.items():
+        print(f"{name}: {differing} files differ; largest metric-file move {largest:.3e}, "
+              "relative to the file's largest entry")
     print("identical" if not problems else f"{len(problems)} differences or failures")
     return 1 if problems else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
