@@ -6,6 +6,11 @@ Subcommands:
   report-survey  reproduce the bail-rate and confidence-accuracy tables
   dump-triplets  write a triplet constraint set as CSV (columns a,b,c)
 
+Each command writes its files into a fresh `.partial-*` stage in its out dir, made
+before any input is read; on success each top-level entry replaces the out dir's
+entry of that name (`metrics/` as a whole) and other entries stay; a failure moves
+nothing. A killed run can leave a `.partial-*` directory that no run reads or removes.
+
 Exit codes: 0 success, 1 usage/config error or an output path that cannot be
 written, 2 data error, 3 numerical failure.
 All randomness derives from one root seed, so reruns with the same config are
@@ -19,9 +24,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import errno
 import itertools
+import os
 import re
 import sys
+import tempfile
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -81,7 +90,6 @@ def load_encoded_defendants(path) -> LabeledDataset:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -260,80 +268,101 @@ def _write_fitted_metrics(out_dir: Path, outcomes, unsaved) -> None:
 # Commands
 
 
-def _require_directory_path(out_dir: Path) -> None:
-    """Reject an out dir whose nearest existing path component is not a directory,
-    creating nothing (a failed run leaves no out dir)."""
-    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
-    if not existing.is_dir():
-        raise ConfigurationError(f"--out-dir {out_dir}: {existing} is not a directory")
+@contextlib.contextmanager
+def _publishing(out_dir):
+    """Yield a fresh stage in `out_dir`; when the block returns, move each top-level entry
+    onto `out_dir` (a directory as a whole tree). If the block raises or an entry would land
+    on one of the other kind, nothing moves; the stage and any directory made are removed."""
+    out_dir = Path(out_dir)
+    made = list(itertools.takewhile(lambda p: not p.exists(), (out_dir, *out_dir.parents)))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".partial-", dir=out_dir) as stage:
+            stage = Path(stage)
+            yield stage
+            moves = [(entry, out_dir / entry.name) for entry in sorted(stage.iterdir())]
+            for entry, dest in moves:  # every check before the first move
+                if dest.exists() and dest.is_dir() != entry.is_dir():
+                    code = errno.EISDIR if dest.is_dir() else errno.ENOTDIR
+                    raise OSError(code, os.strerror(code), str(dest))
+            for entry, dest in moves:
+                if dest.is_dir():  # the old tree leaves with the stage, after the new lands
+                    dest.rename(stage / f".replaced-{entry.name}")
+                entry.replace(dest)
+    except BaseException:
+        for path in made:  # deepest first
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
 
 
 def cmd_ingest(defendants_path, survey_path, schema_path, out_dir) -> dict:
-    schema = parse_schema_manifest(schema_path) if schema_path else default_schema()
-    defendants = load_defendants(defendants_path, schema)
-    survey = load_survey(survey_path)
-    surveyed = {rec.defendant_id for rec in survey}
-    require_known_defendants(surveyed, defendants.ids)
-    out_dir = Path(out_dir)
-    write_encoded_defendants(defendants, out_dir / "defendants_encoded.csv")
-    write_survey(survey, out_dir / "survey_canonical.csv")
-    summary = {
-        "defendants": defendants.n,
-        "encoded_dimension": defendants.d,
-        "survey_records": len(survey),
-        "respondents": len({r.respondent_id for r in survey}),
-        "defendants_surveyed": len(surveyed),
-    }
-    text = "".join(f"{key} = {value}\n" for key, value in summary.items())
-    _write_text(out_dir / "ingest_summary.txt", text)
+    with _publishing(out_dir) as stage:
+        schema = parse_schema_manifest(schema_path) if schema_path else default_schema()
+        defendants = load_defendants(defendants_path, schema)
+        survey = load_survey(survey_path)
+        surveyed = {rec.defendant_id for rec in survey}
+        require_known_defendants(surveyed, defendants.ids)
+        write_encoded_defendants(defendants, stage / "defendants_encoded.csv")
+        write_survey(survey, stage / "survey_canonical.csv")
+        summary = {
+            "defendants": defendants.n,
+            "encoded_dimension": defendants.d,
+            "survey_records": len(survey),
+            "respondents": len({r.respondent_id for r in survey}),
+            "defendants_surveyed": len(surveyed),
+        }
+        text = "".join(f"{key} = {value}\n" for key, value in summary.items())
+        _write_text(stage / "ingest_summary.txt", text)
     print(text, end="")
     return summary
 
 
 def cmd_experiment(config_path, out_dir, overrides, threads) -> int:
-    out_dir = Path(out_dir)
-    _require_directory_path(out_dir)  # now, not after every fit has run
-    spec = read_run_spec(config_path, overrides)
-    dataset = _load_run_dataset(spec)
-    if spec.mode == "sweep":
-        report = sigma_sweep(
-            spec.config, dataset, spec.sigma_train_list, spec.sigma_test_list, threads=threads
-        )
-    else:
-        menu = build_learner_menu(spec.menu, spec.config)
-        report = run_experiment_detailed(spec.config, dataset, menu, threads=threads)
-    if all(cell is None for cell in report.cells.values()):
-        raise NumericalError("every report cell is empty; no report produced")
-    layout = LAYOUTS[spec.mode]
-    text = render_report_text(report, layout)
-    write_csv(out_dir / f"{layout.stem}.csv", report_csv_rows(report, layout))
-    _write_text(out_dir / f"{layout.stem}.txt", text)
-    _write_fitted_metrics(out_dir, report.outcomes, layout.unsaved)
+    with _publishing(out_dir) as stage:  # before any input is read, not after every fit
+        spec = read_run_spec(config_path, overrides)
+        dataset = _load_run_dataset(spec)
+        if spec.mode == "sweep":
+            report = sigma_sweep(
+                spec.config, dataset, spec.sigma_train_list, spec.sigma_test_list, threads=threads
+            )
+        else:
+            menu = build_learner_menu(spec.menu, spec.config)
+            report = run_experiment_detailed(spec.config, dataset, menu, threads=threads)
+        if all(cell is None for cell in report.cells.values()):
+            raise NumericalError("every report cell is empty; no report produced")
+        layout = LAYOUTS[spec.mode]
+        text = render_report_text(report, layout)
+        write_csv(stage / f"{layout.stem}.csv", report_csv_rows(report, layout))
+        _write_text(stage / f"{layout.stem}.txt", text)
+        _write_fitted_metrics(stage, report.outcomes, layout.unsaved)
     print(text, end="")
     return 0
 
 
 def cmd_report_survey(survey_path, out_dir, confidence_threshold) -> int:
-    records = load_survey(survey_path)
-    table1 = bail_rate_table(records)
-    table2 = confidence_accuracy_table(records, confidence_threshold)
-    out_dir = Path(out_dir)
-    _write_text(out_dir / "table1_bail_rates.txt", render_bail_rate_text(table1))
-    write_csv(out_dir / "table1_bail_rates.csv", bail_rate_csv_rows(table1))
-    _write_text(out_dir / "table2_confidence.txt", render_confidence_accuracy_text(table2))
-    write_csv(out_dir / "table2_confidence.csv", confidence_accuracy_csv_rows(table2))
-    print(render_bail_rate_text(table1))
-    print(render_confidence_accuracy_text(table2), end="")
+    with _publishing(out_dir) as stage:
+        records = load_survey(survey_path)
+        table1 = bail_rate_table(records)
+        table2 = confidence_accuracy_table(records, confidence_threshold)
+        text1, text2 = render_bail_rate_text(table1), render_confidence_accuracy_text(table2)
+        _write_text(stage / "table1_bail_rates.txt", text1)
+        write_csv(stage / "table1_bail_rates.csv", bail_rate_csv_rows(table1))
+        _write_text(stage / "table2_confidence.txt", text2)
+        write_csv(stage / "table2_confidence.csv", confidence_accuracy_csv_rows(table2))
+    print(text1)
+    print(text2, end="")
     return 0
 
 
 def cmd_dump_triplets(data_path, sigma, variant, out_path) -> int:
-    dataset = load_encoded_defendants(data_path)
-    total = describe_triplets(dataset, sigma, variant).total  # checks the arguments up front
-    # the set grows as n^3, so rows are written one anchor's block at a time
-    blocks = triplet_blocks(dataset, sigma, variant)
-    rows = itertools.chain.from_iterable(block.tolist() for block in blocks)
-    write_csv(Path(out_path), itertools.chain([["a", "b", "c"]], rows))
+    with _publishing(Path(out_path).parent) as stage:
+        dataset = load_encoded_defendants(data_path)
+        total = describe_triplets(dataset, sigma, variant).total  # checks the arguments up front
+        # the set grows as n^3, so rows are written one anchor's block at a time
+        blocks = triplet_blocks(dataset, sigma, variant)
+        rows = itertools.chain.from_iterable(block.tolist() for block in blocks)
+        write_csv(stage / Path(out_path).name, itertools.chain([["a", "b", "c"]], rows))
     print(f"wrote {total} triplets to {out_path}")
     return 0
 
@@ -347,6 +376,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(f"usage: {message}")
 
 
+def _output_path(value: str) -> str:
+    if not value:  # else it would silently mean the working directory
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fairmetric", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -355,14 +390,14 @@ def _build_parser() -> _Parser:
     p_ingest.add_argument("--defendants", required=True)
     p_ingest.add_argument("--survey", required=True)
     p_ingest.add_argument("--schema", default=None, help="schema manifest (default: built-in)")
-    p_ingest.add_argument("--out-dir", default="out")
+    p_ingest.add_argument("--out-dir", type=_output_path, default="out")
 
     p_exp = sub.add_parser("experiment", help="run the learner comparison or sigma sweep")
     p_exp.add_argument("--config", required=True)
     # --seed, --label-mode and --triplet-variant replace their config keys' values
     p_exp.add_argument("--seed", default=None, help="nonnegative integer")
     p_exp.add_argument("--threads", type=int, default=1)
-    p_exp.add_argument("--out-dir", default="out")
+    p_exp.add_argument("--out-dir", type=_output_path, default="out")
     p_exp.add_argument("--label-mode", default=None,
                        help="per_respondent:<id> | pooled_median | pooled_rounded_mean")
     p_exp.add_argument("--triplet-variant", default=None, help=" | ".join(TRIPLET_VARIANTS))
@@ -370,13 +405,13 @@ def _build_parser() -> _Parser:
     p_rep = sub.add_parser("report-survey", help="reproduce the survey analysis tables")
     p_rep.add_argument("--survey", required=True)
     p_rep.add_argument("--confidence-threshold", type=int, default=4)
-    p_rep.add_argument("--out-dir", default="out")
+    p_rep.add_argument("--out-dir", type=_output_path, default="out")
 
     p_dump = sub.add_parser("dump-triplets", help="write a triplet constraint set as CSV")
     p_dump.add_argument("--data", required=True, help="canonical encoded defendants CSV")
     p_dump.add_argument("--sigma", type=float, required=True)
     p_dump.add_argument("--triplet-variant", choices=TRIPLET_VARIANTS, default="literal")
-    p_dump.add_argument("--out", required=True)
+    p_dump.add_argument("--out", type=_output_path, required=True)
     return parser
 
 

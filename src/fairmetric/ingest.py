@@ -91,9 +91,9 @@ class FeatureSchema:
 
 
 # Best-effort reconstruction of the seven demographic / criminal-history
-# attributes shown to respondents. Race is excluded by default; pass
-# include_race=True for ablations.
-def default_schema(include_race: bool = False) -> FeatureSchema:
+# attributes shown to respondents. Race is excluded; for an ablation, a schema
+# manifest can add it as a categorical column.
+def default_schema() -> FeatureSchema:
     columns = [
         ColumnSpec("age", "numeric"),
         ColumnSpec("sex", "binary", ("Male", "Female")),
@@ -103,14 +103,6 @@ def default_schema(include_race: bool = False) -> FeatureSchema:
         ColumnSpec("charge_degree", "binary", ("F", "M")),
         ColumnSpec("charge_category", "categorical", ("violent", "property", "drug", "other")),
     ]
-    if include_race:
-        columns.append(
-            ColumnSpec(
-                "race",
-                "categorical",
-                ("African-American", "Asian", "Caucasian", "Hispanic", "Native American", "Other"),
-            )
-        )
     return FeatureSchema(columns=tuple(columns))
 
 
@@ -288,9 +280,7 @@ def read_csv(path, what: str) -> Iterator[CsvTable]:
 
 
 def write_csv(path, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from fairmetric import cli
 from fairmetric.cli import (
     _ALLOWED_KEYS,
     LAYOUTS,
@@ -26,7 +27,7 @@ from fairmetric.core import (
     ExperimentConfig,
     LabeledDataset,
 )
-from fairmetric.errors import ConfigurationError
+from fairmetric.errors import ConfigurationError, NumericalError
 from fairmetric.evaluation import DEFAULT_MENU
 from fairmetric.ingest import write_csv
 
@@ -667,6 +668,147 @@ def test_an_output_path_that_cannot_be_written_exits_1(ingested, capsys, monkeyp
     assert err.startswith("fairmetric: error: ") and err.count("\n") == 1
     assert str(named) in err
     assert blocker.read_text(encoding="utf-8") == "a file where a directory is needed\n"
+
+
+def _tree(root):
+    """Every entry under root: a file's bytes, or None for a directory."""
+    return {
+        str(path.relative_to(root)): None if path.is_dir() else path.read_bytes()
+        for path in sorted(root.rglob("*"))
+    }
+
+
+def _experiment(cfg, run_dir, *flags):
+    return main(["experiment", "--config", str(cfg), "--out-dir", str(run_dir), *flags])
+
+
+@pytest.mark.parametrize("command", ["ingest", "report-survey", "dump-triplets"])
+def test_an_out_dir_through_a_file_is_rejected_before_any_input_is_read(
+    ingested, capsys, monkeypatch, command
+):
+    tmp_path, out, _ = ingested
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n", encoding="utf-8")
+    argv = {
+        "ingest": ["ingest", "--defendants", str(tmp_path / "defendants.csv"),
+                   "--survey", str(tmp_path / "survey.csv"), "--out-dir", str(blocker / "sub")],
+        "report-survey": ["report-survey", "--survey", str(out / "survey_canonical.csv"),
+                          "--out-dir", str(blocker / "sub")],
+        "dump-triplets": ["dump-triplets", "--data", str(out / "defendants_encoded.csv"),
+                          "--sigma", "2", "--out", str(blocker / "sub" / "triplets.csv")],
+    }[command]
+    for name in ("load_defendants", "load_survey", "load_encoded_defendants"):
+        monkeypatch.setattr(f"fairmetric.cli.{name}", _no_input_may_be_read)
+    before = _tree(tmp_path)
+    assert main(argv) == 1
+    assert str(blocker / "sub") in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+def test_a_failed_landing_changes_nothing(ingested, capsys):
+    tmp_path, out, _ = ingested
+    cfg = write_config(tmp_path / "exp.ini", out)
+    run = tmp_path / "run"
+    (run / "report.txt").mkdir(parents=True)
+    (run / "report.txt" / "kept.txt").write_text("kept\n", encoding="utf-8")
+    before = _tree(run)
+    assert _experiment(cfg, run) == 1
+    assert f"cannot write {run / 'report.txt'}: Is a directory" in capsys.readouterr().err
+    assert _tree(run) == before  # no report.csv beside it, no metrics/, no stage
+    (run / "report.txt" / "kept.txt").unlink()
+    (run / "report.txt").rmdir()
+    (run / "metrics").write_text("a file where metrics/ lands\n", encoding="utf-8")
+    before = _tree(run)
+    assert _experiment(cfg, run) == 1
+    assert f"cannot write {run / 'metrics'}: Not a directory" in capsys.readouterr().err
+    assert _tree(run) == before
+
+
+def test_a_rerun_replaces_metrics_as_a_whole(ingested):
+    tmp_path, out, _ = ingested
+    cfg = write_config(tmp_path / "exp.ini", out)
+    assert _experiment(cfg, tmp_path / "run") == 0
+    assert (tmp_path / "run" / "metrics" / "repeat_01" / "lsml.txt").exists()
+    cfg.write_text(cfg.read_text().replace("n_repeats = 2", "n_repeats = 1"))
+    assert _experiment(cfg, tmp_path / "run") == 0
+    assert sorted(_tree(tmp_path / "run")) == [
+        "metrics", "metrics/repeat_00", "metrics/repeat_00/euclidean.txt",
+        "metrics/repeat_00/lsml.txt", "report.csv", "report.txt",
+    ]
+
+
+def test_entries_a_command_does_not_write_stay(ingested):
+    tmp_path, out, _ = ingested
+    cfg = write_config(tmp_path / "exp.ini", out)
+    before = _tree(out)
+    assert _experiment(cfg, out) == 0
+    after = _tree(out)
+    assert {name: after[name] for name in before} == before
+    assert {"report.csv", "report.txt", "metrics"} <= after.keys()
+    assert not list(out.glob(".partial-*"))
+
+
+def test_a_failure_part_way_through_the_metric_files_changes_nothing(ingested, capsys, monkeypatch):
+    tmp_path, out, _ = ingested
+    cfg = write_config(tmp_path / "exp.ini", out)
+    run = tmp_path / "run"
+    assert _experiment(cfg, run) == 0
+    before = _tree(run)
+    save_metric = cli.save_metric
+    calls = []
+
+    def third_save_fails(metric, path):
+        calls.append(path)
+        if len(calls) == 3:  # of four: 2 repeats x (euclidean, lsml)
+            raise OSError(28, "No space left on device", str(path))
+        save_metric(metric, path)
+
+    monkeypatch.setattr("fairmetric.cli.save_metric", third_save_fails)
+    assert _experiment(cfg, run, "--seed", "99") == 1  # another seed: other bytes, had it landed
+    assert "No space left on device" in capsys.readouterr().err
+    assert _tree(run) == before
+    fresh = tmp_path / "fresh"
+    calls.clear()
+    assert _experiment(cfg, fresh / "run") == 1
+    assert not fresh.exists()
+
+
+def test_dump_triplets_that_fails_part_way_leaves_no_file(ingested, capsys, monkeypatch):
+    tmp_path, out, _ = ingested
+    triplet_blocks = cli.triplet_blocks
+
+    def first_block_then_fail(*args):
+        yield next(iter(triplet_blocks(*args)))
+        raise NumericalError("failed after the first block")
+
+    monkeypatch.setattr("fairmetric.cli.triplet_blocks", first_block_then_fail)
+    before = _tree(tmp_path)
+    dest = tmp_path / "triplets.csv"
+    argv = ["dump-triplets", "--data", str(out / "defendants_encoded.csv"), "--sigma", "0"]
+    assert main(argv + ["--out", str(dest)]) == 3
+    assert "failed after the first block" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["ingest", "experiment", "report-survey", "dump-triplets"])
+def test_an_empty_output_path_is_a_usage_error(ingested, capsys, monkeypatch, command):
+    tmp_path, out, _ = ingested
+    cfg = write_config(tmp_path / "exp.ini", out)
+    argv = {
+        "ingest": ["ingest", "--defendants", str(tmp_path / "defendants.csv"),
+                   "--survey", str(tmp_path / "survey.csv"), "--out-dir", ""],
+        "experiment": ["experiment", "--config", str(cfg), "--out-dir", ""],
+        "report-survey": ["report-survey", "--survey", str(out / "survey_canonical.csv"),
+                          "--out-dir", ""],
+        "dump-triplets": ["dump-triplets", "--data", str(out / "defendants_encoded.csv"),
+                          "--sigma", "2", "--out", ""],
+    }[command]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(argv) == 1
+    assert "must not be empty" in capsys.readouterr().err
+    assert not list(cwd.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -144,9 +144,15 @@ def test_schema_manifest_that_is_not_utf8_exits_2(tmp_path):
     assert str(info.value).startswith(f"{manifest}: ")
 
 
-def test_default_schema_dimensions():
+def test_default_schema_dimensions(tmp_path):
     assert default_schema().encoded_dim == 10
-    assert default_schema(include_race=True).encoded_dim == 16
+    # a race ablation is a manifest: the seven default columns plus a race categorical
+    lines = [f"column {c.name} {c.kind} {','.join(c.categories)}" for c in default_schema().columns]
+    lines.append("column race categorical African-American,Asian,Caucasian,Hispanic,"
+                 "Native American,Other")
+    manifest = tmp_path / "schema.txt"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert parse_schema_manifest(manifest).encoded_dim == 16
 
 
 SURVEY_HEADER = "respondent_id,defendant_id,q1_recidivism,q2_bail,q3_confidence,two_year_recid"

@@ -22,8 +22,9 @@ states every key, each the dataset config leaves unset at its default. No
 workload fits MMC's diagonal form, so one more run on that dataset sets
 `mmc_form = diagonal`.
 
-Prints each difference and exits 1 on any difference or any run that exits
-with another status than expected, 0 when everything matches. A differing
+Prints each difference and exits 1 on any difference, any run that exits
+with another status than expected or any run that leaves a `.partial-*`
+entry (a stage the CLI did not remove), 0 when everything matches. A differing
 metric file (`metrics/.../*.txt`) is shown as its largest entry difference,
 relative to its largest entry; any other file as the lines that differ,
 old -> new. After the differences comes one line per workload, over all
@@ -182,7 +183,8 @@ def compare(
     label: str, args: list[str], trees: dict[str, Path], work: Path, status: int = 0
 ) -> Comparison:
     """Run `args` from both trees and compare their outputs."""
-    runs = [run_cli(src, args, work / side / label) for side, src in trees.items()]
+    out_dirs = {side: work / side / label for side in trees}
+    runs = [run_cli(src, args, out_dirs[side]) for side, src in trees.items()]
     (old, _), (new, _) = runs
     problems, differing, largest = [], 0, 0.0
     for name in sorted(old.keys() | new.keys()):
@@ -200,6 +202,8 @@ def compare(
         if not outputs[STATUS].startswith(b"exit %d\n" % status):
             sys.stderr.write(stderr.decode(errors="replace"))
             problems.append(f"{label}: the {side} tree's run did not exit {status}")
+        for stage in sorted(out_dirs[side].rglob(".partial-*")):
+            problems.append(f"{label}: the {side} tree's run left {stage.relative_to(out_dirs[side])}")
     return Comparison(len(old) - 1, problems, differing, largest)
 
 
