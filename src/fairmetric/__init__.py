@@ -8,21 +8,11 @@ from .core import (
     ExperimentConfig,
     LabeledDataset,
     MahalanobisMetric,
-    PairSets,
     RatingScale,
     TripletSet,
-    distance,
-    squared_distance,
 )
-from .constraints import build_pairs, build_triplets, sample_triplets, subsample_triplets
-from .evaluation import (
-    knn_l1,
-    knn_l2,
-    knn_predict,
-    run_experiment,
-    sigma_sweep,
-    triplet_violation_loss,
-)
+from .constraints import sample_triplets
+from .evaluation import knn_l1, knn_l2, knn_predict, run_experiment, sigma_sweep
 from .ingest import (
     FeatureSchema,
     SurveyRecord,
@@ -55,18 +45,14 @@ __all__ = [
     "LabeledDataset",
     "MahalanobisMetric",
     "OptimizerTrace",
-    "PairSets",
     "RatingScale",
     "SurveyRecord",
     "TripletSet",
     "attach_labels",
     "bail_rate_table",
-    "build_pairs",
-    "build_triplets",
     "confidence_accuracy_table",
     "covariance",
     "default_schema",
-    "distance",
     "euclidean_baseline",
     "fit_lmnn",
     "fit_lsml",
@@ -84,8 +70,5 @@ __all__ = [
     "sample_triplets",
     "save_metric",
     "sigma_sweep",
-    "squared_distance",
     "standardize",
-    "subsample_triplets",
-    "triplet_violation_loss",
 ]

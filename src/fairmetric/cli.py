@@ -382,6 +382,12 @@ def _output_path(value: str) -> str:
     return value
 
 
+def _output_file(value: str) -> str:
+    if Path(_output_path(value)).name in ("", ".."):  # ".", "..", "/" or "<dir>/.."
+        raise argparse.ArgumentTypeError(f"names a directory, not a file: {value!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fairmetric", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -411,7 +417,7 @@ def _build_parser() -> _Parser:
     p_dump.add_argument("--data", required=True, help="canonical encoded defendants CSV")
     p_dump.add_argument("--sigma", type=float, required=True)
     p_dump.add_argument("--triplet-variant", choices=TRIPLET_VARIANTS, default="literal")
-    p_dump.add_argument("--out", type=_output_path, required=True)
+    p_dump.add_argument("--out", type=_output_file, required=True)
     return parser
 
 

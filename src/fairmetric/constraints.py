@@ -1,4 +1,4 @@
-"""Derive pair and triplet constraint sets from rating labels.
+"""Derive triplet constraint sets from rating labels.
 
 Triplets follow the sigma-thresholded rule: the literal variant keeps ordered
 distinct (a, b, c) with S_a <= S_b + sigma < S_c; the symmetric variant keeps
@@ -6,14 +6,15 @@ distinct (a, b, c) with S_a <= S_b + sigma < S_c; the symmetric variant keeps
 once, and enumeration, sampling and scoring all read it. The canonical order
 of a set is lexicographic (a, b, c), so subsampling is reproducible.
 
-`triplet_blocks` enumerates the set anchor by anchor, in canonical order;
-`build_triplets` joins the blocks in O(n^3) memory, and `dump-triplets`
-streams them. The experiment never builds the set: `sample_triplets` draws the
-training triplets by rank, with the same draws as `subsample_triplets`, and
-decodes only the drawn ranks; `describe_triplets` gives a test fold's set as
-its rule and size, with per-label masks for counting violations. Both need
-O(n^2) memory and the closed-form count of valid c per (a, b)
-(`_valid_c_counts`), which the tests pin to the rule.
+`triplet_blocks` enumerates the set anchor by anchor, in canonical order, and
+`dump-triplets` streams them. The experiment never builds the set:
+`sample_triplets` draws the training triplets by rank and decodes only the
+drawn ranks; `describe_triplets` gives a test fold's set as its rule and
+size, with per-label masks for counting violations. Both need O(n^2) memory
+and the closed-form count of valid c per (a, b) (`_valid_c_counts`), which
+the tests pin to the rule. `reference.build_triplets` joins the blocks in
+O(n^3) memory, and `reference.subsample_triplets` draws from the whole set as
+`sample_triplets` does without it.
 """
 
 from __future__ import annotations
@@ -22,17 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRIPLET_VARIANTS, LabeledDataset, PairSets, TripletSet, require_finite
+from .core import TRIPLET_VARIANTS, LabeledDataset, TripletSet, require_finite
 from .errors import ConfigurationError
-
-def build_pairs(dataset: LabeledDataset) -> PairSets:
-    """All unordered pairs, split into equal-rating (similar) and unequal-rating."""
-    labels = dataset.labels
-    i, j = np.triu_indices(dataset.n, k=1)
-    eq = labels[i] == labels[j]
-    similar = np.stack([i[eq], j[eq]], axis=1)
-    dissimilar = np.stack([i[~eq], j[~eq]], axis=1)
-    return PairSets(similar=similar, dissimilar=dissimilar)
 
 
 def _valid_c(labels: np.ndarray, sigma: float, variant: str, a, b) -> np.ndarray:
@@ -70,25 +62,6 @@ def triplet_blocks(dataset: LabeledDataset, sigma: float, variant: str = "litera
         yield np.stack([np.full_like(b, a), b, c], axis=1)
 
 
-def build_triplets(dataset: LabeledDataset, sigma: float, variant: str = "literal") -> TripletSet:
-    """Enumerate every triplet satisfying the variant's predicate; may be empty."""
-    blocks = list(triplet_blocks(dataset, sigma, variant))
-    return TripletSet(indices=np.concatenate(blocks), sigma=sigma)
-
-
-def subsample_triplets(triplets: TripletSet, m: int, seed) -> TripletSet:
-    """Uniform sample of min(m, |set|) triplets without replacement; order canonical."""
-    if m < 1:
-        raise ConfigurationError(f"subsample size must be >= 1, got {m}")
-    total = len(triplets)
-    if m >= total:
-        return TripletSet(indices=triplets.indices.copy(), sigma=triplets.sigma)
-    rng = np.random.default_rng(seed)
-    pick = rng.choice(total, size=m, replace=False)
-    pick.sort()
-    return TripletSet(indices=triplets.indices[pick], sigma=triplets.sigma)
-
-
 def _valid_c_counts(labels: np.ndarray, sigma: float, variant: str) -> np.ndarray:
     """(n, n) number of valid c for each (a, b); row-major, it indexes the canonical order.
 
@@ -107,7 +80,7 @@ def _valid_c_counts(labels: np.ndarray, sigma: float, variant: str) -> np.ndarra
 def sample_triplets(
     dataset: LabeledDataset, sigma: float, m: int, seed, variant: str = "literal"
 ) -> TripletSet:
-    """`subsample_triplets(build_triplets(dataset, sigma, variant), m, seed)` without the full set.
+    """The draws `reference.subsample_triplets` makes from the whole set, without building it.
 
     Draws the same ranks into the canonical order, then decodes each rank to
     (a, b) through the cumulative valid-c counts and to c as the nth valid c
@@ -137,7 +110,7 @@ def sample_triplets(
         group = order[lo:hi]
         first = group[0]
         c[group] = np.flatnonzero(_valid_c(labels, sigma, variant, a[first], b[first]))[nth[group]]
-    return TripletSet(indices=np.stack([a, b, c], axis=1), sigma=sigma)
+    return TripletSet(indices=np.stack([a, b, c], axis=1))
 
 
 @dataclass(frozen=True)
@@ -157,7 +130,7 @@ class TripletRule:
 
 
 def describe_triplets(dataset: LabeledDataset, sigma: float, variant: str = "literal") -> TripletRule:
-    """The set `build_triplets` would enumerate, as its rule and size; O(n^2) memory."""
+    """The set `reference.build_triplets` would enumerate, as its rule and size; O(n^2) memory."""
     labels = _triplet_labels(dataset, sigma, variant)
     total = int(_valid_c_counts(labels, sigma, variant).sum())
     rows = np.arange(dataset.n)

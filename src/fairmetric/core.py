@@ -15,7 +15,6 @@ from .errors import ConfigurationError, InvariantError
 from .numerics import SYMMETRY_TOL
 
 PSD_TOL = 1e-8  # |lambda_min| slack tolerated as float noise
-NEGATIVE_FORM_TOL = -1e-8  # quadratic-form values above this are clamped to 0
 TRIPLET_VARIANTS = ("literal", "symmetric")
 MMC_FORMS = ("full", "diagonal")
 
@@ -143,40 +142,12 @@ class MahalanobisMetric:
             raise ConfigurationError(f"dimension must be >= 1, got {d}")
         return cls(np.eye(d))
 
-    @classmethod
-    def from_diagonal(cls, weights) -> "MahalanobisMetric":
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1:
-            raise ConfigurationError("diagonal weights must be a vector")
-        return cls(np.diag(w))
-
-
-def squared_distance(metric: MahalanobisMetric, x, y) -> float:
-    """(x-y)^T M (x-y), clamped at 0; tiny negatives are floating-point PSD slack."""
-    xa = np.asarray(x, dtype=float).ravel()
-    ya = np.asarray(y, dtype=float).ravel()
-    if xa.shape != ya.shape or xa.shape[0] != metric.d:
-        raise ConfigurationError(
-            f"dimension mismatch: metric d={metric.d}, x has {xa.shape[0]}, y has {ya.shape[0]}"
-        )
-    diff = xa - ya
-    q = float(diff @ metric.matrix @ diff)
-    if q < NEGATIVE_FORM_TOL * max(1.0, float(diff @ diff)):
-        raise InvariantError(f"quadratic form {q:.3e} too negative for float slack")
-    return max(q, 0.0)
-
-
-def distance(metric: MahalanobisMetric, x, y) -> float:
-    """Mahalanobis distance d_M(x, y)."""
-    return math.sqrt(squared_distance(metric, x, y))
-
 
 @dataclass(frozen=True)
 class TripletSet:
-    """Triplets stored as an (m, 3) index array, plus the sigma used to build them."""
+    """Triplets stored as an (m, 3) index array."""
 
     indices: np.ndarray
-    sigma: float
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -192,40 +163,10 @@ class TripletSet:
             or np.any(idx[:, 1] == idx[:, 2])
         ):
             raise ConfigurationError("triplet rows must have pairwise distinct indices")
-        if self.sigma < 0:
-            raise ConfigurationError(f"sigma must be nonnegative, got {self.sigma}")
         object.__setattr__(self, "indices", _readonly(idx))
-        object.__setattr__(self, "sigma", float(self.sigma))
 
     def __len__(self) -> int:
         return self.indices.shape[0]
-
-
-@dataclass(frozen=True)
-class PairSets:
-    """Unordered index pairs (stored with i < j): equal-rating vs unequal-rating."""
-
-    similar: np.ndarray
-    dissimilar: np.ndarray
-
-    def __post_init__(self):
-        for name in ("similar", "dissimilar"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            if arr.size == 0:
-                arr = arr.reshape(0, 2)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ConfigurationError(f"{name} pairs must be (m, 2), got {arr.shape}")
-            if arr.size and not np.all(arr[:, 0] < arr[:, 1]):
-                raise ConfigurationError(f"{name} pairs must be canonical (i < j, no self-pairs)")
-            object.__setattr__(self, name, _readonly(arr))
-
-    @property
-    def n_similar(self) -> int:
-        return self.similar.shape[0]
-
-    @property
-    def n_dissimilar(self) -> int:
-        return self.dissimilar.shape[0]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ metric, optimizer trace and failure reason.
 No triplet set is enumerated: training triplets are sampled by rank, the test
 set is kept as its rule and size, and the violation loss is counted per anchor
 from one test x test distance matrix per metric, so a fold needs O(n^2) memory.
+The tests hold these kernels to the brute-force references in `reference`:
+the enumerated set scored triplet by triplet, and every pair's distance.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from functools import partial
 import numpy as np
 
 from .constraints import TripletRule, describe_triplets, sample_triplets
-# unused here, but the benchmark's tracer wraps these three by name in this module
-from .constraints import build_pairs, build_triplets, subsample_triplets  # noqa: F401
 from .core import (
     LOSS_KNN_L1,
     LOSS_KNN_L2,
@@ -37,7 +37,6 @@ from .core import (
     ExperimentConfig,
     LabeledDataset,
     MahalanobisMetric,
-    TripletSet,
     subseed,
 )
 from .errors import ConfigurationError, EvaluationError, FairmetricError
@@ -51,44 +50,17 @@ from .learners import (
     fit_mmc,
     precision_baseline,
 )
+# unused here: the benchmark's tracer wraps these by name in this module (until ROADMAP item 1)
+from .reference import build_pairs, build_triplets, subsample_triplets, triplet_violation_loss  # noqa: F401
 
 ZERO_NEIGHBOR_DISTANCE = 1e-12
-
-
-def _pair_distances(metric: MahalanobisMetric, x: np.ndarray, rows_a, rows_b) -> np.ndarray:
-    diff = x[rows_a] - x[rows_b]
-    return np.sqrt(np.maximum(quad_forms(diff, metric.matrix), 0.0))
-
-
-def triplet_violation_loss(
-    metric: MahalanobisMetric, test: LabeledDataset, triplets: TripletSet
-) -> float:
-    """Fraction of triplets with d_M(a,b) strictly greater than d_M(a,c)."""
-    if len(triplets) == 0:
-        raise EvaluationError("cannot score an empty triplet set")
-    idx = triplets.indices
-    if idx.max() >= test.n:
-        raise ConfigurationError("triplet indices exceed test set size")
-    d_ab = _pair_distances(metric, test.features, idx[:, 0], idx[:, 1])
-    d_ac = _pair_distances(metric, test.features, idx[:, 0], idx[:, 2])
-    return float(np.mean(d_ab > d_ac))
-
-
-def cross_distances(metric: MahalanobisMetric, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """(len(xa), len(xb)) d_M between the rows of xa and xb, as `triplet_violation_loss` computes it.
-
-    Swapping xa and xb negates each difference, which leaves its quadratic form exact.
-    """
-    diff = (xa[:, None, :] - xb[None, :, :]).reshape(-1, xa.shape[1])
-    quad = quad_forms(diff, metric.matrix).reshape(xa.shape[0], xb.shape[0])
-    return np.sqrt(np.maximum(quad, 0.0))
 
 
 def fold_distances(metric: MahalanobisMetric, fold: LabeledDataset) -> np.ndarray:
     """(n, n) d_M between the rows of a fold; its diagonal is exactly 0.
 
     Each pair i < j is computed once and mirrored. A negated difference has the
-    same quadratic form, so the result equals `cross_distances(fold, fold)`.
+    same quadratic form, so the result equals `reference.cross_distances(fold, fold)`.
     """
     x = fold.features
     i, j = np.triu_indices(x.shape[0], 1)
@@ -98,7 +70,7 @@ def fold_distances(metric: MahalanobisMetric, fold: LabeledDataset) -> np.ndarra
 
 
 def counted_violation_loss(distances: np.ndarray, rule: TripletRule) -> float:
-    """`triplet_violation_loss` over the rule's triplet set, counted per anchor.
+    """`reference.triplet_violation_loss` over the rule's triplet set, counted per anchor.
 
     `distances` is the fold's `fold_distances`, whose zero diagonal the per-label masks rely on.
     """
@@ -142,9 +114,9 @@ def knn_predictions(metric: MahalanobisMetric, train: LabeledDataset, queries, k
     Ties at the k-boundary break toward the lower training index; neighbors at
     (numerically) zero distance short-circuit to the plain mean of their labels.
     The neighbors and their distances are exactly those of a stable sort of
-    `cross_distances`, but only a few candidates per row get that exact
-    difference form. A Gram form g_ij = s_i + t_j - 2 q_i M x_j^T (s, t the
-    quad forms of the rows) screens them: each row keeps every j with
+    `reference.cross_distances`, but only a few candidates per row get that
+    exact difference form. A Gram form g_ij = s_i + t_j - 2 q_i M x_j^T (s, t
+    the quad forms of the rows) screens them: each row keeps every j with
     max(g_ij, 0) within 2 delta_i of the k-th smallest (see
     `_screen_margin`), and recomputes those.
     """

@@ -85,10 +85,6 @@ class FeatureSchema:
             out.extend(col.encoded_names)
         return tuple(out)
 
-    @property
-    def encoded_dim(self) -> int:
-        return len(self.encoded_names)
-
 
 # Best-effort reconstruction of the seven demographic / criminal-history
 # attributes shown to respondents. Race is excluded; for an ablation, a schema

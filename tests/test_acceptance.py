@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from fairmetric.cli import main, write_encoded_defendants
-from fairmetric.constraints import build_pairs, build_triplets, subsample_triplets
 from fairmetric.core import (
     LOSS_KNN_L1,
     LOSS_KNN_L2,
@@ -31,7 +30,6 @@ from fairmetric.evaluation import (
     knn_l2,
     run_experiment,
     sigma_sweep,
-    triplet_violation_loss,
 )
 from fairmetric.ingest import attach_labels, default_schema, load_defendants, load_survey, standardize
 from fairmetric.learners import (
@@ -45,6 +43,12 @@ from fairmetric.learners import (
     lsml_gradient,
     lsml_objective,
     precision_baseline,
+)
+from fairmetric.reference import (
+    build_pairs,
+    build_triplets,
+    subsample_triplets,
+    triplet_violation_loss,
 )
 from fairmetric.survey import bail_rate_table, confidence_accuracy_table
 

@@ -18,7 +18,6 @@ from fairmetric.cli import (
     report_csv_rows,
     write_encoded_defendants,
 )
-from fairmetric.constraints import build_triplets
 from fairmetric.core import (
     COMPAS_SCALE,
     LOSS_TRIPLET,
@@ -30,6 +29,7 @@ from fairmetric.core import (
 from fairmetric.errors import ConfigurationError, NumericalError
 from fairmetric.evaluation import DEFAULT_MENU
 from fairmetric.ingest import write_csv
+from fairmetric.reference import build_triplets
 
 CHARGES = ("violent", "property", "drug", "other")
 
@@ -809,6 +809,17 @@ def test_an_empty_output_path_is_a_usage_error(ingested, capsys, monkeypatch, co
     assert main(argv) == 1
     assert "must not be empty" in capsys.readouterr().err
     assert not list(cwd.iterdir())
+
+
+@pytest.mark.parametrize("dest", [".", "..", "ingested/.."])
+def test_dump_triplets_out_that_names_no_file_is_a_usage_error(ingested, capsys, monkeypatch, dest):
+    tmp_path, out, _ = ingested
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    argv = ["dump-triplets", "--data", str(out / "defendants_encoded.csv"), "--sigma", "2"]
+    assert main(argv + ["--out", dest]) == 1
+    assert "usage: argument --out: " in capsys.readouterr().err
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize(

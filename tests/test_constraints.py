@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from fairmetric.constraints import (
-    _valid_c,
-    _valid_c_counts,
-    build_pairs,
-    build_triplets,
-    sample_triplets,
-    subsample_triplets,
-)
+from fairmetric.constraints import _valid_c, _valid_c_counts, sample_triplets
 from fairmetric.errors import ConfigurationError
+from fairmetric.reference import build_pairs, build_triplets, subsample_triplets
 
 from conftest import make_dataset, toy
 
@@ -65,7 +59,6 @@ def test_build_pairs_matches_brute_force_and_partitions():
 def test_literal_triplets_small_example():
     ts = build_triplets(toy(np.zeros((3, 1)), [2, 2, 4]), sigma=1.0, variant="literal")
     assert {tuple(t) for t in ts.indices} == {(0, 1, 2), (1, 0, 2)}
-    assert ts.sigma == 1.0
 
 
 def test_literal_triplets_empty_when_sigma_spans_scale():
@@ -123,7 +116,6 @@ def test_subsample_full_set_when_m_large():
     ts = build_triplets(ds, 0.0)
     sub = subsample_triplets(ts, 10_000, seed=0)
     assert {tuple(t) for t in sub.indices} == {tuple(t) for t in ts.indices}
-    assert sub.sigma == ts.sigma
 
 
 def test_subsample_single_and_determinism():
@@ -162,7 +154,6 @@ def test_sample_triplets_equals_subsampled_enumeration(variant, sigma):
             expected = subsample_triplets(full, m, seed)
             got = sample_triplets(ds, sigma, m, seed, variant)
             assert np.array_equal(got.indices, expected.indices)
-            assert got.sigma == expected.sigma
     assert len(build_triplets(datasets[-2], sigma, variant)) == 0
 
 

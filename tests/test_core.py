@@ -11,12 +11,11 @@ from fairmetric.core import (
     MahalanobisMetric,
     RatingScale,
     TripletSet,
-    distance,
-    squared_distance,
     subseed,
 )
 from fairmetric.errors import ConfigurationError, InvariantError
 from fairmetric.ingest import SurveyRecord, attach_labels, standardize
+from fairmetric.reference import distance, squared_distance
 
 from conftest import random_spd
 
@@ -34,7 +33,7 @@ def test_distance_point_to_itself_is_zero():
 
 def test_distance_diagonal_hand_computed():
     # (1,1) under diag(4,1): 4*1 + 1*1 = 5
-    m = MahalanobisMetric.from_diagonal([4.0, 1.0])
+    m = MahalanobisMetric(np.diag([4.0, 1.0]))
     assert distance(m, (0.0, 0.0), (1.0, 1.0)) == pytest.approx(math.sqrt(5.0))
     assert squared_distance(m, (0.0, 0.0), (1.0, 1.0)) == pytest.approx(5.0)
 
@@ -141,8 +140,8 @@ def test_dataset_arrays_are_readonly():
 
 def test_triplet_set_validates_rows():
     with pytest.raises(ConfigurationError):
-        TripletSet(np.array([[0, 0, 2]]), sigma=0.0)
-    ts = TripletSet(np.array([[0, 1, 2], [2, 1, 0]]), sigma=1.0)
+        TripletSet(np.array([[0, 0, 2]]))
+    ts = TripletSet(np.array([[0, 1, 2], [2, 1, 0]]))
     assert len(ts) == 2
 
 

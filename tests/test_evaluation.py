@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairmetric.constraints import build_triplets, describe_triplets, sample_triplets
+from fairmetric.constraints import describe_triplets, sample_triplets
 from fairmetric.core import (
     LOSS_KNN_L1,
     LOSS_KNN_L2,
@@ -19,7 +19,6 @@ from fairmetric.errors import ConfigurationError, EvaluationError
 from fairmetric.evaluation import (
     build_learner_menu,
     counted_violation_loss,
-    cross_distances,
     fold_distances,
     knn_l1,
     knn_l2,
@@ -30,11 +29,11 @@ from fairmetric.evaluation import (
     run_experiment_detailed,
     sigma_sweep,
     split_indices,
-    triplet_violation_loss,
 )
 from fairmetric.ingest import standardize
 from fairmetric.learners import euclidean_baseline
 from fairmetric.numerics import quad_forms
+from fairmetric.reference import build_triplets, cross_distances, triplet_violation_loss
 
 from conftest import make_dataset, random_spd, toy
 
@@ -76,15 +75,15 @@ def brute_knn(metric, train, x, k):
 def test_triplet_loss_basic_examples():
     test = toy(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]), [1, 2, 3])
     metric = euclidean_baseline(2)
-    sat = TripletSet(np.array([[0, 1, 2]]), 0.0)
+    sat = TripletSet(np.array([[0, 1, 2]]))
     assert triplet_violation_loss(metric, test, sat) == 0.0
-    vio = TripletSet(np.array([[0, 2, 1]]), 0.0)
+    vio = TripletSet(np.array([[0, 2, 1]]))
     assert triplet_violation_loss(metric, test, vio) == 1.0
 
 
 def test_triplet_loss_ties_are_satisfied():
     test = toy(np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]), [1, 2, 3])
-    ts = TripletSet(np.array([[0, 1, 2]]), 0.0)
+    ts = TripletSet(np.array([[0, 1, 2]]))
     assert triplet_violation_loss(euclidean_baseline(2), test, ts) == 0.0
 
 
@@ -102,7 +101,7 @@ def test_triplet_loss_matches_brute_force():
 def test_triplet_loss_rejects_empty_set():
     ds = make_dataset(np.random.default_rng(1), 10, 2)
     with pytest.raises(EvaluationError):
-        triplet_violation_loss(euclidean_baseline(2), ds, TripletSet(np.empty((0, 3), int), 0.0))
+        triplet_violation_loss(euclidean_baseline(2), ds, TripletSet(np.empty((0, 3), int)))
     flat = toy(ds.features, np.full(ds.n, 3))
     with pytest.raises(EvaluationError):
         counted_violation_loss(np.zeros((ds.n, ds.n)), describe_triplets(flat, 0.0))

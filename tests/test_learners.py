@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairmetric import learners
-from fairmetric.constraints import build_pairs, build_triplets, sample_triplets
+from fairmetric.constraints import sample_triplets
 from fairmetric.core import (
     ExperimentConfig,
     LabeledDataset,
@@ -29,6 +29,7 @@ from fairmetric.learners import (
     save_metric,
 )
 from fairmetric.numerics import quad_forms
+from fairmetric.reference import build_pairs, build_triplets
 
 from conftest import make_dataset, random_spd, toy
 
@@ -69,7 +70,7 @@ def test_euclidean_baseline_is_identity():
 def test_euclidean_distances_match_l2():
     rng = np.random.default_rng(0)
     m = euclidean_baseline(4)
-    from fairmetric.core import distance
+    from fairmetric.reference import distance
 
     for _ in range(10):
         x, y = rng.normal(size=4), rng.normal(size=4)
@@ -376,7 +377,7 @@ def test_lsml_shrinks_axis_for_violated_triplet_small_alpha():
     # with minimizer w* = alpha / (1 + alpha)
     alpha = 1e-3
     ds = toy(np.array([[0.0], [2.0], [1.0]]), [1, 1, 1])
-    triplets = TripletSet(np.array([[0, 1, 2]]), sigma=0.0)
+    triplets = TripletSet(np.array([[0, 1, 2]]))
     metric, _ = fit_lsml(ds, triplets, ExperimentConfig(alpha=alpha))
     w_fit = metric.matrix[0, 0]
     assert w_fit < 0.01  # axis weight shrinks toward zero
@@ -418,7 +419,7 @@ def test_lsml_trace_is_nonincreasing_and_empty_set_rejected():
     diffs = np.diff(np.asarray(trace.objective_values))
     assert np.all(diffs <= 1e-9)
     with pytest.raises(ConstraintError):
-        fit_lsml(ds, TripletSet(np.empty((0, 3), dtype=int), 0.0), ExperimentConfig(alpha=0.01))
+        fit_lsml(ds, TripletSet(np.empty((0, 3), dtype=int)), ExperimentConfig(alpha=0.01))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -509,7 +510,7 @@ def test_lsml_rejects_a_triplet_index_past_the_fold_on_either_kernel(m):
     idx = np.tile([0, 1, 2], (m, 1))
     idx[-1] = (0, 1, 10)
     with pytest.raises(ConfigurationError, match="exceed dataset size"):
-        fit_lsml(ds, TripletSet(idx, 0.0))
+        fit_lsml(ds, TripletSet(idx))
 
 
 # ---------------------------------------------------------------------------
