@@ -12,7 +12,7 @@ from .core import (
     TripletSet,
 )
 from .constraints import sample_triplets
-from .evaluation import knn_l1, knn_l2, knn_predict, run_experiment, sigma_sweep
+from .evaluation import run_experiment, sigma_sweep
 from .ingest import (
     FeatureSchema,
     SurveyRecord,
@@ -57,9 +57,6 @@ __all__ = [
     "fit_lmnn",
     "fit_lsml",
     "fit_mmc",
-    "knn_l1",
-    "knn_l2",
-    "knn_predict",
     "load_defendants",
     "load_metric",
     "load_survey",

@@ -89,10 +89,6 @@ def load_encoded_defendants(path) -> LabeledDataset:
         return defendants_from_table(table, encoded_schema(table), "encoded")
 
 
-def _write_text(path: Path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Experiment config file (INI-style key-value sections)
 
@@ -313,7 +309,7 @@ def cmd_ingest(defendants_path, survey_path, schema_path, out_dir) -> dict:
             "defendants_surveyed": len(surveyed),
         }
         text = "".join(f"{key} = {value}\n" for key, value in summary.items())
-        _write_text(stage / "ingest_summary.txt", text)
+        (stage / "ingest_summary.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return summary
 
@@ -334,7 +330,7 @@ def cmd_experiment(config_path, out_dir, overrides, threads) -> int:
         layout = LAYOUTS[spec.mode]
         text = render_report_text(report, layout)
         write_csv(stage / f"{layout.stem}.csv", report_csv_rows(report, layout))
-        _write_text(stage / f"{layout.stem}.txt", text)
+        (stage / f"{layout.stem}.txt").write_text(text, encoding="utf-8")
         _write_fitted_metrics(stage, report.outcomes, layout.unsaved)
     print(text, end="")
     return 0
@@ -346,9 +342,9 @@ def cmd_report_survey(survey_path, out_dir, confidence_threshold) -> int:
         table1 = bail_rate_table(records)
         table2 = confidence_accuracy_table(records, confidence_threshold)
         text1, text2 = render_bail_rate_text(table1), render_confidence_accuracy_text(table2)
-        _write_text(stage / "table1_bail_rates.txt", text1)
+        (stage / "table1_bail_rates.txt").write_text(text1, encoding="utf-8")
         write_csv(stage / "table1_bail_rates.csv", bail_rate_csv_rows(table1))
-        _write_text(stage / "table2_confidence.txt", text2)
+        (stage / "table2_confidence.txt").write_text(text2, encoding="utf-8")
         write_csv(stage / "table2_confidence.csv", confidence_accuracy_csv_rows(table2))
     print(text1)
     print(text2, end="")
@@ -439,9 +435,7 @@ def main(argv=None) -> int:
             return cmd_experiment(args.config, args.out_dir, overrides, args.threads)
         if args.command == "report-survey":
             return cmd_report_survey(args.survey, args.out_dir, args.confidence_threshold)
-        if args.command == "dump-triplets":
-            return cmd_dump_triplets(args.data, args.sigma, args.triplet_variant, args.out)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return cmd_dump_triplets(args.data, args.sigma, args.triplet_variant, args.out)
     except FairmetricError as exc:
         print(f"fairmetric: error: {exc}", file=sys.stderr)
         return exc.exit_code

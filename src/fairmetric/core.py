@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError
-from .numerics import SYMMETRY_TOL
+from .numerics import check_symmetric
 
 PSD_TOL = 1e-8  # |lambda_min| slack tolerated as float noise
 TRIPLET_VARIANTS = ("literal", "symmetric")
@@ -124,9 +124,7 @@ class MahalanobisMetric:
             raise ConfigurationError(f"metric matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InvariantError("metric matrix contains NaN or inf")
-        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-        if asym > SYMMETRY_TOL:
-            raise InvariantError(f"metric matrix asymmetric: max |M - M^T| = {asym:.3e}")
+        check_symmetric(m)
         lam_min = float(np.linalg.eigvalsh(m)[0])
         if lam_min < -PSD_TOL:
             raise InvariantError(f"metric matrix not PSD: lambda_min = {lam_min:.3e}")

@@ -181,14 +181,14 @@ def knn_l2(metric: MahalanobisMetric, train: LabeledDataset, test: LabeledDatase
 class RepeatData:
     """One repeat's folds (features already standardized) and the test fold's triplet rules.
 
-    `test_rules` holds one rule per test sigma, or None where the test fold
-    has no triplet at that sigma (or n < 3).
+    `test_rules` holds the rule of each test sigma, in order, at which the test
+    fold has a triplet; each rule carries its sigma.
     """
 
     repeat: int
     train: LabeledDataset
     test: LabeledDataset
-    test_rules: tuple[TripletRule | None, ...]
+    test_rules: tuple[TripletRule, ...]
 
 
 @dataclass
@@ -219,11 +219,10 @@ def prepare_repeat(
     train_idx, test_idx = split_indices(dataset.n, config, repeat)
     train, stats = standardize(dataset.subset(train_idx))
     test, _ = standardize(dataset.subset(test_idx), stats)
-    rules = []
-    for sigma in sigma_tests:
-        rule = describe_triplets(test, sigma, config.triplet_variant) if test.n >= 3 else None
-        rules.append(rule if rule is not None and rule.total else None)
-    return RepeatData(repeat=repeat, train=train, test=test, test_rules=tuple(rules))
+    sigmas = sigma_tests if test.n >= 3 else ()  # a triplet needs three rows
+    rules = (describe_triplets(test, sigma, config.triplet_variant) for sigma in sigmas)
+    test_rules = tuple(rule for rule in rules if rule.total)
+    return RepeatData(repeat=repeat, train=train, test=test, test_rules=test_rules)
 
 
 def _lsml_entry(config: ExperimentConfig, sigma: float):
@@ -268,11 +267,10 @@ def violation_losses(metric: MahalanobisMetric, data: RepeatData) -> dict[float,
 
     The fold's distance matrix is computed once and counted against every rule.
     """
-    rules = [rule for rule in data.test_rules if rule is not None]
-    if not rules:
+    if not data.test_rules:
         return {}
     distances = fold_distances(metric, data.test)
-    return {rule.sigma: counted_violation_loss(distances, rule) for rule in rules}
+    return {rule.sigma: counted_violation_loss(distances, rule) for rule in data.test_rules}
 
 
 def score_metric(

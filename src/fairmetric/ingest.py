@@ -38,6 +38,8 @@ from .core import COMPAS_SCALE, SURVEY_SCALE, LabeledDataset, RatingScale
 from .errors import ConfigurationError, IngestionError
 
 COLUMN_KINDS = ("numeric", "categorical", "binary")
+ENCODED_ID = "id"
+ENCODED_LABEL = "compas_decile"
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,8 @@ class ColumnSpec:
     def __post_init__(self):
         if self.kind not in COLUMN_KINDS:
             raise ConfigurationError(f"unknown column kind {self.kind!r} for {self.name!r}")
+        if self.kind == "numeric" and self.categories:
+            raise ConfigurationError(f"numeric column {self.name!r} takes no values")
         if self.kind == "binary" and len(self.categories) != 2:
             raise ConfigurationError(f"binary column {self.name!r} needs exactly 2 values")
         if self.kind == "categorical" and len(self.categories) < 2:
@@ -68,8 +72,8 @@ class ColumnSpec:
 @dataclass(frozen=True)
 class FeatureSchema:
     columns: tuple[ColumnSpec, ...]
-    id_column: str = "id"
-    label_column: str = "compas_decile"
+    id_column: str = ENCODED_ID
+    label_column: str = ENCODED_LABEL
 
     def __post_init__(self):
         names = [c.name for c in self.columns]
@@ -104,8 +108,7 @@ def default_schema() -> FeatureSchema:
 
 def parse_schema_manifest(path) -> FeatureSchema:
     columns: list[ColumnSpec] = []
-    id_column = "id"
-    label_column = "compas_decile"
+    names: dict[str, str] = {}  # id_column / label_column, where the manifest sets them
     with _text_lines(path, "schema manifest") as (path, lines):
         lines = list(lines)
     for lineno, raw in enumerate(lines, start=1):
@@ -114,10 +117,8 @@ def parse_schema_manifest(path) -> FeatureSchema:
             continue
         parts = line.split(None, 3)
         key = parts[0]
-        if key == "id_column" and len(parts) == 2:
-            id_column = parts[1]
-        elif key == "label_column" and len(parts) == 2:
-            label_column = parts[1]
+        if key in ("id_column", "label_column") and len(parts) == 2:
+            names[key] = parts[1]
         elif key == "column" and len(parts) >= 3:
             name, kind = parts[1], parts[2]
             values = tuple(v.strip() for v in parts[3].split(",")) if len(parts) == 4 else ()
@@ -129,7 +130,7 @@ def parse_schema_manifest(path) -> FeatureSchema:
             raise IngestionError(f"{path}:{lineno}: cannot parse manifest line {raw.rstrip()!r}")
     if not columns:
         raise IngestionError(f"{path}: manifest declares no columns")
-    return FeatureSchema(columns=tuple(columns), id_column=id_column, label_column=label_column)
+    return FeatureSchema(columns=tuple(columns), **names)
 
 
 @dataclass(frozen=True)
@@ -144,12 +145,12 @@ class SurveyRecord:
     ground_truth_recidivated: bool
 
     def __post_init__(self):
-        if not SURVEY_SCALE.contains(self.recidivism_prediction):
-            raise ConfigurationError(
-                f"recidivism prediction {self.recidivism_prediction} outside 1-5"
-            )
-        if not SURVEY_SCALE.contains(self.confidence):
-            raise ConfigurationError(f"confidence {self.confidence} outside 1-5")
+        for what, value in (("recidivism prediction", self.recidivism_prediction),
+                            ("confidence", self.confidence)):
+            if not SURVEY_SCALE.contains(value):
+                raise ConfigurationError(
+                    f"{what} {value} outside {SURVEY_SCALE.min}-{SURVEY_SCALE.max}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +322,6 @@ def load_defendants(path, schema: FeatureSchema) -> LabeledDataset:
     """Load and encode the raw defendant table; labels are COMPAS decile scores."""
     with read_csv(path, "defendants") as table:
         return defendants_from_table(table, schema, "defendants")
-
-
-ENCODED_ID = "id"
-ENCODED_LABEL = "compas_decile"
 
 
 def encoded_schema(table: CsvTable) -> FeatureSchema:

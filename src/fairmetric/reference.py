@@ -8,43 +8,20 @@ Each computes plainly what a pipeline function computes another way:
 - `triplet_violation_loss`, with `_pair_distances`, scores triplet by triplet
   what `evaluation.counted_violation_loss` counts per anchor;
 - `cross_distances` gives the distances that `evaluation.fold_distances`
-  mirrors and `evaluation.knn_predictions` screens;
-- `squared_distance` and `distance` give one pair's d_M.
+  mirrors and `evaluation.knn_predictions` screens; the tests also read one
+  pair's d_M from it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import triplet_blocks
 from .core import LabeledDataset, MahalanobisMetric, TripletSet
-from .errors import ConfigurationError, EvaluationError, InvariantError
+from .errors import ConfigurationError, EvaluationError
 from .numerics import quad_forms
-
-NEGATIVE_FORM_TOL = -1e-8  # quadratic-form values above this are clamped to 0
-
-
-def squared_distance(metric: MahalanobisMetric, x, y) -> float:
-    """(x-y)^T M (x-y), clamped at 0; tiny negatives are floating-point PSD slack."""
-    xa = np.asarray(x, dtype=float).ravel()
-    ya = np.asarray(y, dtype=float).ravel()
-    if xa.shape != ya.shape or xa.shape[0] != metric.d:
-        raise ConfigurationError(
-            f"dimension mismatch: metric d={metric.d}, x has {xa.shape[0]}, y has {ya.shape[0]}"
-        )
-    diff = xa - ya
-    q = float(diff @ metric.matrix @ diff)
-    if q < NEGATIVE_FORM_TOL * max(1.0, float(diff @ diff)):
-        raise InvariantError(f"quadratic form {q:.3e} too negative for float slack")
-    return max(q, 0.0)
-
-
-def distance(metric: MahalanobisMetric, x, y) -> float:
-    """Mahalanobis distance d_M(x, y)."""
-    return math.sqrt(squared_distance(metric, x, y))
 
 
 @dataclass(frozen=True)

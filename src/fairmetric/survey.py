@@ -8,10 +8,11 @@ from operator import attrgetter
 
 import numpy as np
 
+from .core import SURVEY_SCALE
 from .errors import ConfigurationError
 from .ingest import SurveyRecord
 
-PREDICTION_LEVELS = (1, 2, 3, 4, 5)
+PREDICTION_LEVELS = tuple(range(SURVEY_SCALE.min, SURVEY_SCALE.max + 1))
 PREDICTION_NAMES = ("Extremely Unlikely", "Unlikely", "Neither", "Likely", "Extremely Likely")
 
 
@@ -113,9 +114,10 @@ def confidence_accuracy_table(
     """Decision accuracy overall and split by confidence, per respondent and averaged."""
     if not records:
         raise ConfigurationError("no survey records")
-    if not 1 <= high_confidence_threshold <= 5:
+    if not SURVEY_SCALE.contains(high_confidence_threshold):
         raise ConfigurationError(
-            f"confidence threshold must lie in 1..5, got {high_confidence_threshold}"
+            f"confidence threshold must lie in {SURVEY_SCALE.min}..{SURVEY_SCALE.max}, "
+            f"got {high_confidence_threshold}"
         )
     by_resp = _by_respondent(records)
     thr = high_confidence_threshold

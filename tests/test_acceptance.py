@@ -52,7 +52,15 @@ from fairmetric.reference import (
 )
 from fairmetric.survey import bail_rate_table, confidence_accuracy_table
 
-from conftest import make_dataset, random_spd
+from conftest import (
+    brute_knn,
+    brute_pairs,
+    brute_triplet_loss,
+    brute_triplets,
+    make_dataset,
+    max_grad_error,
+    random_spd,
+)
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -198,22 +206,6 @@ def synthetic_recovery_dataset(seed, n=200):
     )
 
 
-def brute_triplet_scorer(matrix, features, triplet_indices):
-    violated = 0
-    for a, b, c in triplet_indices:
-        def dist(i, j):
-            diff = features[i] - features[j]
-            total = 0.0
-            for p in range(diff.shape[0]):
-                for q in range(diff.shape[0]):
-                    total += diff[p] * matrix[p, q] * diff[q]
-            return math.sqrt(max(total, 0.0))
-
-        if dist(a, b) > dist(a, c):
-            violated += 1
-    return violated / len(triplet_indices)
-
-
 def test_criterion_5_synthetic_recovery():
     gains = []
     for seed in range(10):
@@ -229,10 +221,10 @@ def test_criterion_5_synthetic_recovery():
         base = triplet_violation_loss(euclidean_baseline(6), test, test_triplets)
         learned = triplet_violation_loss(metric, test, test_triplets)
         if seed < 2:  # independent brute-force recount of both losses
-            assert brute_triplet_scorer(np.eye(6), test.features, test_triplets.indices) == (
+            assert brute_triplet_loss(np.eye(6), test.features, test_triplets.indices) == (
                 pytest.approx(base, abs=1e-12)
             )
-            assert brute_triplet_scorer(metric.matrix, test.features, test_triplets.indices) == (
+            assert brute_triplet_loss(metric.matrix, test.features, test_triplets.indices) == (
                 pytest.approx(learned, abs=1e-12)
             )
         gains.append((base - learned) / base)
@@ -248,29 +240,6 @@ def test_criterion_5_synthetic_recovery():
 # Criterion 6: analytic gradients vs central finite differences
 
 
-def _sym_dirs(d):
-    dirs = []
-    for i in range(d):
-        for j in range(i, d):
-            e = np.zeros((d, d))
-            if i == j:
-                e[i, i] = 1.0
-            else:
-                e[i, j] = e[j, i] = 0.5
-            dirs.append(e)
-    return dirs
-
-
-def _max_grad_err(fun, grad_fun, m, h=1e-6):
-    g = grad_fun(m)
-    worst = 0.0
-    for e in _sym_dirs(m.shape[0]):
-        num = (fun(m + h * e) - fun(m - h * e)) / (2 * h)
-        ana = float((g * e).sum())
-        worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-8))
-    return worst
-
-
 def test_criterion_6_gradient_checks():
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -280,7 +249,7 @@ def test_criterion_6_gradient_checks():
         m = random_spd(rng, 3)
         worst = max(
             worst,
-            _max_grad_err(
+            max_grad_error(
                 lambda mm: lsml_objective(mm, ds, triplets, 0.01),
                 lambda mm: lsml_gradient(mm, ds, triplets, 0.01),
                 m,
@@ -293,7 +262,7 @@ def test_criterion_6_gradient_checks():
         problem = lmnn_problem(ds2, 2)
         worst = max(
             worst,
-            _max_grad_err(
+            max_grad_error(
                 lambda mm: lmnn_objective(mm, problem, 0.5),
                 lambda mm: lmnn_gradient(mm, problem, 0.5),
                 m,
@@ -317,23 +286,11 @@ def test_criterion_7_oracle_equivalence():
 
         for variant in ("literal", "symmetric"):
             got = {tuple(t) for t in build_triplets(ds, sigma, variant).indices}
-            want = set()
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if len({a, b, c}) != 3:
-                            continue
-                        if variant == "literal":
-                            ok = labels[a] <= labels[b] + sigma < labels[c]
-                        else:
-                            ok = abs(labels[a] - labels[b]) + sigma < abs(labels[a] - labels[c])
-                        if ok:
-                            want.add((a, b, c))
+            want = brute_triplets(labels, sigma, variant)
             assert got == want, f"triplet mismatch ({variant}, sigma={sigma})"
 
         pairs = build_pairs(ds)
-        sim = {(i, j) for i in range(n) for j in range(i + 1, n) if labels[i] == labels[j]}
-        dis = {(i, j) for i in range(n) for j in range(i + 1, n) if labels[i] != labels[j]}
+        sim, dis = brute_pairs(labels)
         assert {tuple(p) for p in pairs.similar} == sim
         assert {tuple(p) for p in pairs.dissimilar} == dis
 
@@ -342,18 +299,7 @@ def test_criterion_7_oracle_equivalence():
         k = int(rng.integers(1, n + 1))
         from fairmetric.evaluation import knn_predict
 
-        dists = []
-        for i in range(n):
-            diff = ds.features[i] - x
-            dists.append((math.sqrt(max(float(diff @ metric.matrix @ diff), 0.0)), i))
-        dists.sort()
-        top = dists[:k]
-        zero = [i for d, i in top if d < 1e-12]
-        if zero:
-            want_pred = sum(ds.labels[i] for i in zero) / len(zero)
-        else:
-            inv = [1.0 / d for d, _ in top]
-            want_pred = sum(w / sum(inv) * ds.labels[i] for w, (_, i) in zip(inv, top))
+        want_pred = brute_knn(metric, ds, x, k)
         assert knn_predict(metric, ds, x, k) == pytest.approx(want_pred, rel=1e-10)
         checked += 1
     report("C7", checked == 50, f"{checked}/50 random instances matched all three oracles")

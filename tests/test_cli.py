@@ -9,7 +9,6 @@ from fairmetric.cli import (
     _ALLOWED_KEYS,
     LAYOUTS,
     RunSpec,
-    _write_text,
     cmd_ingest,
     load_encoded_defendants,
     main,
@@ -366,7 +365,7 @@ PINNED_FILES = {
 def test_one_renderer_writes_each_layout(tmp_path, mode):
     text, csv_text = PINNED_FILES[mode]
     layout = LAYOUTS[mode]
-    _write_text(tmp_path / "out.txt", render_report_text(PINNED_REPORT, layout))
+    (tmp_path / "out.txt").write_text(render_report_text(PINNED_REPORT, layout), encoding="utf-8")
     write_csv(tmp_path / "out.csv", report_csv_rows(PINNED_REPORT, layout))
     assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
     assert (tmp_path / "out.csv").read_bytes() == csv_text.encode("utf-8")
@@ -394,13 +393,17 @@ def test_config_rejects_unknown_keys(tmp_path):
         read_run_spec(cfg)
 
 
-def write_minimal_config(path, defendants="defendants_encoded.csv", **sections):
-    """[data] with only `defendants`, plus the given {section: {key: value}} entries."""
-    lines = ["[data]", f"defendants = {defendants}"]
+def write_config_sections(path, sections):
+    lines = []
     for section, entries in sections.items():
         lines += [f"[{section}]"] + [f"{key} = {value}" for key, value in entries.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def write_minimal_config(path, defendants="defendants_encoded.csv", **sections):
+    """[data] with only `defendants`, plus the given {section: {key: value}} entries."""
+    return write_config_sections(path, {"data": {"defendants": defendants}, **sections})
 
 
 def test_config_with_only_data_section_takes_every_default(tmp_path):
@@ -438,14 +441,6 @@ RUN_SPEC_KEYS = {
     "sigma_train_list": ("sweep", "1, 3", (1.0, 3.0)),
     "sigma_test_list": ("sweep", "5", (5.0,)),
 }
-
-
-def write_config_sections(path, sections):
-    lines = []
-    for section, entries in sections.items():
-        lines += [f"[{section}]"] + [f"{key} = {value}" for key, value in entries.items()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
 
 
 @pytest.mark.parametrize("key", sorted(RUN_SPEC_KEYS))

@@ -5,33 +5,7 @@ from fairmetric.constraints import _valid_c, _valid_c_counts, sample_triplets
 from fairmetric.errors import ConfigurationError
 from fairmetric.reference import build_pairs, build_triplets, subsample_triplets
 
-from conftest import make_dataset, toy
-
-
-def brute_pairs(labels):
-    similar, dissimilar = set(), set()
-    n = len(labels)
-    for i in range(n):
-        for j in range(i + 1, n):
-            (similar if labels[i] == labels[j] else dissimilar).add((i, j))
-    return similar, dissimilar
-
-
-def brute_triplets(labels, sigma, variant):
-    out = set()
-    n = len(labels)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if len({a, b, c}) != 3:
-                    continue
-                if variant == "literal":
-                    ok = labels[a] <= labels[b] + sigma and labels[b] + sigma < labels[c]
-                else:
-                    ok = abs(labels[a] - labels[b]) + sigma < abs(labels[a] - labels[c])
-                if ok:
-                    out.add((a, b, c))
-    return out
+from conftest import brute_pairs, brute_triplets, make_dataset, toy
 
 
 def test_build_pairs_small_example():

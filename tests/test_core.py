@@ -15,41 +15,31 @@ from fairmetric.core import (
 )
 from fairmetric.errors import ConfigurationError, InvariantError
 from fairmetric.ingest import SurveyRecord, attach_labels, standardize
-from fairmetric.reference import distance, squared_distance
 
-from conftest import random_spd
+from conftest import pair_distance, random_spd
 
 
 def test_distance_identity_is_euclidean():
     m = MahalanobisMetric.identity(2)
-    assert distance(m, (0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
+    assert pair_distance(m, (0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
 
 
 def test_distance_point_to_itself_is_zero():
     m = MahalanobisMetric(random_spd(np.random.default_rng(0), 3))
     x = np.array([1.2, -0.5, 3.3])
-    assert distance(m, x, x) == 0.0
+    assert pair_distance(m, x, x) == 0.0
 
 
 def test_distance_diagonal_hand_computed():
     # (1,1) under diag(4,1): 4*1 + 1*1 = 5
     m = MahalanobisMetric(np.diag([4.0, 1.0]))
-    assert distance(m, (0.0, 0.0), (1.0, 1.0)) == pytest.approx(math.sqrt(5.0))
-    assert squared_distance(m, (0.0, 0.0), (1.0, 1.0)) == pytest.approx(5.0)
+    assert pair_distance(m, (0.0, 0.0), (1.0, 1.0)) == pytest.approx(math.sqrt(5.0))
 
 
 def test_squared_distance_identity_example():
     m = MahalanobisMetric.identity(2)
-    assert squared_distance(m, (0.0, 0.0), (3.0, 4.0)) == pytest.approx(25.0)
-    assert squared_distance(m, (1.0, 2.0), (1.0, 2.0)) == 0.0
-
-
-def test_distance_squares_to_squared_distance():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        m = MahalanobisMetric(random_spd(rng, 4))
-        x, y = rng.normal(size=4), rng.normal(size=4)
-        assert distance(m, x, y) ** 2 == pytest.approx(squared_distance(m, x, y), rel=1e-9)
+    assert pair_distance(m, (0.0, 0.0), (3.0, 4.0)) ** 2 == pytest.approx(25.0)
+    assert pair_distance(m, (1.0, 2.0), (1.0, 2.0)) == 0.0
 
 
 def test_distance_symmetry_and_triangle_inequality():
@@ -57,14 +47,8 @@ def test_distance_symmetry_and_triangle_inequality():
     for _ in range(30):
         m = MahalanobisMetric(random_spd(rng, 3))
         x, y, z = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        assert distance(m, x, y) == pytest.approx(distance(m, y, x), abs=1e-12)
-        assert distance(m, x, z) <= distance(m, x, y) + distance(m, y, z) + 1e-9
-
-
-def test_distance_dimension_mismatch():
-    m = MahalanobisMetric.identity(3)
-    with pytest.raises(ConfigurationError):
-        distance(m, (0.0, 0.0), (1.0, 1.0))
+        assert pair_distance(m, x, y) == pytest.approx(pair_distance(m, y, x), abs=1e-12)
+        assert pair_distance(m, x, z) <= pair_distance(m, x, y) + pair_distance(m, y, z) + 1e-9
 
 
 def test_metric_rejects_asymmetric_matrix():

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from dataclasses import replace
 
@@ -35,41 +34,7 @@ from fairmetric.learners import euclidean_baseline
 from fairmetric.numerics import quad_forms
 from fairmetric.reference import build_triplets, cross_distances, triplet_violation_loss
 
-from conftest import make_dataset, random_spd, toy
-
-
-def brute_triplet_loss(metric, test, triplets):
-    """Independent recount with plain Python loops."""
-    m = metric.matrix
-    violated = 0
-    for a, b, c in triplets.indices:
-        def dist(i, j):
-            diff = test.features[i] - test.features[j]
-            total = 0.0
-            for p in range(len(diff)):
-                for q in range(len(diff)):
-                    total += diff[p] * m[p, q] * diff[q]
-            return math.sqrt(max(total, 0.0))
-
-        if dist(a, b) > dist(a, c):
-            violated += 1
-    return violated / len(triplets)
-
-
-def brute_knn(metric, train, x, k):
-    m = metric.matrix
-    dists = []
-    for i in range(train.n):
-        diff = train.features[i] - np.asarray(x, dtype=float)
-        dists.append((math.sqrt(max(float(diff @ m @ diff), 0.0)), i))
-    dists.sort()  # ties break on the lower index via the tuple
-    chosen = dists[:k]
-    zero = [(d, i) for d, i in chosen if d < 1e-12]
-    if zero:
-        return sum(train.labels[i] for _, i in zero) / len(zero)
-    weights = [1.0 / d for d, _ in chosen]
-    total = sum(weights)
-    return sum(w / total * train.labels[i] for w, (_, i) in zip(weights, chosen))
+from conftest import brute_knn, brute_triplet_loss, make_dataset, random_spd, toy
 
 
 def test_triplet_loss_basic_examples():
@@ -94,7 +59,7 @@ def test_triplet_loss_matches_brute_force():
         ts = build_triplets(ds, 0.0)
         metric = MahalanobisMetric(random_spd(rng, 3))
         assert triplet_violation_loss(metric, ds, ts) == pytest.approx(
-            brute_triplet_loss(metric, ds, ts), abs=1e-12
+            brute_triplet_loss(metric.matrix, ds.features, ts.indices), abs=1e-12
         )
 
 
@@ -136,7 +101,7 @@ def test_triplet_cell_absent_without_test_triplets():
     assert report.cell("euclidean", LOSS_KNN_L1) is not None
     flat = toy(ds.features, np.full(ds.n, 3), scale=(1, 5))  # one label: an empty set
     cfg = small_config()
-    assert prepare_repeat(flat, cfg, 0, (cfg.sigma_test,)).test_rules == (None,)
+    assert prepare_repeat(flat, cfg, 0, (cfg.sigma_test,)).test_rules == ()
     report = run_experiment(cfg, flat, build_learner_menu(menu, cfg))
     assert report.cell("euclidean", LOSS_TRIPLET) is None
     assert report.cell("euclidean", LOSS_KNN_L2) is not None

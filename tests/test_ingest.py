@@ -128,6 +128,14 @@ def test_schema_manifest_rejects_garbage(tmp_path):
         parse_schema_manifest(manifest)
 
 
+def test_schema_manifest_rejects_values_on_a_numeric_column(tmp_path):
+    manifest = tmp_path / "schema.txt"
+    manifest.write_text("column sex binary Male,Female\ncolumn age numeric 1,2\n", encoding="utf-8")
+    with pytest.raises(IngestionError) as info:
+        parse_schema_manifest(manifest)
+    assert str(info.value) == f"{manifest}:2: numeric column 'age' takes no values"
+
+
 def test_schema_manifest_that_is_a_directory_exits_2(tmp_path):
     with pytest.raises(IngestionError, match="cannot open") as info:
         parse_schema_manifest(tmp_path)
@@ -359,6 +367,14 @@ def test_attach_labels_unknown_respondent_and_missing_defendant():
     bad = _survey_for({"nope": [3]})
     with pytest.raises(IngestionError, match="not in defendant table"):
         attach_labels(ds, bad, "pooled_median")
+
+
+def test_attach_labels_per_respondent_needs_every_surveyed_defendant_rated():
+    ds = _defendants()
+    survey = _survey_for({"d1": [4, 2], "d3": [1]})  # respondent 1 skipped d3
+    with pytest.raises(IngestionError) as info:
+        attach_labels(ds, survey, "per_respondent:1")
+    assert str(info.value) == "respondent '1' has no rating for defendant 'd3'"
 
 
 def test_parse_label_mode():

@@ -31,31 +31,7 @@ from fairmetric.learners import (
 from fairmetric.numerics import quad_forms
 from fairmetric.reference import build_pairs, build_triplets
 
-from conftest import make_dataset, random_spd, toy
-
-
-def sym_dirs(d):
-    """Orthonormal-ish basis of symmetric directions for finite differencing."""
-    dirs = []
-    for i in range(d):
-        for j in range(i, d):
-            e = np.zeros((d, d))
-            if i == j:
-                e[i, i] = 1.0
-            else:
-                e[i, j] = e[j, i] = 0.5
-            dirs.append(e)
-    return dirs
-
-
-def max_grad_error(fun, grad_fun, m, h=1e-6):
-    g = grad_fun(m)
-    worst = 0.0
-    for e in sym_dirs(m.shape[0]):
-        num = (fun(m + h * e) - fun(m - h * e)) / (2 * h)
-        ana = float((g * e).sum())
-        worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-8))
-    return worst
+from conftest import make_dataset, max_grad_error, pair_distance, random_spd, toy
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +46,9 @@ def test_euclidean_baseline_is_identity():
 def test_euclidean_distances_match_l2():
     rng = np.random.default_rng(0)
     m = euclidean_baseline(4)
-    from fairmetric.reference import distance
-
     for _ in range(10):
         x, y = rng.normal(size=4), rng.normal(size=4)
-        assert distance(m, x, y) == pytest.approx(float(np.linalg.norm(x - y)), rel=1e-12)
+        assert pair_distance(m, x, y) == pytest.approx(float(np.linalg.norm(x - y)), rel=1e-12)
 
 
 def test_precision_baseline_identity_for_exactly_white_data():

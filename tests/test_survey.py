@@ -200,10 +200,21 @@ def test_respondent_ids_that_int_cannot_parse_sort_as_text():
 def test_threshold_and_empty_validation():
     with pytest.raises(ConfigurationError):
         confidence_accuracy_table([], 4)
-    with pytest.raises(ConfigurationError):
+    message = r"^confidence threshold must lie in 1\.\.5, got 9$"
+    with pytest.raises(ConfigurationError, match=message):
         confidence_accuracy_table([rec(1, "a")], 9)
     with pytest.raises(ConfigurationError):
         bail_rate_table([])
+
+
+@pytest.mark.parametrize(
+    "q1, q3, message",
+    [(0, 3, "recidivism prediction 0 outside 1-5"), (3, 6, "confidence 6 outside 1-5")],
+)
+def test_survey_record_names_the_answer_outside_the_scale(q1, q3, message):
+    with pytest.raises(ConfigurationError) as info:
+        rec(1, "a", q1=q1, q3=q3)
+    assert str(info.value) == message
 
 
 def test_rendering_uses_one_decimal_percent():
