@@ -81,6 +81,11 @@ class FeatureSchema:
             raise ConfigurationError("duplicate column names in schema")
         if not names:
             raise ConfigurationError("schema declares no feature columns")
+        if self.id_column == self.label_column:
+            raise ConfigurationError(f"column {self.id_column!r} is both the id and the label column")
+        for role, name in (("id", self.id_column), ("label", self.label_column)):
+            if name in names:
+                raise ConfigurationError(f"column {name!r} is both a feature and the {role} column")
 
     @property
     def encoded_names(self) -> tuple[str, ...]:
@@ -130,7 +135,10 @@ def parse_schema_manifest(path) -> FeatureSchema:
             raise IngestionError(f"{path}:{lineno}: cannot parse manifest line {raw.rstrip()!r}")
     if not columns:
         raise IngestionError(f"{path}: manifest declares no columns")
-    return FeatureSchema(columns=tuple(columns), **names)
+    try:
+        return FeatureSchema(columns=tuple(columns), **names)
+    except ConfigurationError as exc:
+        raise IngestionError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,13 @@ Each learner hands the engine evaluate(x) -> (f, state) and
 gradient(state) -> g. The line search calls evaluate at every trial x + t d,
 and the accepted trial, with its value and state, is the next iterate: no point
 is evaluated twice, and the engine asks for a gradient only from the state of
-the point it evaluated last. So LMNN's, MMC's and LSML's Gram-kernel states
-can use a workspace made once per fit call (_Workspace), holding their (n, n)
-squared distances, Laplacian weights and LMNN's mask of active impostors.
-Each evaluation overwrites them, by the same operations in the same order as
-on fresh arrays, so the results are the same bits and the fit does not page
-in new memory at every evaluation.
+the point it evaluated last. So LMNN's and LSML's Gram-kernel states can use
+a workspace made once per fit call (_Workspace), holding their (n, n) squared
+distances, Laplacian weights or counts and LMNN's screen mask, and MMC's state
+is its block buffers, also made once per fit. Each evaluation overwrites
+them, by the same operations in the same order as on fresh arrays, so the
+results are the same bits and the fit does not page in new memory at every
+evaluation.
 
 Objectives (X is the training matrix, d_M the Mahalanobis distance):
 
@@ -52,9 +53,12 @@ Objectives (X is the training matrix, d_M the Mahalanobis distance):
                 + mu * sum over (i,j,l), y_l != y_i, of
                        [1 + d^2_M(i,j) - d^2_M(i,l)]_+,
          with target neighbors fixed under the Euclidean metric up front.
-         Each evaluation takes one (n, n) slab per target rank: d^2 with
-         +inf on same-rating entries against the threshold 1 + d^2(i, j) of
-         each anchor's target of that rank. Along the ray cI, with
+         Each evaluation takes one (n, n) slab of d^2, +inf on same-rating
+         entries, and lists once the entries below their anchor's largest
+         threshold 1 + d^2(i, j) over its targets: every other entry has all
+         its hinges at 0, so the screen is exact. The hinges of each target
+         rank are summed over the listed entries only, and the gradient's
+         integer counts come from them. Along the ray cI, with
          b = d^2(i,l) - d^2(i,j) at I per hinge and P = tr(sum of the target
          pairs' outer products),
              eps(cI) = (1-mu) c P + mu * sum [1 - c b]_+,
@@ -72,19 +76,26 @@ Objectives (X is the training matrix, d_M the Mahalanobis distance):
          L(W) = diag(W 1) - W, X^T L(W) X sums W_ij (x_i - x_j)(x_i - x_j)^T
          over pairs i<j. MMC minimizes <M, X^T L(S) X> subject to sum over
          dissimilar pairs of d_M >= 1 and M PSD; that sum has gradient
-         X^T L(W) X with W_ij = 1 / (2 d_M(i,j)) on the dissimilar pairs. The
-         fit runs gradient ascent on it against the linear similar-sum cap
-         <M, X^T L(S) X> <= 1, from I scaled down onto the cap when I breaks
-         it, projecting each step exactly onto the PSD cone cut by the cap
-         (project_psd_cap). The diagonal form is the same fit restricted to
-         diagonal M: it multiplies the cap matrix, the gradient and the point
-         it projects by the mask `keep` = I (the full form's mask is 1). The
-         projection stays exact: with the cap matrix xs diagonal, the clip of
-         a diagonal a - lam * xs is diagonal, and a matrix splits orthogonally
-         into its diagonal part plus the rest, so its projection onto the
-         diagonal matrices of the capped cone is the capped-cone projection of
-         its diagonal part. Either way the returned matrix is rescaled so the
-         dissimilar-distance sum equals 1.
+         X^T L(W) X with W_ij = 1 / (2 d_M(i,j)) on the dissimilar pairs.
+         With the rows sorted by rating, the dissimilar pairs i < j are one
+         block per rating but the highest, its rows against the rows of every
+         higher rating: (1 - sum_u p_u^2) / 2 of n^2 entries for rating shares
+         p_u, 0.4 n^2 for five equal shares. Each evaluation takes a block's
+         d^2 = s_i + s_j - 2 (x_i M) . x_j, s_i = x_i M x_i, from one product
+         of [-2 X_R M, s_R, 1] with [X_C, 1, s_C], and the gradient sums, per
+         block, X_R^T diag(W 1) X_R + X_C^T diag(W^T 1) X_C - X_R^T W X_C and
+         its transpose. The fit runs gradient ascent on the sum against the
+         linear similar-sum cap <M, X^T L(S) X> <= 1, from I scaled down onto
+         the cap when I breaks it, projecting each step exactly onto the PSD
+         cone cut by the cap (project_psd_cap). The diagonal form is the same
+         fit restricted to diagonal M: it multiplies the cap matrix, the
+         gradient and the point it projects by the mask `keep` = I (the full
+         form's mask is 1). The projection stays exact: with the cap matrix xs
+         diagonal, the clip of a diagonal a - lam * xs is diagonal, and a
+         matrix splits orthogonally into its diagonal part plus the rest, so
+         its projection onto the diagonal matrices of the capped cone is the
+         capped-cone projection of its diagonal part. Either way the returned
+         matrix is rescaled so the dissimilar-distance sum equals 1.
 """
 
 from __future__ import annotations
@@ -275,21 +286,20 @@ def precision_baseline(train: LabeledDataset) -> MahalanobisMetric:
 
 
 # ---------------------------------------------------------------------------
-# The (n, n) Gram form, shared by LSML's Gram kernel, LMNN and MMC
+# The (n, n) Gram form, shared by LSML's Gram kernel and LMNN
 
 
 @dataclass(frozen=True)
 class _Workspace:
-    """The arrays one LSML (Gram kernel), LMNN or MMC fit overwrites at every evaluation.
+    """The arrays one LSML (Gram kernel) or LMNN fit overwrites at every evaluation.
 
-    `gram` holds the (n, n) squared distances: MMC takes their square roots in
-    place, LMNN writes +inf on its same-label entries, and LMNN's and LSML's
-    gradients write their symmetrized counts or weights there once they have
-    read them. `lap` holds the outer sum s_i + s_j, then MMC's Laplacian
-    weights, LMNN's hinges of one target rank or its counts. `mask` is LMNN's
-    (n, n) mask of the impostors active for one target rank; the others' is
-    empty. Each fit call makes its own workspace; LMNN's public objective and
-    gradient functions make a fresh one per call.
+    `gram` holds the (n, n) squared distances: LMNN writes +inf on its
+    same-label entries, and LMNN's and LSML's gradients write their
+    symmetrized counts or weights there once they have read them. `lap` holds
+    the outer sum s_i + s_j, then LMNN's counts. `mask` is LMNN's (n, n) mask
+    of the entries its screen lists; LSML's is empty. Each fit call makes its
+    own workspace; LMNN's public objective and gradient functions make a fresh
+    one per call.
     """
 
     gram: np.ndarray
@@ -545,22 +555,32 @@ def _by_rank(values: np.ndarray, problem: LmnnProblem) -> np.ndarray:
 
 
 def _lmnn_value(m: np.ndarray, problem: LmnnProblem, mu: float, ws: _Workspace):
-    """LMNN's value at m, and the state its gradient reads: d2 and the thresholds thr.
+    """LMNN's value at m, and the state its gradient reads: d2, the thresholds thr and the screened entries.
 
     thr[r, i] = 1 + d2[i, j] for i's target j of rank r, so the hinge of
     (i, j, l) is [thr[r, i] - d2[i, l]]_+. Impostors of i are the l with
-    finite d2[i, l], and a missing target's thr is -inf, so one (n, n) slab
-    per rank holds every hinge of that rank and no other.
+    finite d2[i, l], and a missing target's thr is -inf. A hinge is positive
+    only where d2[i, l] < thr[r, i] <= max_r thr[r, i], so the entries below
+    that largest threshold, listed once, hold every positive hinge of every
+    rank: the screen is exact. The state lists the screened entries by their
+    flat indices i n + l.
     """
     d2, target_d2 = _impostor_d2(m, problem, ws)
     thr = _by_rank(1.0 + target_d2, problem)
-    hinge = ws.lap
+    flat = np.flatnonzero(np.less(d2, thr.max(axis=0)[:, None], out=ws.mask))
+    anchor, near = _screened(d2, flat)
     push = 0.0
     for row in thr:
-        np.subtract(row[:, None], d2, out=hinge)
+        hinge = row.take(anchor)
+        hinge -= near
         push += float(np.maximum(hinge, 0.0, out=hinge).sum())
     pull = float(target_d2.sum())
-    return (1.0 - mu) * pull + mu * push, (d2, thr)
+    return (1.0 - mu) * pull + mu * push, (d2, thr, flat)
+
+
+def _screened(d2: np.ndarray, flat: np.ndarray):
+    """The anchor i and d2[i, l] of each screened entry i n + l."""
+    return flat // d2.shape[0], d2.ravel().take(flat)
 
 
 def _problem_workspace(problem: LmnnProblem) -> _Workspace:
@@ -579,21 +599,29 @@ def lmnn_gradient(m: np.ndarray, problem: LmnnProblem, mu: float) -> np.ndarray:
 def _lmnn_grad(state, problem: LmnnProblem, mu: float, ws: _Workspace) -> np.ndarray:
     x = problem.features
     i, j = problem.target_pairs.T
-    d2, thr = state
+    d2, thr, flat = state
+    anchor, near = _screened(d2, flat)
     # c[i, j] counts the active impostors of pair (i, j), and c[i, l] is minus
     # the number of i's pairs that l is active for. l is active for i's target
     # of rank r when d2[i, l] < thr[r, i], which is z = thr[r, i] - d2[i, l] > 0
-    # (the sign of a float difference is exact). Targets are never impostors
-    # and the counts are integers, so every entry is exact.
-    c = ws.lap  # the value, the hinges' last reader, is computed
-    c.fill(0.0)
-    counts = np.empty(thr.shape)
+    # (the sign of a float difference is exact); only screened entries can be.
+    # Targets are never impostors and the counts are integers, so every entry
+    # is exact. The screened entries come in runs of one anchor each, so a
+    # target's count is a sum over its anchor's run.
+    bounds = np.searchsorted(flat, np.arange(len(d2) + 1) * len(d2))
+    owners = np.flatnonzero(bounds[1:] > bounds[:-1])  # the anchors with a run
+    starts = bounds[owners]
+    ranks_active = np.zeros(flat.size, dtype=np.int64)
+    counts = np.zeros(thr.shape)
     for rank, row in enumerate(thr):
-        active = np.less(d2, row[:, None], out=ws.mask)
-        np.subtract(c, active, out=c)
-        counts[rank] = np.count_nonzero(active, axis=1)
+        active = near < row.take(anchor)
+        ranks_active += active
+        counts[rank, owners] = np.add.reduceat(active, starts, dtype=np.int64)
+    c = ws.lap  # free once d2 is formed
+    c.fill(0.0)
+    c.ravel()[flat] = -ranks_active
     c[i, j] = counts[problem.target_ranks, i]
-    push = _laplacian_form(x, np.add(c, c.T, out=ws.gram))  # the counts were d2's last reader
+    push = _laplacian_form(x, np.add(c, c.T, out=ws.gram))  # over d2, read into `near` above
     grad = (1.0 - mu) * problem.pull_gram + mu * 0.5 * (push + push.T)
     return 0.5 * (grad + grad.T)
 
@@ -655,11 +683,9 @@ def fit_lmnn(
 # MMC
 
 
-def _mmc_pairs(train: LabeledDataset):
-    """xs = X^T L(same rating) X and the (n, n) 0/1 mask of unequal ratings.
+def _mmc_pairs(train: LabeledDataset, row: np.ndarray) -> np.ndarray:
+    """xs = X^T L(same rating) X, after checking that MMC has pairs to fit; `row` holds _row_ids.
 
-    Rows with equal features are left out of the mask: the Gram form can leave
-    them a d^2 near 1e-16 * |x|^2 for 0, and 0.5 / d would swamp the gradient.
     When every similar pair has equal features, tr(xs) = 0: the cap bounds no
     M and the dissimilar sum has no maximum.
     """
@@ -668,32 +694,76 @@ def _mmc_pairs(train: LabeledDataset):
     np.fill_diagonal(same, False)
     if not same.any():
         raise ConstraintError("MMC needs at least one similar pair")
-    row = _row_ids(x)
-    apart = row[:, None] != row[None, :]
-    if not (same & apart).any():
+    if not (same & (row[:, None] != row[None, :])).any():
         raise ConstraintError("MMC needs a similar pair whose features differ")
-    dissimilar = labels[:, None] != labels[None, :]
-    if not dissimilar.any():
+    if labels.min() == labels.max():
         raise ConstraintError("MMC needs at least one dissimilar pair")
-    dissimilar &= apart
     xs = _laplacian_form(x, same.astype(float))
-    return 0.5 * (xs + xs.T), dissimilar.astype(float)
+    return 0.5 * (xs + xs.T)
 
 
-def _dissimilar_sum(m: np.ndarray, x: np.ndarray, dissimilar: np.ndarray, ws: _Workspace):
-    """Sum of d_M over the dissimilar pairs, and the (n, n) matrix of d_M, in ws.gram."""
-    dist = _pairwise_sq(m, x, ws)
-    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-    return 0.5 * float(dist.ravel() @ dissimilar.ravel()), dist  # the mask holds each pair twice
+def _dissimilar_blocks(train: LabeledDataset, row: np.ndarray):
+    """MMC's dissimilar-distance sum and its gradient, on one block per rating; see the module docstring.
 
+    The rows are sorted by rating once (stably), so a rating's block is its
+    contiguous run of rows against all the rows after it, and the blocks
+    hold each pair i < j of unequal ratings once. Their entries live in two
+    flat buffers made per fit, d_M and the weights, overwritten at every
+    evaluation. Entries whose rows have equal features (equal `row`, the
+    fold's _row_ids) are listed once and read d = 0, so weight 0: the Gram
+    form can leave them a d^2 near 1e-16 * |x|^2, and 0.5 / d would swamp the
+    gradient.
+    """
+    order = np.argsort(train.labels, kind="stable")
+    x = train.features[order]
+    n, d = x.shape
+    ends = np.cumsum(np.unique(train.labels, return_counts=True)[1])[:-1]
+    spans = list(zip(np.concatenate([[0], ends[:-1]]), ends))  # every rating but the highest
+    offsets = np.cumsum([0] + [(b - a) * (n - b) for a, b in spans])
+    dist, weight = np.empty(offsets[-1]), np.empty(offsets[-1])
 
-def _dissimilar_ascent(dist: np.ndarray, x: np.ndarray, dissimilar: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Gradient in M of the dissimilar-distance sum: Laplacian weights 1 / (2 d_M) per pair, in ws.lap."""
-    w = np.maximum(dist, ZERO_DISTANCE, out=ws.lap)
-    np.divide(0.5, w, out=w)
-    w *= dissimilar
-    w *= dist > ZERO_DISTANCE
-    return _laplacian_form(x, w)
+    def blocks(buffer):
+        return [buffer[lo:hi].reshape(b - a, n - b) for (a, b), lo, hi in zip(spans, offsets, offsets[1:])]
+
+    dist_blocks, weight_blocks = blocks(dist), blocks(weight)
+    row = row[order]
+    equal = np.concatenate([lo + np.flatnonzero(row[a:b, None] == row[b:]) for (a, b), lo in zip(spans, offsets)])
+    x1 = np.hstack([x, np.ones((n, 1))])
+    scaled = np.zeros((n, d + 1))  # on each block's rows, [W X_C, W 1]
+    left = np.ones((n, d + 2))  # [-2 y, s, 1]
+    right = np.hstack([x1, np.zeros((n, 1))])  # [x, 1, s]
+
+    def total(m: np.ndarray) -> float:
+        """Sum of d_M over the dissimilar pairs; each pair's d_M stays in `dist`."""
+        y = x @ m
+        s = np.einsum("ij,ij->i", y, x)
+        np.multiply(y, -2.0, out=left[:, :d])
+        left[:, d] = s
+        right[:, d + 1] = s
+        for (a, b), d2 in zip(spans, dist_blocks):
+            np.matmul(left[a:b], right[b:].T, out=d2)
+        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+        dist[equal] = 0.0
+        return float(dist.sum())
+
+    def ascent() -> np.ndarray:
+        """Gradient in M of the sum `total` took last: X^T diag(r) X - K - K^T.
+
+        With W = 1 / (2 d_M) per block, r adds up each row's weights over the
+        blocks, W 1 as a block row and W^T 1 as a block column, and K sums
+        X_R^T W X_C.
+        """
+        weight.fill(0.0)
+        np.divide(0.5, dist, out=weight, where=dist > ZERO_DISTANCE)
+        r = np.zeros(n)
+        for (a, b), w in zip(spans, weight_blocks):
+            np.matmul(w, x1[b:], out=scaled[a:b])
+            r[b:] += w.sum(axis=0)
+        r += scaled[:, d]
+        cross = x.T @ scaled[:, :d]
+        return (x * r[:, None]).T @ x - cross - cross.T
+
+    return total, ascent
 
 
 def project_psd_cap(a: np.ndarray, xs: np.ndarray):
@@ -763,18 +833,16 @@ def fit_mmc(
     the capped ascent of the dissimilar sum, and `keep` masks the form (see
     the module docstring).
     """
-    x = train.features
-    xs, dissimilar = _mmc_pairs(train)
     keep = np.eye(train.d) if config.mmc_form == "diagonal" else 1.0
-    xs = keep * xs
-    ws = _workspace(train.n)
+    row = _row_ids(train.features)
+    xs = keep * _mmc_pairs(train, row)
+    total, ascent = _dissimilar_blocks(train, row)
 
     def evaluate(m):
-        total, dist = _dissimilar_sum(m, x, dissimilar, ws)
-        return -total, dist
+        return -total(m), None  # the state is the block buffers
 
-    def gradient(dist):
-        g = _dissimilar_ascent(dist, x, dissimilar, ws)
+    def gradient(_):
+        g = ascent()
         return -0.5 * keep * (g + g.T)
 
     m0 = np.eye(train.d)
@@ -794,10 +862,10 @@ def fit_mmc(
     # projection first: rescaling by a positive scalar preserves the cone, so the
     # dissimilar constraint ends up active with equality to float precision
     m = psd_project(0.5 * (m + m.T))
-    total, _ = _dissimilar_sum(m, x, dissimilar, ws)
-    if total <= 0.0:
+    dissimilar_sum = total(m)
+    if dissimilar_sum <= 0.0:
         raise NumericalError("dissimilar-distance sum collapsed to zero in MMC")
-    return MahalanobisMetric(m / total**2), trace  # the dissimilar sum is now 1
+    return MahalanobisMetric(m / dissimilar_sum**2), trace  # the dissimilar sum is now 1
 
 
 # ---------------------------------------------------------------------------

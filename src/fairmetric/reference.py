@@ -1,8 +1,9 @@
 """Brute-force references for the pipeline's fast kernels; the pipeline never calls them.
 
 Each computes plainly what a pipeline function computes another way:
-- `build_pairs` lists as `PairSets` the pairs that MMC's masks
-  (`learners._mmc_pairs`) hold as (n, n) arrays;
+- `build_pairs` lists as `PairSets` the pairs that MMC takes from the
+  ratings: its cap matrix (`learners._mmc_pairs`) from the similar ones, and
+  its rating blocks (`learners._dissimilar_blocks`) from the dissimilar ones;
 - `build_triplets` enumerates the set, and `subsample_triplets` draws from it
   what `constraints.sample_triplets` draws without it;
 - `triplet_violation_loss`, with `_pair_distances`, scores triplet by triplet

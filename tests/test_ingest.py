@@ -136,6 +136,50 @@ def test_schema_manifest_rejects_values_on_a_numeric_column(tmp_path):
     assert str(info.value) == f"{manifest}:2: numeric column 'age' takes no values"
 
 
+@pytest.mark.parametrize(
+    "columns, names, message",
+    [
+        (("compas_decile", "age"), {}, "column 'compas_decile' is both a feature and the label column"),
+        (("age", "pid"), {"id_column": "pid"}, "column 'pid' is both a feature and the id column"),
+        (
+            ("age",),
+            {"id_column": "age_id", "label_column": "age_id"},
+            "column 'age_id' is both the id and the label column",
+        ),
+    ],
+    ids=["label_as_feature", "id_as_feature", "id_is_label"],
+)
+def test_schema_gives_each_column_one_role(columns, names, message):
+    with pytest.raises(ConfigurationError) as info:
+        FeatureSchema(tuple(ColumnSpec(name, "numeric") for name in columns), **names)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (
+            ["column compas_decile numeric", "column age numeric"],
+            "column 'compas_decile' is both a feature and the label column",
+        ),
+        (["id_column age", "column age numeric"], "column 'age' is both a feature and the id column"),
+        (
+            ["id_column age", "label_column age", "column sex binary Male,Female"],
+            "column 'age' is both the id and the label column",
+        ),
+        (["column age numeric", "column age numeric"], "duplicate column names in schema"),
+    ],
+    ids=["label_as_feature", "id_as_feature", "id_is_label", "duplicate_column"],
+)
+def test_schema_manifest_reports_a_schema_error_as_a_data_error_naming_it(tmp_path, lines, message):
+    manifest = tmp_path / "schema.txt"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IngestionError) as info:
+        parse_schema_manifest(manifest)
+    assert info.value.exit_code == 2
+    assert str(info.value) == f"{manifest}: {message}"
+
+
 def test_schema_manifest_that_is_a_directory_exits_2(tmp_path):
     with pytest.raises(IngestionError, match="cannot open") as info:
         parse_schema_manifest(tmp_path)

@@ -191,12 +191,21 @@ def _duplicated_fold(rng):
     return toy(base[np.arange(260) % 5], rng.integers(1, 6, 260), scale=(1, 5))
 
 
-@pytest.mark.parametrize("fold", ["random", "duplicated"])
+@pytest.mark.parametrize("fold", ["random", "duplicated", "ten_ratings", "single_members"])
 @pytest.mark.parametrize("form", ["diagonal", "full"])
 def test_mmc_gram_kernel_matches_pair_oracle(monkeypatch, form, fold):
     rng = np.random.default_rng(0)
-    folds = [make_dataset(rng, n, 4) for n in (60, 140)] if fold == "random" else [_duplicated_fold(rng)]
+    folds = {
+        "random": lambda: [make_dataset(rng, n, 4) for n in (60, 140)],
+        "duplicated": lambda: [_duplicated_fold(rng)],
+        # ratings 1-10 all present: nine rating blocks
+        "ten_ratings": lambda: [make_dataset(rng, 140, 4, scale=(1, 10))],
+        # ratings 1 and 5 have one member: a one-row block, and a last block one column wide
+        "single_members": lambda: [toy(rng.normal(size=(40, 4)), [1] + [2] * 13 + [3] * 13 + [4] * 12 + [5])],
+    }[fold]()
     for ds in folds:
+        if fold == "ten_ratings":
+            assert np.unique(ds.labels).size == 10
         config = ExperimentConfig(mmc_form=form, mmc_max_iter=2)
         fun, grad = _engine_objective(monkeypatch, lambda: fit_mmc(ds, config))
         oracle_fun, oracle_grad = _mmc_pair_oracle(ds, form)
@@ -597,6 +606,44 @@ def test_lmnn_kernels_match_triple_loop_oracle(labels, mu):
         assert np.array_equal(lmnn_gradient(m, problem, mu), gradient)
 
 
+@pytest.mark.parametrize("case", ["every_impostor", "no_impostor", "short_anchor"])
+@pytest.mark.parametrize("mu", [0.5, 0.2])
+def test_lmnn_screen_edge_cases_match_triple_loop_oracle(case, mu):
+    # the value sums its hinges over the entries the screen lists, and the
+    # gradient counts them from those entries only
+    rng = np.random.default_rng(21)
+    if case == "every_impostor":
+        # M = 1e-8 I: every d2 is near 0, so every impostor lies inside every margin
+        labels = [1, 2, 3, 4, 5] * 6
+        x = rng.normal(size=(30, 3))
+        m = 1e-8 * np.eye(3)
+    elif case == "no_impostor":
+        # two classes about 17 apart: every impostor lies far outside every margin
+        labels = [1] * 10 + [5] * 10
+        x = np.vstack([rng.normal(-5.0, 0.3, (10, 3)), rng.normal(5.0, 0.3, (10, 3))])
+        m = np.eye(3)
+    else:
+        # rating 4 has two members: each has one target, so ranks 1 and 2 of its thr are -inf
+        labels = [1] * 10 + [2] * 10 + [4] * 2
+        x = rng.normal(size=(22, 3))
+        m = random_spd(rng, 3) / 3.0
+    problem = lmnn_problem(toy(x, labels, scale=(1, 5)), 3)
+    pairs, objective, push, gradient = _lmnn_oracle(x, labels, 3, m, mu)
+    _, (_, thr, flat) = learners._lmnn_value(m, problem, mu, learners._problem_workspace(problem))
+    if case == "every_impostor":
+        assert np.array_equal(flat, np.flatnonzero(np.not_equal.outer(labels, labels)))
+    elif case == "no_impostor":
+        assert flat.size == 0 and push == 0.0
+        pull = (1.0 - mu) * problem.pull_gram
+        assert np.array_equal(lmnn_gradient(m, problem, mu), 0.5 * (pull + pull.T))
+    else:
+        assert np.isneginf(thr[1:, 20:]).all() and np.isfinite(thr[0]).all()
+        assert np.isin(np.arange(20, 22), flat // len(labels)).all()  # their rank-0 hinges stay screened
+    assert np.array_equal(problem.target_pairs, pairs)
+    assert lmnn_objective(m, problem, mu) == pytest.approx(objective, rel=1e-12)
+    assert np.array_equal(lmnn_gradient(m, problem, mu), gradient)
+
+
 def _lmnn_ray_oracle(x, labels, pairs, mu):
     """argmin over c > 0 of eps(cI), walking every breakpoint of its slope in order.
 
@@ -930,6 +977,24 @@ def test_lmnn_fit_peak_memory_is_its_workspace():
     finally:
         tracemalloc.stop()
     assert peak <= 5.0 * 2**20
+
+
+@pytest.mark.parametrize("form", ["full", "diagonal"])
+def test_mmc_fit_peak_memory_holds_no_second_square_array(form):
+    # 420 rows: an (n, n) float array is 1.35 MiB. The fit peaks in
+    # _mmc_pairs, at the float similar mask that xs is made from plus its
+    # bool masks, 1.56 MiB; the rating blocks' distance and weight buffers
+    # hold 2 x 0.4 n^2 floats, 1.08 MiB, after that. Two (n, n) float arrays
+    # alive at once, 2.7 MiB, break the 2.5 MiB bound, as does a Gram
+    # workspace with a float pair mask (4.28 MiB).
+    ds = make_dataset(np.random.default_rng(1), 420, 10)
+    tracemalloc.start()
+    try:
+        fit_mmc(ds, ExperimentConfig(mmc_form=form))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
 
 
 # ---------------------------------------------------------------------------

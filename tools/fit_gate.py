@@ -4,8 +4,10 @@
 
 OLD_SRC and NEW_SRC are directories holding a `fairmetric` package, such as
 the `src/` of two checkouts. The folds are `make_dataset(default_rng(seed), n,
-10)` of `tests/conftest.py` (labels drawn before features), for seeds 1-12 and
-n in {140, 420}. On each fold, each tree fits LSML, LMNN, MMC full and MMC
+10, scale)` of `tests/conftest.py` (labels drawn before features), for seeds
+1-12, in three kinds: n = 140 and n = 420 rated 1-5, and n = 140 rated 1-10,
+the COMPAS decile scale, where MMC's dissimilar pairs form nine rating blocks
+instead of four. On each fold, each tree fits LSML, LMNN, MMC full and MMC
 diagonal through the menu entry of `evaluation.build_learner_menu`, under a
 default `ExperimentConfig` with `rng_seed` = seed (and `mmc_form` set), on a
 repeat 0 whose train and test folds are the fold. So LSML fits the triplets
@@ -13,14 +15,14 @@ its entry draws, `sample_triplets(fold, 0.0, 5000, subseed(seed, 0, 1),
 "literal")`, and its fit time includes that draw. Each tree runs in its own
 subprocess with one BLAS thread; the trees run one after the other.
 
-Prints one row per learner and n: the worst and best relative objective change
-(new - old) / |old| over the folds, + = worse; the unconverged fits; and the
-summed iterations, objective evaluations and fit time, old -> new. LSML and
-LMNN are scored by their objectives at the returned metric, and both MMC forms
-by the scale-invariant sum over similar pairs of d^2 over the squared sum over
-dissimilar pairs of d; all three are minimized. Exits 1 if any fit raises, a
-tree's run fails, or a row has more unconverged fits in NEW_SRC than in
-OLD_SRC, else 0.
+Prints one row per learner and fold kind: the worst and best relative
+objective change (new - old) / |old| over the folds, + = worse; the
+unconverged fits; and the summed iterations, objective evaluations and fit
+time, old -> new. LSML and LMNN are scored by their objectives at the
+returned metric, and both MMC forms by the scale-invariant sum over similar
+pairs of d^2 over the squared sum over dissimilar pairs of d; all three are
+minimized. Exits 1 if any fit raises, a tree's run fails, or a row has more
+unconverged fits in NEW_SRC than in OLD_SRC, else 0.
 """
 
 from __future__ import annotations
@@ -38,20 +40,20 @@ import numpy as np
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = range(1, 13)
-SIZES = (140, 420)
+FOLDS = {"140": (140, 5), "420": (420, 5), "140 1-10": (140, 10)}  # kind: (n, highest rating)
 DIM = 10
 LEARNERS = ("lsml", "lmnn", "mmc_full", "mmc_diagonal")
 
 
-def _fold(seed: int, n: int):
+def _fold(seed: int, n: int, top: int):
     from fairmetric.core import LabeledDataset, RatingScale
 
     rng = np.random.default_rng(seed)
-    labels = rng.integers(1, 6, size=n)  # the order of tests/conftest.py's make_dataset
+    labels = rng.integers(1, top + 1, size=n)  # the order of tests/conftest.py's make_dataset
     return LabeledDataset(
         features=rng.normal(size=(n, DIM)),
         labels=labels,
-        scale=RatingScale(1, 5),
+        scale=RatingScale(1, top),
         feature_names=tuple(f"f{i}" for i in range(DIM)),
         source_tag="test",
     )
@@ -95,13 +97,13 @@ def _fit(learner: str, ds, seed: int):
 
 
 def worker() -> None:
-    """Fit every (learner, n, seed) with the fairmetric on sys.path; print one JSON record per fit."""
+    """Fit every (learner, fold kind, seed) with the fairmetric on sys.path; print one JSON record per fit."""
     for learner in LEARNERS:
-        for n in SIZES:
+        for kind, (n, top) in FOLDS.items():
             for seed in SEEDS:
-                record = {"learner": learner, "n": n, "seed": seed}
+                record = {"learner": learner, "fold": kind, "seed": seed}
                 try:
-                    objective, trace, elapsed = _fit(learner, _fold(seed, n), seed)
+                    objective, trace, elapsed = _fit(learner, _fold(seed, n, top), seed)
                 except Exception as exc:  # reported, and the gate fails
                     traceback.print_exc()
                     record["error"] = f"{type(exc).__name__}: {exc}"
@@ -123,7 +125,7 @@ def run_tree(src: Path) -> dict[tuple, dict] | None:
     if done.returncode != 0:
         return None
     records = [json.loads(line) for line in done.stdout.splitlines()]
-    return {(r["learner"], r["n"], r["seed"]): r for r in records}
+    return {(r["learner"], r["fold"], r["seed"]): r for r in records}
 
 
 def main(argv=None) -> int:
@@ -143,18 +145,18 @@ def main(argv=None) -> int:
             return 1
     old, new = results["old"], results["new"]
     failed = [(side, key, r["error"]) for side, rs in results.items() for key, r in rs.items() if "error" in r]
-    for side, (learner, n, seed), error in failed:
-        print(f"fit_gate: {side} {learner} n={n} seed={seed} raised {error}", file=sys.stderr)
+    for side, (learner, kind, seed), error in failed:
+        print(f"fit_gate: {side} {learner} fold {kind} seed={seed} raised {error}", file=sys.stderr)
 
     worse = []  # rows with more unconverged fits in the new tree
     print(f"{len(SEEDS)} seeds per row; objective change (new - old) / |old|, + = worse")
-    header = ("learner", "n", "worst", "best", "unconverged", "iterations", "evaluations", "fit_s")
+    header = ("learner", "fold", "worst", "best", "unconverged", "iterations", "evaluations", "fit_s")
     print("  ".join(f"{h:>13}" for h in header))
     for learner in LEARNERS:
-        for n in SIZES:
-            keys = [(learner, n, seed) for seed in SEEDS]
+        for kind in FOLDS:
+            keys = [(learner, kind, seed) for seed in SEEDS]
             if any("error" in old[k] or "error" in new[k] for k in keys):
-                print(f"{learner:>13}  {n:>13}  (a fit raised)")
+                print(f"{learner:>13}  {kind:>13}  (a fit raised)")
                 continue
             change = [(new[k]["objective"] - old[k]["objective"]) / abs(old[k]["objective"]) for k in keys]
 
@@ -163,11 +165,13 @@ def main(argv=None) -> int:
 
             was, now = (sum(not side[k]["converged"] for k in keys) for side in (old, new))
             if now > was:
-                worse.append(f"fit_gate: {learner} n={n} has {now} unconverged fits in the new tree, against {was}")
+                worse.append(
+                    f"fit_gate: {learner} fold {kind} has {now} unconverged fits in the new tree, against {was}"
+                )
 
             cells = (
                 learner,
-                n,
+                kind,
                 f"{max(change):+.2e}",
                 f"{min(change):+.2e}",
                 f"{was} -> {now}",
