@@ -9,12 +9,14 @@ of a set is lexicographic (a, b, c), so subsampling is reproducible.
 `triplet_blocks` enumerates the set anchor by anchor, in canonical order, and
 `dump-triplets` streams them. The experiment never builds the set:
 `sample_triplets` draws the training triplets by rank and decodes only the
-drawn ranks; `describe_triplets` gives a test fold's set as its rule and
-size, with per-label masks for counting violations. Both need O(n^2) memory
-and the closed-form count of valid c per (a, b) (`_valid_c_counts`), which
-the tests pin to the rule. `reference.build_triplets` joins the blocks in
-O(n^3) memory, and `reference.subsample_triplets` draws from the whole set as
-`sample_triplets` does without it.
+drawn ranks, in O(n^2) memory; `describe_triplets` gives a test fold's set as
+its rule and size: the rule evaluated on the fold's L distinct labels, an
+(L, L, L) table, which a violation count reads. Both count the valid c per
+pair of labels (`_label_table`); the sampler spreads that count over every
+(a, b) (`_valid_c_counts`), which the tests pin to the rule.
+`reference.build_triplets` joins the blocks in O(n^3) memory, and
+`reference.subsample_triplets` draws from the whole set as `sample_triplets`
+does without it.
 """
 
 from __future__ import annotations
@@ -62,17 +64,28 @@ def triplet_blocks(dataset: LabeledDataset, sigma: float, variant: str = "litera
         yield np.stack([np.full_like(b, a), b, c], axis=1)
 
 
+def _label_table(labels: np.ndarray, sigma: float, variant: str):
+    """(table, codes, counts): the rule on the L distinct labels, each row's label index, rows per label.
+
+    table[u_a, u_b, u_c] is `_valid_c` for label values u_a, u_b, u_c, so
+    distinct rows (a, b, c) form a triplet iff
+    table[codes[a], codes[b], codes[c]]. The rule is False whenever u_c is
+    u_a or u_b.
+    """
+    values, codes, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    steps = np.arange(values.size)
+    return _valid_c(values, sigma, variant, steps[:, None], steps), codes, counts
+
+
 def _valid_c_counts(labels: np.ndarray, sigma: float, variant: str) -> np.ndarray:
     """(n, n) number of valid c for each (a, b); row-major, it indexes the canonical order.
 
-    The valid c of (a, b) depend only on S_a and S_b, so one table holds
-    `_valid_c` summed over c for each pair of distinct label values; each
-    (a, b) gathers its entry, with b = a zeroed.
+    The valid c of (a, b) depend only on S_a and S_b, so `_label_table`
+    summed over c holds the count for each pair of distinct label values;
+    each (a, b) gathers its entry, with b = a zeroed.
     """
-    values, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    steps = np.arange(values.size)
-    table = np.stack([_valid_c(values, sigma, variant, u, steps) @ counts for u in steps])
-    out = table.take(inverse, axis=0).take(inverse, axis=1)
+    table, codes, counts = _label_table(labels, sigma, variant)
+    out = (table @ counts).take(codes, axis=0).take(codes, axis=1)
     np.fill_diagonal(out, 0)  # b = a would not be a distinct triple
     return out
 
@@ -115,27 +128,25 @@ def sample_triplets(
 
 @dataclass(frozen=True)
 class TripletRule:
-    """A triplet set given by its rule and size, not enumerated.
+    """A test fold's triplet set given by its rule and size, not enumerated.
 
-    `label_masks` holds, for each distinct label, its anchors and the (n, n)
-    mask of their valid (b, c), built once for every metric scored against
-    the rule. The anchors of a label share the mask, so it keeps the row
-    b = a that the set leaves out. A violation count may ignore that row: no
-    d(a, c) lies below d(a, a) = 0.
+    `table` is the rule on the fold's L distinct labels, (L, L, L) as
+    `_label_table` gives it, and `codes` each row's index into those labels:
+    distinct rows (a, b, c) are in the set iff table[codes[a], codes[b],
+    codes[c]]. The table also admits b = a, which the set leaves out; a
+    violation count may ignore it, since no d(a, c) lies below d(a, a) = 0.
     """
 
     sigma: float
     total: int
-    label_masks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    table: np.ndarray
+    codes: np.ndarray
 
 
 def describe_triplets(dataset: LabeledDataset, sigma: float, variant: str = "literal") -> TripletRule:
-    """The set `reference.build_triplets` would enumerate, as its rule and size; O(n^2) memory."""
+    """The set `reference.build_triplets` would enumerate, as its rule and size; O(n + L^3) memory."""
     labels = _triplet_labels(dataset, sigma, variant)
-    total = int(_valid_c_counts(labels, sigma, variant).sum())
-    rows = np.arange(dataset.n)
-    masks = []
-    for label in np.unique(labels):
-        anchors = np.flatnonzero(labels == label)
-        masks.append((anchors, _valid_c(labels, sigma, variant, anchors[0], rows)))
-    return TripletRule(sigma=float(sigma), total=total, label_masks=tuple(masks))
+    table, codes, counts = _label_table(labels, sigma, variant)
+    pairs = np.outer(counts, counts) - np.diag(counts)  # (a, b) per label pair, b = a left out
+    total = int(((table @ counts) * pairs).sum())
+    return TripletRule(sigma=float(sigma), total=total, table=table, codes=codes)

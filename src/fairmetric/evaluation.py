@@ -11,9 +11,11 @@ triplet-violation loss. `run_experiment` and `sigma_sweep` both return one
 `EvalReport`: the grid of cells, its provenance, and per repeat each fit's
 metric, optimizer trace and failure reason.
 
-No triplet set is enumerated: training triplets are sampled by rank, the test
-set is kept as its rule and size, and the violation loss is counted per anchor
-from one test x test distance matrix per metric, so a fold needs O(n^2) memory.
+No triplet set is enumerated: training triplets are sampled by rank and the
+test set is kept as its rule and size. Per metric, one test x test distance
+matrix gives one label-triple census, the number of (a, b, c) with
+d(a, c) < d(a, b) per triple of label indices, in O(n^2 L) time and O(n^2)
+memory, and every test rule's violation count is a sum over it.
 The tests hold these kernels to the brute-force references in `reference`:
 the enumerated set scored triplet by triplet, and every pair's distance.
 """
@@ -65,22 +67,60 @@ def fold_distances(metric: MahalanobisMetric, fold: LabeledDataset) -> np.ndarra
     x = fold.features
     i, j = np.triu_indices(x.shape[0], 1)
     out = np.zeros((x.shape[0], x.shape[0]))
-    out[i, j] = out[j, i] = np.sqrt(np.maximum(quad_forms(x[i] - x[j], metric.matrix), 0.0))
+    diff = np.take(x, i, axis=0) - np.take(x, j, axis=0)
+    out[i, j] = out[j, i] = np.sqrt(np.maximum(quad_forms(diff, metric.matrix), 0.0))
     return out
 
 
-def counted_violation_loss(distances: np.ndarray, rule: TripletRule) -> float:
-    """`reference.triplet_violation_loss` over the rule's triplet set, counted per anchor.
+def _label_triple_census(distances: np.ndarray, codes: np.ndarray, c_labels) -> np.ndarray:
+    """(L, L, L) N[u_a, u_b, u_c]: the number of (a, b, c) with those label indices and d(a, c) < d(a, b).
 
-    `distances` is the fold's `fold_distances`, whose zero diagonal the per-label masks rely on.
+    `codes` holds each row's label index. Only the u_c in `c_labels` are
+    counted; the other planes stay 0. Each row a of `distances` is sorted
+    once. The left rank of an entry is the number of entries in its row
+    strictly below it: the position where its run of equal values starts. A
+    nan gets left rank 0, as it compares false with everything; it sorts
+    last, so it never lies below another entry either. For each counted u_c,
+    one cumulative sum of (label == u_c) along the sorted rows, read at the
+    left ranks, gives each (a, b) its number of c, and one `bincount` sums
+    those per (u_a, u_b). The sums run in float and are exact while every
+    count stays below 2^53.
     """
-    if rule.total == 0:
+    n, size = codes.size, int(codes.max()) + 1
+    order = np.argsort(distances, axis=1)
+    ranked = np.take_along_axis(distances, order, axis=1)
+    starts = np.ones((n, n), dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
+    left = np.where(starts, np.arange(n), 0)
+    np.maximum.accumulate(left, axis=1, out=left)
+    left[np.isnan(ranked)] = 0
+    flat_left = (left + np.arange(0, n * (n + 1), n + 1)[:, None]).ravel()  # into (n, n + 1) rows
+    sorted_codes = codes[order]
+    pair_key = (codes[:, None] * size + sorted_codes).ravel()  # u_a * L + u_b per sorted entry
+    census = np.zeros((size, size, size))
+    seen = np.zeros((n, n + 1))  # seen[a, r]: rows labelled u_c among the first r of row a's sort
+    for u_c in c_labels:
+        np.cumsum(sorted_codes == u_c, axis=1, out=seen[:, 1:])
+        below = np.bincount(pair_key, weights=seen.ravel()[flat_left], minlength=size * size)
+        census[:, :, u_c] = below.reshape(size, size)
+    return census
+
+
+def counted_violation_losses(distances: np.ndarray, rules) -> dict[float, float]:
+    """`reference.triplet_violation_loss` over each rule's set, keyed by its sigma.
+
+    `distances` is the fold's `fold_distances` and `rules` are rules of that
+    fold. The violation count depends on the labels only through the triple
+    (S_a, S_b, S_c), so one `_label_triple_census` of the fold serves every
+    rule: a rule's count is the census summed over its table. The census
+    counts every row as c, c = a included, but no table admits u_c = u_a.
+    A table admits b = a, which counts nothing on the zero diagonal.
+    """
+    if any(rule.total == 0 for rule in rules):
         raise EvaluationError("cannot score an empty triplet set")
-    violations = 0
-    for anchors, valid in rule.label_masks:
-        for d in distances[anchors]:
-            violations += int(np.count_nonzero(valid & (d[:, None] > d[None, :])))
-    return violations / rule.total
+    admitted = np.any([rule.table for rule in rules], axis=(0, 1, 2))
+    census = _label_triple_census(distances, rules[0].codes, np.flatnonzero(admitted))
+    return {rule.sigma: int(census[rule.table].sum()) / rule.total for rule in rules}
 
 
 def _screen_margin(m: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -135,22 +175,22 @@ def knn_predictions(metric: MahalanobisMetric, train: LabeledDataset, queries, k
     limit = np.partition(gram, k - 1, axis=1)[:, k - 1] + 2.0 * _screen_margin(m, q, x)
     # "not above" rather than "at most": an entry or limit that overflowed to NaN keeps its candidates
     rows, cols = np.nonzero(~(gram > limit[:, None]))
-    dists = np.sqrt(np.maximum(quad_forms(q[rows] - x[cols], m), 0.0))
+    dists = np.sqrt(np.maximum(quad_forms(np.take(q, rows, axis=0) - np.take(x, cols, axis=0), m), 0.0))
     # by (row, distance, training index): the candidates come row-major, and lexsort is stable
     order = np.lexsort((dists, rows))
     per_row = np.bincount(rows, minlength=q.shape[0])
     nearest = order[(np.cumsum(per_row) - per_row)[:, None] + np.arange(k)]
     near_labels = train.labels[cols[nearest]].astype(float)
     near_dists = dists[nearest]
-    preds = np.empty(q.shape[0])
-    # row by row: a batched weighted sum would not round like the 1-D dot product
-    for i, (labels, near_d) in enumerate(zip(near_labels, near_dists)):
-        exact = near_d < ZERO_NEIGHBOR_DISTANCE
-        if np.any(exact):
-            preds[i] = labels[exact].mean()
-        else:
-            inv = 1.0 / near_d
-            preds[i] = (inv / inv.sum()) @ labels
+    exact = near_dists < ZERO_NEIGHBOR_DISTANCE
+    flagged = exact.any(axis=1)
+    inv = 1.0 / np.where(flagged[:, None], 1.0, near_dists)
+    weights = inv / inv.sum(axis=1, keepdims=True)
+    # a stacked matmul takes each row's 1-D dot product; einsum would round differently
+    preds = np.matmul(weights[:, None, :], near_labels[:, :, None])[:, 0, 0]
+    # integer labels sum exactly, so each flagged row gets its exact neighbors' mean bit for bit
+    exact_sums = np.where(exact, near_labels, 0.0).sum(axis=1)
+    preds[flagged] = exact_sums[flagged] / exact.sum(axis=1)[flagged]
     return preds
 
 
@@ -265,12 +305,11 @@ def build_learner_menu(names, config: ExperimentConfig):
 def violation_losses(metric: MahalanobisMetric, data: RepeatData) -> dict[float, float]:
     """Triplet-violation loss on the test fold at each test sigma that has a rule.
 
-    The fold's distance matrix is computed once and counted against every rule.
+    The fold's distance matrix and its label-triple census are computed once for every rule.
     """
     if not data.test_rules:
         return {}
-    distances = fold_distances(metric, data.test)
-    return {rule.sigma: counted_violation_loss(distances, rule) for rule in data.test_rules}
+    return counted_violation_losses(fold_distances(metric, data.test), data.test_rules)
 
 
 def score_metric(

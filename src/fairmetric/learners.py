@@ -196,6 +196,7 @@ def _armijo(evaluate, x, d, f, slope):
         value, state = evaluate(point)
         if value <= f + ARMIJO * t * slope:
             return point, (value, state), trials
+        del state  # a rejected trial's state is dead before the next evaluation
         quadratic = -0.5 * t * t * slope / (value - f - t * slope)  # 0 when value is inf
         t = quadratic if 0.1 * t <= quadratic <= 0.9 * t else 0.5 * t
         if np.array_equal(x + t * d, x):
@@ -208,7 +209,8 @@ def _spg(x0, evaluate, gradient, project, max_iter: int, tol: float):
     evaluate(x) returns (f, state) at a feasible x, and gradient(state) the
     gradient there. The engine calls gradient only with the state of the
     point evaluate saw last, before evaluating another, so a state may be a
-    view of arrays the next evaluation overwrites. project(x) returns the
+    view of arrays the next evaluation overwrites; nor does it hold a state
+    once used, so one state at a time is alive. project(x) returns the
     projection of x onto the (convex) feasible set and 1 if it altered x,
     else 0. max_iter caps the iterates, the start included, and tol is the
     relative-decrease stop. Returns the final iterate and its OptimizerTrace.
@@ -216,6 +218,7 @@ def _spg(x0, evaluate, gradient, project, max_iter: int, tol: float):
     x, projection_count = project(np.array(x0, dtype=float))
     f, state = evaluate(x)
     g = gradient(state)
+    del state  # no state stays alive while the line search evaluates
     values, evaluations = [f], 1
     # the first step is 1 / |P(x - g) - x|_inf, as in Birgin, Martinez & Raydan
     scale = float(np.abs(project(x - g)[0] - x).max())
@@ -235,6 +238,7 @@ def _spg(x0, evaluate, gradient, project, max_iter: int, tol: float):
             break
         f_new, state = accepted
         g_new = gradient(state)
+        del accepted, state
         evaluations += 1  # the iterate counts apart from its accepted trial (see OptimizerTrace)
         s, y = x_new - x, g_new - g
         sy = float(np.vdot(s, y))

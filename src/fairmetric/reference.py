@@ -7,7 +7,7 @@ Each computes plainly what a pipeline function computes another way:
 - `build_triplets` enumerates the set, and `subsample_triplets` draws from it
   what `constraints.sample_triplets` draws without it;
 - `triplet_violation_loss`, with `_pair_distances`, scores triplet by triplet
-  what `evaluation.counted_violation_loss` counts per anchor;
+  what `evaluation.counted_violation_losses` sums from one label-triple census;
 - `cross_distances` gives the distances that `evaluation.fold_distances`
   mirrors and `evaluation.knn_predictions` screens; the tests also read one
   pair's d_M from it.

@@ -89,6 +89,42 @@ def brute_triplet_loss(matrix, features, triplet_indices):
     return violated / len(triplet_indices)
 
 
+def loop_violation_count(distances, labels, sigma, variant):
+    """Triplets of the sigma rule with d(a, b) > d(a, c), counted anchor by anchor over every (b, c).
+
+    Each anchor's (b, c) mask is the rule for its label; the row b = a stays
+    in it and counts nothing while d(a, a) = 0 lies below every distance.
+    """
+    s = np.asarray(labels, dtype=float)
+    violations = 0
+    for a, d in enumerate(np.asarray(distances)):
+        if variant == "literal":
+            valid = (s[a] <= s + sigma)[:, None] & (s[:, None] + sigma < s[None, :])
+        else:
+            valid = (np.abs(s - s[a]) + sigma)[:, None] < np.abs(s - s[a])[None, :]
+        violations += int(np.count_nonzero(valid & (d[:, None] > d[None, :])))
+    return violations
+
+
+def row_by_row_knn(metric, train, queries, k):
+    """kNN predictions from a full stable sort of `cross_distances`, weighted one row at a time.
+
+    A row with a neighbor under 1e-12 takes its exact neighbors' mean; any
+    other row takes `(inv / inv.sum()) @ labels`, the 1-D dot product.
+    """
+    dists = cross_distances(metric, np.asarray(queries, dtype=float), train.features)
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    preds = []
+    for labels, near_d in zip(train.labels[nearest].astype(float), np.take_along_axis(dists, nearest, axis=1)):
+        exact = near_d < 1e-12
+        if np.any(exact):
+            preds.append(labels[exact].mean())
+        else:
+            inv = 1.0 / near_d
+            preds.append((inv / inv.sum()) @ labels)
+    return preds
+
+
 def brute_knn(metric, train, x, k):
     """Distance-weighted kNN prediction of the rating at x, with plain Python loops."""
     m = metric.matrix

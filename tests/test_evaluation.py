@@ -17,7 +17,7 @@ from fairmetric.core import (
 from fairmetric.errors import ConfigurationError, EvaluationError
 from fairmetric.evaluation import (
     build_learner_menu,
-    counted_violation_loss,
+    counted_violation_losses,
     fold_distances,
     knn_l1,
     knn_l2,
@@ -34,7 +34,15 @@ from fairmetric.learners import euclidean_baseline
 from fairmetric.numerics import quad_forms
 from fairmetric.reference import build_triplets, cross_distances, triplet_violation_loss
 
-from conftest import brute_knn, brute_triplet_loss, make_dataset, random_spd, toy
+from conftest import (
+    brute_knn,
+    brute_triplet_loss,
+    loop_violation_count,
+    make_dataset,
+    random_spd,
+    row_by_row_knn,
+    toy,
+)
 
 
 def test_triplet_loss_basic_examples():
@@ -69,26 +77,78 @@ def test_triplet_loss_rejects_empty_set():
         triplet_violation_loss(euclidean_baseline(2), ds, TripletSet(np.empty((0, 3), int)))
     flat = toy(ds.features, np.full(ds.n, 3))
     with pytest.raises(EvaluationError):
-        counted_violation_loss(np.zeros((ds.n, ds.n)), describe_triplets(flat, 0.0))
+        counted_violation_losses(np.zeros((ds.n, ds.n)), [describe_triplets(flat, 0.0)])
+
+
+def _census_folds():
+    """(name, fold): the fold shapes and label sets the label-triple census must count exactly."""
+    rng = np.random.default_rng(23)
+    ds = make_dataset(rng, 30, 3)
+    features = ds.features.copy()
+    features[12:20] = features[0:8]  # exact ties, and zeros off the diagonal
+    yield "duplicated rows", toy(features, ds.labels, scale=(1, 5))
+    yield "labels 1, 4, 9", toy(rng.normal(size=(30, 3)), rng.choice([1, 4, 9], size=30))
+    labels = rng.integers(1, 5, size=30)
+    labels[7] = 5  # the only row rated 5
+    yield "a label on one row", toy(rng.normal(size=(30, 3)), labels, scale=(1, 5))
+    yield "180 rows, 5 labels", make_dataset(rng, 180, 4)
+    yield "60 rows, 10 labels", make_dataset(rng, 60, 4, scale=(1, 10))
 
 
 def test_counted_violation_loss_equals_enumerated_loss():
-    rng = np.random.default_rng(14)
-    for trial in range(6):
-        ds = make_dataset(rng, 25, 3)
-        features = ds.features.copy()
-        features[10:16] = features[0:6]  # duplicated rows give exact distance ties
-        ds = toy(features, ds.labels, scale=(1, 5))
-        metric = MahalanobisMetric(random_spd(rng, 3)) if trial % 2 else euclidean_baseline(3)
-        distances = fold_distances(metric, ds)
-        for variant in ("literal", "symmetric"):
-            for sigma in (0.0, 0.5, 1.0, 2.0):
-                full = build_triplets(ds, sigma, variant)
-                rule = describe_triplets(ds, sigma, variant)
-                assert rule.total == len(full)
-                if len(full):
-                    expected = triplet_violation_loss(metric, ds, full)
-                    assert counted_violation_loss(distances, rule) == expected
+    # held to the per-anchor loop and to the enumerated set scored triplet by triplet
+    rng = np.random.default_rng(24)
+    for name, ds in _census_folds():
+        for metric in (euclidean_baseline(ds.d), MahalanobisMetric(random_spd(rng, ds.d))):
+            distances = fold_distances(metric, ds)
+            for variant in ("literal", "symmetric"):
+                for sigma in (0.0, 0.5, 1.0, 2.0):
+                    full = build_triplets(ds, sigma, variant)
+                    rule = describe_triplets(ds, sigma, variant)
+                    assert rule.total == len(full), name
+                    if not len(full):
+                        continue
+                    loss = loop_violation_count(distances, ds.labels, sigma, variant) / rule.total
+                    assert counted_violation_losses(distances, [rule]) == {sigma: loss}, name
+                    assert loss == triplet_violation_loss(metric, ds, full), name
+
+
+@pytest.mark.parametrize("variant", ["literal", "symmetric"])
+def test_one_census_scores_each_rule_as_it_scores_it_alone(variant):
+    for _, ds in _census_folds():
+        distances = fold_distances(euclidean_baseline(ds.d), ds)
+        rules = [describe_triplets(ds, sigma, variant) for sigma in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        rules = [rule for rule in rules if rule.total]
+        alone = {}
+        for rule in rules:
+            alone.update(counted_violation_losses(distances, [rule]))
+        assert counted_violation_losses(distances, rules) == alone
+
+
+def test_census_counts_ties_inf_and_nan_as_the_loop():
+    rng = np.random.default_rng(25)
+    for _, ds in _census_folds():
+        metric = MahalanobisMetric(random_spd(rng, ds.d))
+        tied = np.round(fold_distances(metric, ds), 1)  # heavy ties
+        for value in (np.inf, np.nan):
+            rows, cols = rng.integers(0, ds.n, size=(2, ds.n))  # the diagonal included
+            injected = tied.copy()
+            injected[rows, cols] = value
+            for distances in (tied, injected):
+                for variant in ("literal", "symmetric"):
+                    for sigma in (0.0, 1.0, 2.5):
+                        rule = describe_triplets(ds, sigma, variant)
+                        if not rule.total:
+                            continue
+                        count = loop_violation_count(distances, ds.labels, sigma, variant)
+                        assert counted_violation_losses(distances, [rule]) == {sigma: count / rule.total}
+    # the one triplet (0, 1, 2): inf is farther than any distance, and nan compares false both ways
+    rule = describe_triplets(toy(np.zeros((3, 1)), [1, 2, 3]), 0.0)
+    assert rule.total == 1
+    for d_ab, d_ac, loss in ((np.inf, 1.0, 1.0), (np.nan, 1.0, 0.0), (5.0, np.nan, 0.0), (np.nan, np.nan, 0.0)):
+        distances = np.zeros((3, 3))
+        distances[0, 1], distances[0, 2] = d_ab, d_ac
+        assert counted_violation_losses(distances, [rule]) == {0.0: loss}
 
 
 def test_triplet_cell_absent_without_test_triplets():
@@ -162,18 +222,6 @@ def test_knn_predictions_reject_a_query_that_is_not_a_finite_matrix(queries):
         knn_predictions(euclidean_baseline(1), train, queries, 1)
 
 
-def sorted_knn(metric, train, queries, k):
-    """The full stable sort of `cross_distances` that the screened kNN must reproduce exactly."""
-    dists = cross_distances(metric, queries, train.features)
-    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    preds = []
-    for labels, near_d in zip(train.labels[nearest].astype(float), np.take_along_axis(dists, nearest, axis=1)):
-        exact = near_d < 1e-12
-        inv = 1.0 / np.where(exact, 1.0, near_d)
-        preds.append(labels[exact].mean() if np.any(exact) else (inv / inv.sum()) @ labels)
-    return preds
-
-
 def _near_tie_folds(rng, d=4):
     """(name, train, queries): neighbors tied in exact arithmetic, then pulled far from the origin.
 
@@ -207,7 +255,7 @@ def test_screened_knn_equals_the_full_sort_on_near_ties(k):
         kk = train.n if k == "n" else k
         for metric in metrics:
             got = knn_predictions(metric, train, queries, kk).tolist()
-            assert got == sorted_knn(metric, train, queries, kk), (name, kk)
+            assert got == row_by_row_knn(metric, train, queries, kk), (name, kk)
 
 
 def test_knn_matches_brute_force():
@@ -231,6 +279,22 @@ def test_knn_predictions_match_row_by_row():
     for k in (1, 3, 14):
         batched = knn_predictions(metric, train, queries, k)
         assert batched.tolist() == [knn_predict(metric, train, row, k) for row in queries]
+
+
+@pytest.mark.parametrize("n", [40, 150])
+def test_knn_weights_equal_the_row_by_row_loop_bit_for_bit(n):
+    rng = np.random.default_rng(26)
+    d = 3
+    features = rng.normal(size=(n, d))
+    features[n - 12 :] = features[0]  # 13 copies of row 0: every neighbor of it at zero distance
+    features[5:9] = features[1]  # some neighbors of row 1 at zero distance
+    train = toy(features, rng.integers(1, 11, size=n))
+    queries = np.vstack([rng.normal(size=(30, d)), features[:12], features[1] + 1e-3])
+    metrics = (euclidean_baseline(d), MahalanobisMetric(random_spd(rng, d)))
+    for metric in metrics:
+        for k in [*range(1, 12), n]:
+            got = knn_predictions(metric, train, queries, k).tolist()
+            assert got == row_by_row_knn(metric, train, queries, k), k
 
 
 def test_cross_distances_is_exact_both_ways_round():

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -865,6 +866,36 @@ def test_trace_counts_every_objective_and_gradient_call(monkeypatch):
             for c, t in zip(calls, steps):
                 meets = log["values"][c] <= f + learners.ARMIJO * t * slope
                 assert meets == (accepted and c == calls[-1]), name
+
+
+def test_spg_holds_one_evaluation_state_at_a_time():
+    # Rosenbrock's valley in a box: spectral steps overshoot it, so the line
+    # searches reject trials as well as accept them
+    class State:
+        def __init__(self, x):
+            self.x = x
+
+    earlier, calls = [], {"evaluate": 0, "gradient": 0}
+
+    def evaluate(x):
+        assert all(ref() is None for ref in earlier), "a state returned earlier is still alive"
+        calls["evaluate"] += 1
+        state = State(x.copy())
+        earlier.append(weakref.ref(state))
+        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2), state
+
+    def gradient(state):
+        calls["gradient"] += 1
+        x = state.x
+        return np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)])
+
+    def project(x):
+        p = np.clip(x, -2.0, 2.0)
+        return p, int(not np.array_equal(p, x))
+
+    _, trace = learners._spg(np.array([-1.2, 1.0]), evaluate, gradient, project, 200, 1e-12)
+    assert calls["gradient"] == trace.iterations > 3
+    assert calls["evaluate"] > calls["gradient"] + 1  # some trials were rejected
 
 
 @pytest.mark.parametrize("name", ["lsml", "lmnn", "mmc_full", "mmc_diagonal"])
