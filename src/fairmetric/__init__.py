@@ -15,7 +15,7 @@ from .constraints import sample_triplets
 from .evaluation import run_experiment, sigma_sweep
 from .ingest import (
     FeatureSchema,
-    SurveyRecord,
+    SurveyTable,
     attach_labels,
     default_schema,
     load_defendants,
@@ -46,7 +46,7 @@ __all__ = [
     "MahalanobisMetric",
     "OptimizerTrace",
     "RatingScale",
-    "SurveyRecord",
+    "SurveyTable",
     "TripletSet",
     "attach_labels",
     "bail_rate_table",

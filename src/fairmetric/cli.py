@@ -57,6 +57,7 @@ from .ingest import (
     attach_labels,
     default_schema,
     defendants_from_table,
+    encoded_feature,
     encoded_schema,
     load_defendants,
     load_survey,
@@ -85,8 +86,8 @@ from .survey import (
 
 def load_encoded_defendants(path) -> LabeledDataset:
     """Load the canonical encoded defendants file that `ingest` writes."""
-    with read_csv(path, "encoded defendants") as table:
-        return defendants_from_table(table, encoded_schema(table), "encoded")
+    table = read_csv(path, "encoded defendants", encoded_feature)
+    return defendants_from_table(table, encoded_schema(table), "encoded")
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def cmd_ingest(defendants_path, survey_path, schema_path, out_dir) -> dict:
         schema = parse_schema_manifest(schema_path) if schema_path else default_schema()
         defendants = load_defendants(defendants_path, schema)
         survey = load_survey(survey_path)
-        surveyed = {rec.defendant_id for rec in survey}
+        surveyed = set(survey.defendant_ids)
         require_known_defendants(surveyed, defendants.ids)
         write_encoded_defendants(defendants, stage / "defendants_encoded.csv")
         write_survey(survey, stage / "survey_canonical.csv")
@@ -305,7 +306,7 @@ def cmd_ingest(defendants_path, survey_path, schema_path, out_dir) -> dict:
             "defendants": defendants.n,
             "encoded_dimension": defendants.d,
             "survey_records": len(survey),
-            "respondents": len({r.respondent_id for r in survey}),
+            "respondents": len(set(survey.respondent_ids)),
             "defendants_surveyed": len(surveyed),
         }
         text = "".join(f"{key} = {value}\n" for key, value in summary.items())
@@ -338,9 +339,9 @@ def cmd_experiment(config_path, out_dir, overrides, threads) -> int:
 
 def cmd_report_survey(survey_path, out_dir, confidence_threshold) -> int:
     with _publishing(out_dir) as stage:
-        records = load_survey(survey_path)
-        table1 = bail_rate_table(records)
-        table2 = confidence_accuracy_table(records, confidence_threshold)
+        survey = load_survey(survey_path)
+        table1 = bail_rate_table(survey)
+        table2 = confidence_accuracy_table(survey, confidence_threshold)
         text1, text2 = render_bail_rate_text(table1), render_confidence_accuracy_text(table2)
         (stage / "table1_bail_rates.txt").write_text(text1, encoding="utf-8")
         write_csv(stage / "table1_bail_rates.csv", bail_rate_csv_rows(table1))

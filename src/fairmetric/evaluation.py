@@ -56,6 +56,7 @@ from .learners import (
 from .reference import build_pairs, build_triplets, subsample_triplets, triplet_violation_loss  # noqa: F401
 
 ZERO_NEIGHBOR_DISTANCE = 1e-12
+FOLD_PAIR_BLOCK = 1024  # pairs per `quad_forms` call in `fold_distances`: 80 KB temporaries at d = 10
 
 
 def fold_distances(metric: MahalanobisMetric, fold: LabeledDataset) -> np.ndarray:
@@ -63,12 +64,20 @@ def fold_distances(metric: MahalanobisMetric, fold: LabeledDataset) -> np.ndarra
 
     Each pair i < j is computed once and mirrored. A negated difference has the
     same quadratic form, so the result equals `reference.cross_distances(fold, fold)`.
+    The pairs go in blocks of `FOLD_PAIR_BLOCK`, so the difference rows are
+    temporaries below glibc's mmap threshold (128 KB) that the heap reuses,
+    rather than arrays mapped and faulted in afresh on every call. A product of
+    one row takes BLAS's matrix-vector path, which rounds differently, so a
+    lone last pair joins the block before it.
     """
     x = fold.features
     i, j = np.triu_indices(x.shape[0], 1)
     out = np.zeros((x.shape[0], x.shape[0]))
-    diff = np.take(x, i, axis=0) - np.take(x, j, axis=0)
-    out[i, j] = out[j, i] = np.sqrt(np.maximum(quad_forms(diff, metric.matrix), 0.0))
+    bounds = [*range(0, max(i.size - 1, 1), FOLD_PAIR_BLOCK), i.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        a, b = i[start:stop], j[start:stop]
+        diff = np.take(x, a, axis=0) - np.take(x, b, axis=0)
+        out[a, b] = out[b, a] = np.sqrt(np.maximum(quad_forms(diff, metric.matrix), 0.0))
     return out
 
 

@@ -4,36 +4,37 @@ and decision accuracy by confidence."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from .core import SURVEY_SCALE
 from .errors import ConfigurationError
-from .ingest import SurveyRecord
+from .ingest import SurveyTable
 
 PREDICTION_LEVELS = tuple(range(SURVEY_SCALE.min, SURVEY_SCALE.max + 1))
 PREDICTION_NAMES = ("Extremely Unlikely", "Unlikely", "Neither", "Likely", "Extremely Likely")
 
 
-def _by_respondent(records: list[SurveyRecord]) -> dict[str, list[SurveyRecord]]:
-    """Each respondent's records, in record order; respondents in numeric-then-text id order."""
-    ids = {r.respondent_id for r in records}
-    order = sorted(ids, key=lambda s: (0, int(s)) if s.isdecimal() else (1, s))
-    by_resp: dict[str, list[SurveyRecord]] = {rid: [] for rid in order}
-    for rec in records:
-        by_resp[rec.respondent_id].append(rec)
-    return by_resp
+def _by_respondent(survey: SurveyTable) -> tuple[tuple[str, ...], np.ndarray]:
+    """Respondents in numeric-then-text id order, and each row's respondent as its
+    position in that order. Ids of equal value ("7", "07") sort as text, so the order
+    does not depend on the set's hash order."""
+    ids = set(survey.respondent_ids)
+    order = tuple(sorted(ids, key=lambda s: (0, int(s), s) if s.isdecimal() else (1, 0, s)))
+    position = {rid: at for at, rid in enumerate(order)}
+    return order, np.fromiter(map(position.__getitem__, survey.respondent_ids), np.intp, len(survey))
 
 
-def _shares(by_resp: dict[str, list[SurveyRecord]], keep, hit) -> list[float | None]:
-    """Per respondent, the share of their records passing `keep` that also pass `hit`;
-    None for a respondent with no record passing `keep`."""
-    shares: list[float | None] = []
-    for records in by_resp.values():
-        hits = [hit(r) for r in records if keep(r)]
-        shares.append(sum(hits) / len(hits) if hits else None)
-    return shares
+def _shares(codes: np.ndarray, count: int, keep: np.ndarray, hit: np.ndarray) -> list[float | None]:
+    """Per respondent (`codes` from `_by_respondent`, `count` of them), the share of their
+    rows in `keep` that are also in `hit`; None for a respondent with no row in `keep`.
+
+    The counts are ints, so each share is the correctly rounded quotient that
+    summing the row hits and dividing by the row count gives.
+    """
+    kept = np.bincount(codes[keep], minlength=count).tolist()
+    hits = np.bincount(codes[keep & hit], minlength=count).tolist()
+    return [h / k if k else None for h, k in zip(hits, kept)]
 
 
 @dataclass(frozen=True)
@@ -51,19 +52,17 @@ class BailRateTable:
     n_respondents: tuple[int, ...]
 
 
-def bail_rate_table(records: list[SurveyRecord]) -> BailRateTable:
+def bail_rate_table(survey: SurveyTable) -> BailRateTable:
     """Bail rate per recidivism-prediction level: mean / max / min across respondents.
 
-    A respondent with no records at a level is excluded from that level's rows.
+    A respondent with no rows at a level is excluded from that level's rows.
     """
-    if not records:
+    if not len(survey):
         raise ConfigurationError("no survey records")
-    by_resp = _by_respondent(records)
-    rates = []  # per level: the bail rate of each respondent with records at that level
+    order, codes = _by_respondent(survey)
+    rates = []  # per level: the bail rate of each respondent with rows at that level, in order
     for level in PREDICTION_LEVELS:
-        at_level = _shares(
-            by_resp, lambda r: r.recidivism_prediction == level, attrgetter("bail_granted")
-        )
+        at_level = _shares(codes, len(order), survey.predictions == level, survey.bail_granted)
         rates.append([rate for rate in at_level if rate is not None])
     return BailRateTable(
         levels=PREDICTION_LEVELS,
@@ -75,9 +74,9 @@ def bail_rate_table(records: list[SurveyRecord]) -> BailRateTable:
     )
 
 
-def decision_correct(record: SurveyRecord) -> bool:
-    """A bail decision is correct when it matches the two-year recidivism outcome."""
-    return record.bail_granted != record.ground_truth_recidivated
+def decision_correct(survey: SurveyTable) -> np.ndarray:
+    """Per row: a bail decision is correct when it matches the two-year recidivism outcome."""
+    return survey.bail_granted != survey.recidivated
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,8 @@ class ConfidenceAccuracyTable:
     low_confidence: StratumRow
 
 
-def _stratum(by_resp: dict[str, list[SurveyRecord]], keep) -> StratumRow:
-    per = _shares(by_resp, keep, decision_correct)
+def _stratum(codes: np.ndarray, count: int, keep: np.ndarray, correct: np.ndarray) -> StratumRow:
+    per = _shares(codes, count, keep, correct)
     present = [v for v in per if v is not None]
     if present:
         mean = float(np.mean(present))
@@ -109,24 +108,25 @@ def _stratum(by_resp: dict[str, list[SurveyRecord]], keep) -> StratumRow:
 
 
 def confidence_accuracy_table(
-    records: list[SurveyRecord], high_confidence_threshold: int = 4
+    survey: SurveyTable, high_confidence_threshold: int = 4
 ) -> ConfidenceAccuracyTable:
     """Decision accuracy overall and split by confidence, per respondent and averaged."""
-    if not records:
+    if not len(survey):
         raise ConfigurationError("no survey records")
     if not SURVEY_SCALE.contains(high_confidence_threshold):
         raise ConfigurationError(
             f"confidence threshold must lie in {SURVEY_SCALE.min}..{SURVEY_SCALE.max}, "
             f"got {high_confidence_threshold}"
         )
-    by_resp = _by_respondent(records)
-    thr = high_confidence_threshold
+    order, codes = _by_respondent(survey)
+    correct = decision_correct(survey)
+    high = survey.confidence >= high_confidence_threshold
     return ConfidenceAccuracyTable(
-        threshold=thr,
-        respondent_ids=tuple(by_resp),
-        overall=_stratum(by_resp, lambda r: True),
-        high_confidence=_stratum(by_resp, lambda r: r.confidence >= thr),
-        low_confidence=_stratum(by_resp, lambda r: r.confidence < thr),
+        threshold=high_confidence_threshold,
+        respondent_ids=order,
+        overall=_stratum(codes, len(order), np.ones(len(survey), dtype=bool), correct),
+        high_confidence=_stratum(codes, len(order), high, correct),
+        low_confidence=_stratum(codes, len(order), ~high, correct),
     )
 
 

@@ -1,12 +1,25 @@
+import csv
 import math
 import os
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from fairmetric.core import LabeledDataset, RatingScale
+from fairmetric.core import COMPAS_SCALE, SURVEY_SCALE, LabeledDataset, RatingScale
+from fairmetric.errors import IngestionError
+from fairmetric.ingest import SURVEY_COLUMNS, SurveyTable, _text_lines
 from fairmetric.reference import cross_distances
+from fairmetric.survey import (
+    PREDICTION_LEVELS,
+    PREDICTION_NAMES,
+    BailRateTable,
+    ConfidenceAccuracyTable,
+    StratumRow,
+)
 
 
 def random_spd(rng, d, jitter=0.3):
@@ -140,6 +153,230 @@ def brute_knn(metric, train, x, k):
     weights = [1.0 / d for d, _ in chosen]
     total = sum(weights)
     return sum(w / total * train.labels[i] for w, (_, i) in zip(weights, chosen))
+
+
+# Survey rows one record at a time, and the loops that read them.
+
+
+class SurveyRow(NamedTuple):
+    """One respondent's three answers for one defendant, plus the ground truth."""
+
+    respondent_id: str
+    defendant_id: str
+    recidivism_prediction: int  # Q1, 1-5
+    bail_granted: bool  # Q2
+    confidence: int  # Q3, 1-5
+    ground_truth_recidivated: bool
+
+
+def survey_table(rows) -> SurveyTable:
+    """The `SurveyTable` holding `rows` (SurveyRow fields, in order), one table row each."""
+    rows = list(rows)
+    return SurveyTable(*(list(column) for column in zip(*rows))) if rows else SurveyTable((), (), [], [], [], [])
+
+
+def survey_rows(table: SurveyTable) -> list[SurveyRow]:
+    columns = (table.predictions, table.bail_granted, table.confidence, table.recidivated)
+    return [SurveyRow(*row) for row in zip(table.respondent_ids, table.defendant_ids, *(c.tolist() for c in columns))]
+
+
+def _record_order(rows):
+    """Each respondent's rows, in row order; respondents in numeric-then-text id order."""
+    ids = {r.respondent_id for r in rows}
+    order = sorted(ids, key=lambda s: (0, int(s), s) if s.isdecimal() else (1, 0, s))
+    by_resp = {rid: [] for rid in order}
+    for row in rows:
+        by_resp[row.respondent_id].append(row)
+    return by_resp
+
+
+def _record_shares(by_resp, keep, hit):
+    shares = []
+    for rows in by_resp.values():
+        hits = [hit(r) for r in rows if keep(r)]
+        shares.append(sum(hits) / len(hits) if hits else None)
+    return shares
+
+
+def record_bail_rate_table(rows) -> BailRateTable:
+    """`survey.bail_rate_table`, one record at a time."""
+    by_resp = _record_order(rows)
+    rates = []
+    for level in PREDICTION_LEVELS:
+        at_level = _record_shares(by_resp, lambda r: r.recidivism_prediction == level, lambda r: r.bail_granted)
+        rates.append([rate for rate in at_level if rate is not None])
+    return BailRateTable(
+        levels=PREDICTION_LEVELS,
+        level_names=PREDICTION_NAMES,
+        mean=tuple(float(np.mean(r)) if r else None for r in rates),
+        max=tuple(float(np.max(r)) if r else None for r in rates),
+        min=tuple(float(np.min(r)) if r else None for r in rates),
+        n_respondents=tuple(len(r) for r in rates),
+    )
+
+
+def record_confidence_accuracy_table(rows, threshold) -> ConfidenceAccuracyTable:
+    """`survey.confidence_accuracy_table`, one record at a time."""
+    by_resp = _record_order(rows)
+
+    def stratum(keep):
+        per = _record_shares(by_resp, keep, lambda r: r.bail_granted != r.ground_truth_recidivated)
+        present = [v for v in per if v is not None]
+        mean = float(np.mean(present)) if present else None
+        std = (float(np.std(present, ddof=1)) if len(present) > 1 else 0.0) if present else None
+        return StratumRow(mean=mean, std=std, n_respondents=len(present), per_respondent=tuple(per))
+
+    return ConfidenceAccuracyTable(
+        threshold=threshold,
+        respondent_ids=tuple(by_resp),
+        overall=stratum(lambda r: True),
+        high_confidence=stratum(lambda r: r.confidence >= threshold),
+        low_confidence=stratum(lambda r: r.confidence < threshold),
+    )
+
+
+# The row-by-row CSV reader: each row's cells parsed in check order, the first
+# fault raised as it is met. The columnar reader must load what it loads and
+# raise what it raises.
+
+
+@dataclass
+class CsvRow:
+    """One data row; each parser names the file, the 1-based row and the column on error."""
+
+    path: Path
+    columns: dict  # header name -> cell position
+    line: int
+    cells: list
+
+    def error(self, message, column=None):
+        where = f"row {self.line}" if column is None else f"row {self.line}, column {column!r}"
+        return IngestionError(f"{self.path}: {where}: {message}")
+
+    def text(self, column):
+        value = self.cells[self.columns[column]]
+        if not value:
+            raise self.error("empty cell", column)
+        return value
+
+    def number(self, column):
+        raw = self.text(column)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise self.error(f"cannot parse {raw!r} as number", column) from None
+        if not math.isfinite(value):
+            raise self.error(f"{raw!r} is not a finite number", column)
+        return value
+
+    def integer(self, column, what, scale):
+        raw = self.text(column)
+        try:
+            value = int(raw)
+        except ValueError:
+            raise self.error(f"cannot parse {raw!r} as integer", column) from None
+        if not scale.contains(value):
+            raise self.error(f"{what} {value} outside {scale.min}-{scale.max}", column)
+        return value
+
+    def choice(self, column, choices, fold_case=False):
+        raw = self.text(column)
+        try:
+            return choices.index(raw.lower() if fold_case else raw)
+        except ValueError:
+            raise self.error(f"unseen category {raw!r}; expected {'/'.join(choices)}", column) from None
+
+
+@contextmanager
+def row_wise_csv(path, what):
+    """Yield (path, header columns, iterator of CsvRow), each row read as it is asked for."""
+    with _text_lines(path, what) as (path, text):
+        reader = csv.reader(text)
+        lines = ([cell.strip() for cell in cells] for cells in reader if cells)
+        header = next(lines, None)
+        if header is None:
+            raise IngestionError(f"{path}: empty file (no header)")
+        columns = {name: at for at, name in enumerate(header)}
+        if len(columns) != len(header):
+            raise IngestionError(f"{path}: row {reader.line_num}: repeated column name in header")
+
+        def rows():
+            row = None
+            for cells in lines:
+                if len(cells) != len(header):
+                    raise IngestionError(
+                        f"{path}: row {reader.line_num}: {len(cells)} cells, the header has {len(header)}"
+                    )
+                row = CsvRow(path, columns, reader.line_num, cells)
+                yield row
+            if row is None:
+                raise IngestionError(f"{path}: no data rows")
+
+        yield path, columns, rows()
+
+
+def _require(path, columns, names):
+    missing = [name for name in names if name not in columns]
+    if missing:
+        raise IngestionError(f"{path}: missing column(s) {', '.join(missing)}")
+
+
+def row_wise_defendants(path, schema, kind="defendants"):
+    """The defendant table under `schema`, row by row; `kind` is "defendants" or "encoded"."""
+    with row_wise_csv(path, "defendants" if kind == "defendants" else "encoded defendants") as (
+        path, columns, rows
+    ):
+        _require(path, columns, [schema.id_column] + [c.name for c in schema.columns] + [schema.label_column])
+        ids, features, labels = {}, [], []
+        for row in rows:
+            rid = row.text(schema.id_column)
+            if rid in ids:
+                raise row.error(f"duplicate id {rid!r}", schema.id_column)
+            ids[rid] = None
+            encoded = []
+            for col in schema.columns:
+                if col.kind == "numeric":
+                    encoded.append(row.number(col.name))
+                elif col.kind == "binary":
+                    encoded.append(float(row.choice(col.name, col.categories)))
+                else:
+                    at = row.choice(col.name, col.categories)
+                    encoded.extend(float(i == at) for i in range(len(col.categories)))
+            features.append(encoded)
+            labels.append(row.integer(schema.label_column, "label", COMPAS_SCALE))
+    if len(labels) < 2:
+        raise IngestionError(f"{path}: need at least 2 rows, got {len(labels)}")
+    return LabeledDataset(
+        np.asarray(features),
+        np.asarray(labels),
+        COMPAS_SCALE,
+        schema.encoded_names,
+        source_tag=f"{kind}:{path.name}",
+        ids=tuple(ids),
+    )
+
+
+def row_wise_survey(path):
+    """The survey's rows as SurveyRow records, row by row."""
+    outcome = RatingScale(0, 1)
+    records, seen = [], set()
+    with row_wise_csv(path, "survey") as (path, columns, rows):
+        _require(path, columns, SURVEY_COLUMNS)
+        for row in rows:
+            pair = (row.text("respondent_id"), row.text("defendant_id"))
+            if pair in seen:
+                raise row.error(f"duplicate (respondent, defendant) pair {pair!r}")
+            seen.add(pair)
+            records.append(
+                SurveyRow(
+                    *pair,
+                    row.integer("q1_recidivism", "recidivism prediction", SURVEY_SCALE),
+                    row.choice("q2_bail", ("yes", "no"), fold_case=True) == 0,
+                    row.integer("q3_confidence", "confidence", SURVEY_SCALE),
+                    row.integer("two_year_recid", "outcome", outcome) == 1,
+                )
+            )
+    return records
 
 
 def sym_dirs(d):

@@ -14,9 +14,9 @@ from fairmetric.core import (
     subseed,
 )
 from fairmetric.errors import ConfigurationError, InvariantError
-from fairmetric.ingest import SurveyRecord, attach_labels, standardize
+from fairmetric.ingest import attach_labels, standardize
 
-from conftest import pair_distance, random_spd
+from conftest import SurveyRow, pair_distance, random_spd, survey_table
 
 
 def test_distance_identity_is_euclidean():
@@ -106,7 +106,7 @@ def test_dataset_subset_keeps_order_and_ids():
         getattr(sub, name) for name in kept + ("ids",)
     ]
     assert z.labels.tolist() == [3, 1]
-    survey = [SurveyRecord("r", "y", 5, True, 3, False), SurveyRecord("r", "w", 2, False, 3, True)]
+    survey = survey_table([SurveyRow("r", "y", 5, True, 3, False), SurveyRow("r", "w", 2, False, 3, True)])
     labeled = attach_labels(ds, survey, "pooled_median")
     assert labeled.ids == ("w", "y")  # in defendant-table order
     assert labeled.labels.tolist() == [2, 5]

@@ -313,9 +313,17 @@ def test_cross_distances_is_exact_both_ways_round():
         assert np.array_equal(got, reference.reshape(len(q), len(train)))
 
 
-@pytest.mark.parametrize("n", [2, 3, 37, 180])
-def test_fold_distances_mirror_is_cross_distances(n):
-    # the upper triangle, mirrored, gives the bits of every pair computed both ways
+@pytest.mark.parametrize(
+    "n, block",
+    [(2, 1024), (3, 1024), (37, 1024), (180, 1024), (128, 64), (129, 64), (5, 9), (10, 4)],
+    ids=["2", "3", "37", "180", "127_whole_blocks", "129_blocks", "one_pair_after_a_block",
+         "one_pair_after_11_blocks"],
+)
+def test_fold_distances_mirror_is_cross_distances(monkeypatch, n, block):
+    # the upper triangle, mirrored, gives the bits of every pair computed both ways,
+    # whether the pairs fill whole blocks (128 rows: 8,128 pairs = 127 x 64), leave a
+    # ragged last block, or would leave one lone pair (10 pairs = 9 + 1, 45 = 11 x 4 + 1)
+    monkeypatch.setattr("fairmetric.evaluation.FOLD_PAIR_BLOCK", block)
     rng = np.random.default_rng(n)
     for trial in range(4):
         d = int(rng.integers(1, 11))

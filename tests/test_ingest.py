@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
+from conftest import (
+    SurveyRow,
+    row_wise_defendants,
+    row_wise_survey,
+    survey_rows,
+    survey_table,
+)
 from fairmetric.cli import load_encoded_defendants
 from fairmetric.core import LabeledDataset, RatingScale
 from fairmetric.errors import ConfigurationError, IngestionError
 from fairmetric.ingest import (
     ColumnSpec,
     FeatureSchema,
-    SurveyRecord,
+    SurveyTable,
     attach_labels,
     default_schema,
     load_defendants,
@@ -220,9 +227,9 @@ def test_load_survey_basic(tmp_path):
         tmp_path / "s.csv",
         ["1,a,4,yes,5,1", "1,b,2,no,3,0", "2,a,5,No,1,1"],
     )
-    recs = load_survey(p)
+    recs = survey_rows(load_survey(p))
     assert len(recs) == 3
-    assert recs[0] == SurveyRecord("1", "a", 4, True, 5, True)
+    assert recs[0] == SurveyRow("1", "a", 4, True, 5, True)
     assert recs[2].bail_granted is False
 
 
@@ -263,6 +270,8 @@ def _load(path, kind, lines):
 
 
 def _same(a, b):
+    if isinstance(a, SurveyTable):
+        a, b = survey_rows(a), survey_rows(b)
     if isinstance(a, list):
         return a == b
     return (
@@ -356,6 +365,197 @@ def test_every_table_rejects_a_repeated_column_name(tmp_path):
             _load(tmp_path / f"{kind}.csv", kind, [repeated, *rows])
 
 
+@pytest.mark.parametrize("kind", TABLES)
+def test_every_table_reads_past_a_byte_order_mark(tmp_path, kind):
+    # spreadsheets save "CSV UTF-8" with one; it used to stick to the first column name
+    _, header, rows = TABLES[kind]
+    plain = _load(tmp_path / "plain" / "t.csv", kind, [header, *rows])
+    path = tmp_path / "bom" / "t.csv"
+    path.parent.mkdir()
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert _same(TABLES[kind][0](path), plain)
+
+
+def test_schema_manifest_reads_past_a_byte_order_mark(tmp_path):
+    text = "id_column pid\ncolumn age numeric\ncolumn sex binary Male,Female\n"
+    (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.txt").write_text(text, encoding="utf-8-sig")
+    assert parse_schema_manifest(tmp_path / "bom.txt") == parse_schema_manifest(tmp_path / "plain.txt")
+
+
+# Seeded tables with 0, 1 or 2 faults, each read by the columnar loaders and by the
+# row-by-row oracle in conftest: the same data, or the same IngestionError message.
+
+FUZZ_SCHEMA = FeatureSchema(
+    columns=(
+        ColumnSpec("color", "categorical", ("red", "green", "blue")),
+        ColumnSpec("age", "numeric"),
+        ColumnSpec("sex", "binary", ("M", "F")),
+        ColumnSpec("weight", "numeric"),
+    ),
+)
+# each column kind: spellings of good cells, and cells for each fault it can take
+CELLS = {
+    "numeric": ["1.5", "-0.25", "03", "+3", "\u0664", "1e2", "7", "1_000", ".5", "-2.0000000000000004"],
+    "label": ["1", "5", "10", "+3", "03", "\u0664", "7"],
+    "rating": ["1", "3", "5", "+2", "04", "\u0664"],
+    "outcome": ["0", "1", "+1", "00"],
+    "color": ["red", "green", "blue"],
+    "sex": ["M", "F"],
+    "bail": ["yes", "no", "Yes", "NO"],
+}
+FAULTS = {
+    "unparsable": {"numeric": ["x", "1,5", "1.2.3"], "label": ["x", "2.0"], "rating": ["x", "3.5"],
+                   "outcome": ["yes"]},
+    "out_of_range": {"label": ["0", "11", "-1"], "rating": ["0", "6"], "outcome": ["2", "-1"]},
+    "unseen": {"color": ["Red", "purple"], "sex": ["m", "X"], "bail": ["maybe", "y"]},
+    "non_finite": {"numeric": ["nan", "inf", "-inf", "1e400"], "label": ["nan"], "rating": ["inf"]},
+}
+STRUCTURAL = ("duplicate", "cell_count", "not_utf8")
+
+
+def _fuzz_table(rng, kind, n_faults):
+    """(header, rows of cells, the kind of each column, the row before which the file
+    turns to non-UTF-8 bytes or None)."""
+    n = int(rng.integers(1, 25))
+    if kind == "survey":
+        kinds = {"respondent_id": "respondent", "defendant_id": "defendant", "q1_recidivism": "rating",
+                 "q2_bail": "bail", "q3_confidence": "rating", "two_year_recid": "outcome"}
+        header = [str(name) for name in rng.permutation(list(kinds))]
+    elif kind == "raw":
+        kinds = {"id": "id", "color": "color", "age": "numeric", "sex": "sex", "weight": "numeric",
+                 "compas_decile": "label"}
+        header = [str(name) for name in rng.permutation(list(kinds))]
+    else:
+        features = [f"f{i}" for i in range(int(rng.integers(1, 4)))]
+        kinds = {"id": "id", "compas_decile": "label", **dict.fromkeys(features, "numeric")}
+        header = ["id", "compas_decile", *(str(name) for name in rng.permutation(features))]
+    respondents = int(rng.integers(1, 4))
+    rows = []
+    for r in range(n):
+        cells = {}
+        for name, col in kinds.items():
+            if col == "id":
+                cells[name] = f"d{r}"
+            elif col == "respondent":
+                cells[name] = str(r % respondents + 1)
+            elif col == "defendant":
+                cells[name] = f"d{r // respondents}"
+            else:
+                cells[name] = str(rng.choice(CELLS[col]))
+        rows.append([cells[name] for name in header])
+    broken_before = None
+    for _ in range(n_faults):
+        fault = str(rng.choice(["empty", *FAULTS, *STRUCTURAL]))
+        r = int(rng.integers(n))
+        if fault == "cell_count":
+            rows[r] = rows[r] + ["9"] if rng.random() < 0.5 else rows[r][:-1]
+        elif fault == "not_utf8":
+            broken_before = int(rng.integers(n + 1))
+        elif fault == "duplicate":
+            if r == 0:
+                continue
+            source = int(rng.integers(r))
+            for at, name in enumerate(header):
+                if kinds[name] in ("id", "respondent", "defendant"):
+                    rows[r][at] = rows[source][at]
+        else:
+            options = [at for at, name in enumerate(header) if fault == "empty" or kinds[name] in FAULTS[fault]]
+            if not options:
+                continue
+            at = int(rng.choice(options))
+            rows[r][at] = "" if fault == "empty" else str(rng.choice(FAULTS[fault][kinds[header[at]]]))
+    return header, rows, broken_before
+
+
+def _fuzz_bytes(rng, header, rows, broken_before) -> bytes:
+    lines = []
+    for at, cells in enumerate([header, *rows]):
+        if at - 1 == broken_before:
+            lines.append("\n" * 10_000 + "d\xe9," * len(header))
+        if rng.random() < 0.2:
+            lines.append("")
+        pad = " " if rng.random() < 0.3 else ""
+        lines.append(",".join(f"{pad}{cell}{pad}" for cell in cells))
+    if broken_before == len(rows):
+        lines.append("\n" * 10_000 + "d\xe9," * len(header))
+    # the broken line holds \xe9 as one latin-1 byte, which no UTF-8 decoder accepts
+    return b"\n".join(line.encode("latin-1" if "d\xe9," in line else "utf-8") for line in lines) + b"\n"
+
+
+def _outcome(load, path):
+    try:
+        return "data", load(path)
+    except IngestionError as exc:
+        return "error", str(exc)
+
+
+def _loaders(kind, header):
+    if kind == "raw":
+        return lambda p: load_defendants(p, FUZZ_SCHEMA), lambda p: row_wise_defendants(p, FUZZ_SCHEMA)
+    if kind == "encoded":
+        schema = FeatureSchema(tuple(ColumnSpec(name, "numeric") for name in header[2:]))
+        return load_encoded_defendants, lambda p: row_wise_defendants(p, schema, "encoded")
+    return (lambda p: survey_rows(load_survey(p))), row_wise_survey
+
+
+@pytest.mark.parametrize("chunk_cells", [512, 13], ids=["one_chunk", "chunks_of_2_to_4_rows"])
+@pytest.mark.parametrize("kind", ["raw", "encoded", "survey"])
+@pytest.mark.parametrize("n_faults", [0, 1, 2])
+def test_columnar_loaders_equal_the_row_by_row_oracle(monkeypatch, tmp_path, kind, n_faults, chunk_cells):
+    monkeypatch.setattr("fairmetric.ingest._CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng([n_faults, len(kind)])
+    seen = {"data": 0, "error": 0}
+    for trial in range(40):
+        header, rows, broken_before = _fuzz_table(rng, kind, n_faults)
+        path = tmp_path / f"{trial}.csv"
+        path.write_bytes(_fuzz_bytes(rng, header, rows, broken_before))
+        columnar, oracle = _loaders(kind, header)
+        got, expected = _outcome(columnar, path), _outcome(oracle, path)
+        assert got[0] == expected[0], (got, expected)
+        if got[0] == "error":
+            assert got[1] == expected[1]
+        else:
+            assert _same(got[1], expected[1])
+        seen[got[0]] += 1
+    assert seen["data"] > 0 if n_faults == 0 else seen["error"] > 20
+
+
+@pytest.mark.parametrize(
+    "kind, lines, fragment",
+    [
+        # the later row's fault lies in a column checked earlier: the earlier row's wins
+        ("survey", ["1,a,4,yes,7,1", ",b,2,no,3,0"], "row 2, column 'q3_confidence': confidence 7"),
+        ("survey", ["1,a,4,yes,3,1", "1,b,2,no,3,5", "1,a,2,no,3,0"], "row 3, column 'two_year_recid'"),
+        ("raw", ["a,red,20,60,0", "a,red,x,70,5"], "row 2, column 'compas_decile': label 0"),
+        ("encoded", ["a,1,20,nan", "b,5,,70"], "row 2, column 'weight': 'nan' is not a finite number"),
+        # within one row, the check order decides, not the order of the columns in the file
+        ("raw", ["a,purple,x,60,0"], "row 2, column 'color': unseen category 'purple'"),
+        ("survey", ["1,a,x,maybe,,9", "1,a,4,yes,3,1"], "row 2, column 'q1_recidivism': cannot parse 'x'"),
+        ("survey", ["1,a,4,yes,3,1", "1,a,x,maybe,,9"], "row 3: duplicate (respondent, defendant) pair"),
+        # a structural fault comes after the cell faults of the rows before it
+        ("survey", ["1,a,4,yes,3,1", "1,b,6,no,3,0", "1,c,4,yes,3"], "row 3, column 'q1_recidivism'"),
+        ("raw", ["a,red,20,60,1", "b,red,30,70,5,9", "c,red,x,70,5"], "row 3: 6 cells, the header has 5"),
+        ("encoded", ["a,1,20,60", "b,5,30"], "row 3: 3 cells, the header has 4"),
+    ],
+)
+def test_the_earliest_faulty_row_wins_as_in_a_row_by_row_read(tmp_path, kind, lines, fragment):
+    _, header, _ = TABLES[kind]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    oracle = {
+        "raw": lambda p: row_wise_defendants(p, SMALL_SCHEMA),
+        "encoded": lambda p: row_wise_defendants(p, FeatureSchema((ColumnSpec("age", "numeric"),
+                                                                   ColumnSpec("weight", "numeric"))), "encoded"),
+        "survey": row_wise_survey,
+    }[kind]
+    with pytest.raises(IngestionError) as info:
+        TABLES[kind][0](path)
+    assert str(info.value).startswith(f"{path}: {fragment}")
+    assert str(info.value) == _outcome(oracle, path)[1]
+
+
 def _defendants(n=6):
     rng = np.random.default_rng(0)
     return LabeledDataset(
@@ -371,8 +571,8 @@ def _survey_for(ratings_by_defendant):
     recs = []
     for did, ratings in ratings_by_defendant.items():
         for rid, rating in enumerate(ratings):
-            recs.append(SurveyRecord(str(rid), did, rating, True, 3, False))
-    return recs
+            recs.append(SurveyRow(str(rid), did, rating, True, 3, False))
+    return survey_table(recs)
 
 
 def test_attach_labels_per_respondent():
