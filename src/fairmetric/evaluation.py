@@ -68,10 +68,13 @@ def fold_distances(metric: MahalanobisMetric, fold: LabeledDataset) -> np.ndarra
     temporaries below glibc's mmap threshold (128 KB) that the heap reuses,
     rather than arrays mapped and faulted in afresh on every call. A product of
     one row takes BLAS's matrix-vector path, which rounds differently, so a
-    lone last pair joins the block before it.
+    lone last pair joins the block before it, and the one pair of a two-row
+    fold goes beside its mirror.
     """
     x = fold.features
     i, j = np.triu_indices(x.shape[0], 1)
+    if i.size == 1:
+        i, j = np.append(i, j), np.append(j, i)
     out = np.zeros((x.shape[0], x.shape[0]))
     bounds = [*range(0, max(i.size - 1, 1), FOLD_PAIR_BLOCK), i.size]
     for start, stop in zip(bounds, bounds[1:]):

@@ -16,10 +16,10 @@ Each learner hands the engine evaluate(x) -> (f, state) and
 gradient(state) -> g. The line search calls evaluate at every trial x + t d,
 and the accepted trial, with its value and state, is the next iterate: no point
 is evaluated twice, and the engine asks for a gradient only from the state of
-the point it evaluated last. So LMNN's and LSML's Gram-kernel states can use
-a workspace made once per fit call (_Workspace), holding their (n, n) squared
-distances, Laplacian weights or counts and LMNN's screen mask, and MMC's state
-is its block buffers, also made once per fit. Each evaluation overwrites
+the point it evaluated last. So LSML's Gram kernel can use a workspace made
+once per fit call (_Workspace), holding its (n, n) squared distances and
+Laplacian weights, and LMNN and MMC keep the entries of their rating blocks
+(below) in flat buffers, also made once per fit. Each evaluation overwrites
 them, by the same operations in the same order as on fresh arrays, so the
 results are the same bits and the fit does not page in new memory at every
 evaluation.
@@ -49,18 +49,34 @@ Objectives (X is the training matrix, d_M the Mahalanobis distance):
          n = 420 and m = 5000 it is about 4x faster. lsml_objective and
          lsml_gradient always use the difference rows.
 
+  Blocks LMNN's impostor pairs and MMC's dissimilar pairs are the pairs
+         i < j of unequal ratings. With the rows sorted by rating once per
+         fit, they are one block per rating but the highest, its rows R
+         against the rows C of every higher rating: (1 - sum_u p_u^2) / 2 of
+         n^2 entries for rating shares p_u, 0.4 n^2 for five equal shares.
+         Each evaluation takes a block's d^2 = s_i + s_j - 2 (x_i M) . x_j,
+         s_i = x_i M x_i, from one product of [-2 X_R M, s_R, 1] with
+         [X_C, 1, s_C]. A gradient sum of W_ij (x_i - x_j)(x_i - x_j)^T over
+         the entries is, per block, X_R^T diag(W 1) X_R + X_C^T diag(W^T 1)
+         X_C - X_R^T W X_C and its transpose (_RatingBlocks.assemble); no
+         (n, n) array is formed.
+
   LMNN   eps(M) = (1-mu) * sum over target pairs of d^2_M(i,j)
                 + mu * sum over (i,j,l), y_l != y_i, of
                        [1 + d^2_M(i,j) - d^2_M(i,l)]_+,
          with target neighbors fixed under the Euclidean metric up front.
-         Each evaluation takes one (n, n) slab of d^2, +inf on same-rating
-         entries, and lists once the entries below their anchor's largest
-         threshold 1 + d^2(i, j) over its targets: every other entry has all
-         its hinges at 0, so the screen is exact. The hinges of each target
-         rank are summed over the listed entries only, and the gradient's
-         integer counts come from them. Along the ray cI, with
-         b = d^2(i,l) - d^2(i,j) at I per hinge and P = tr(sum of the target
-         pairs' outer products),
+         Each block entry (i, l) serves two anchors: i with impostor l and
+         l with impostor i. Each evaluation takes the entries' d^2 from the
+         blocks and the target pairs' d^2 from their own difference rows,
+         and lists once the entries below the larger of their two anchors'
+         largest thresholds 1 + d^2(i, j) over the anchor's targets: every
+         other entry has all its hinges at 0 for both anchors, so the screen
+         is exact. The hinges of each target rank are summed over the listed
+         entries only. The gradient's integer counts come from them: a
+         target pair's active impostors, and an entry's active hinges for
+         both its anchors, which the blocks' assembly takes as weights. Along
+         the ray cI, with b = d^2(i,l) - d^2(i,j) at I per hinge and
+         P = tr(sum of the target pairs' outer products),
              eps(cI) = (1-mu) c P + mu * sum [1 - c b]_+,
          convex and piecewise linear in c. Its slope rises by mu b where the
          hinge of a b > 0 vanishes, at c = 1/b, so it is least at
@@ -76,26 +92,20 @@ Objectives (X is the training matrix, d_M the Mahalanobis distance):
          L(W) = diag(W 1) - W, X^T L(W) X sums W_ij (x_i - x_j)(x_i - x_j)^T
          over pairs i<j. MMC minimizes <M, X^T L(S) X> subject to sum over
          dissimilar pairs of d_M >= 1 and M PSD; that sum has gradient
-         X^T L(W) X with W_ij = 1 / (2 d_M(i,j)) on the dissimilar pairs.
-         With the rows sorted by rating, the dissimilar pairs i < j are one
-         block per rating but the highest, its rows against the rows of every
-         higher rating: (1 - sum_u p_u^2) / 2 of n^2 entries for rating shares
-         p_u, 0.4 n^2 for five equal shares. Each evaluation takes a block's
-         d^2 = s_i + s_j - 2 (x_i M) . x_j, s_i = x_i M x_i, from one product
-         of [-2 X_R M, s_R, 1] with [X_C, 1, s_C], and the gradient sums, per
-         block, X_R^T diag(W 1) X_R + X_C^T diag(W^T 1) X_C - X_R^T W X_C and
-         its transpose. The fit runs gradient ascent on the sum against the
-         linear similar-sum cap <M, X^T L(S) X> <= 1, from I scaled down onto
-         the cap when I breaks it, projecting each step exactly onto the PSD
-         cone cut by the cap (project_psd_cap). The diagonal form is the same
-         fit restricted to diagonal M: it multiplies the cap matrix, the
-         gradient and the point it projects by the mask `keep` = I (the full
-         form's mask is 1). The projection stays exact: with the cap matrix xs
-         diagonal, the clip of a diagonal a - lam * xs is diagonal, and a
-         matrix splits orthogonally into its diagonal part plus the rest, so
-         its projection onto the diagonal matrices of the capped cone is the
-         capped-cone projection of its diagonal part. Either way the returned
-         matrix is rescaled so the dissimilar-distance sum equals 1.
+         X^T L(W) X with W_ij = 1 / (2 d_M(i,j)) on the dissimilar pairs,
+         which the blocks assemble. The fit runs gradient ascent on the sum
+         against the linear similar-sum cap <M, X^T L(S) X> <= 1, from I
+         scaled down onto the cap when I breaks it, projecting each step
+         exactly onto the PSD cone cut by the cap (project_psd_cap). The
+         diagonal form is the same fit restricted to diagonal M: it
+         multiplies the cap matrix, the gradient and the point it projects by
+         the mask `keep` = I (the full form's mask is 1). The projection stays
+         exact: with the cap matrix xs diagonal, the clip of a diagonal
+         a - lam * xs is diagonal, and a matrix splits orthogonally into its
+         diagonal part plus the rest, so its projection onto the diagonal
+         matrices of the capped cone is the capped-cone projection of its
+         diagonal part. Either way the returned matrix is rescaled so the
+         dissimilar-distance sum equals 1.
 """
 
 from __future__ import annotations
@@ -290,29 +300,24 @@ def precision_baseline(train: LabeledDataset) -> MahalanobisMetric:
 
 
 # ---------------------------------------------------------------------------
-# The (n, n) Gram form, shared by LSML's Gram kernel and LMNN
+# The (n, n) Gram form of LSML's Gram kernel
 
 
 @dataclass(frozen=True)
 class _Workspace:
-    """The arrays one LSML (Gram kernel) or LMNN fit overwrites at every evaluation.
+    """The arrays one LSML fit on the Gram kernel overwrites at every evaluation.
 
-    `gram` holds the (n, n) squared distances: LMNN writes +inf on its
-    same-label entries, and LMNN's and LSML's gradients write their
-    symmetrized counts or weights there once they have read them. `lap` holds
-    the outer sum s_i + s_j, then LMNN's counts. `mask` is LMNN's (n, n) mask
-    of the entries its screen lists; LSML's is empty. Each fit call makes its
-    own workspace; LMNN's public objective and gradient functions make a fresh
-    one per call.
+    `gram` holds the (n, n) squared distances, and the gradient writes its
+    symmetrized weights there once it has read them. `lap` holds the outer
+    sum s_i + s_j. Each fit call makes its own workspace.
     """
 
     gram: np.ndarray
     lap: np.ndarray
-    mask: np.ndarray
 
 
-def _workspace(n: int, mask: bool = False) -> _Workspace:
-    return _Workspace(np.empty((n, n)), np.empty((n, n)), np.empty((n, n) if mask else (0, 0), dtype=bool))
+def _workspace(n: int) -> _Workspace:
+    return _Workspace(np.empty((n, n)), np.empty((n, n)))
 
 
 def _pairwise_sq(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -485,6 +490,78 @@ def fit_lsml(
 
 
 # ---------------------------------------------------------------------------
+# The rating blocks, shared by LMNN and MMC
+
+
+class _RatingBlocks:
+    """Each pair of rows with unequal ratings once, in one block per rating; see the module docstring.
+
+    The rows are sorted by rating once (stably), so a rating's block is its
+    contiguous run of rows R = [a, b) against all the rows C = [b, n) after
+    it, and the blocks hold each pair i < j of unequal ratings once. A
+    caller keeps the entries in flat buffers it makes once per fit
+    (`buffer`) and reads through `views`; indices of rows are positions in
+    the sorted rows `x`. The layout's own arrays are made once too, and each
+    call overwrites them.
+    """
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray):
+        self.order = np.argsort(labels, kind="stable")
+        x = self.x = features[self.order]
+        n, d = x.shape
+        ends = np.cumsum(np.unique(labels, return_counts=True)[1])[:-1]
+        self.spans = list(zip(np.concatenate([[0], ends[:-1]]), ends))  # every rating but the highest
+        self.offsets = np.cumsum([0] + [(b - a) * (n - b) for a, b in self.spans])
+        self._x1 = np.hstack([x, np.ones((n, 1))])
+        self._scaled = np.zeros((n, d + 1))  # on each block's rows, [W X_C, W 1]
+        self._left = np.ones((n, d + 2))  # [-2 y, s, 1]
+        self._right = np.hstack([self._x1, np.zeros((n, 1))])  # [x, 1, s]
+
+    def buffer(self, dtype=float) -> np.ndarray:
+        """An uninitialized flat buffer of the entries."""
+        return np.empty(self.offsets[-1], dtype=dtype)
+
+    def views(self, buffer: np.ndarray) -> list[np.ndarray]:
+        """Each block's (b - a, n - b) view of a flat buffer."""
+        n = len(self.x)
+        return [buffer[lo:hi].reshape(b - a, n - b) for (a, b), lo, hi in zip(self.spans, self.offsets, self.offsets[1:])]
+
+    def entry_rows(self) -> np.ndarray:
+        """(2, entries): the block row i, then the block column j, of each entry (i, j)."""
+        out = np.empty((2, self.offsets[-1]), dtype=np.intp)
+        for (a, b), rows, cols in zip(self.spans, self.views(out[0]), self.views(out[1])):
+            rows[...] = np.arange(a, b)[:, None]
+            cols[...] = np.arange(b, len(self.x))
+        return out
+
+    def squared(self, m: np.ndarray, blocks: list[np.ndarray]) -> None:
+        """Each entry's d^2 = s_i + s_j - 2 (x_i M) . x_j, s_i = x_i M x_i, into `blocks` (the `views`)."""
+        x, d = self.x, self.x.shape[1]
+        y = x @ m
+        s = np.einsum("ij,ij->i", y, x)
+        np.multiply(y, -2.0, out=self._left[:, :d])
+        self._left[:, d] = s
+        self._right[:, d + 1] = s
+        for (a, b), d2 in zip(self.spans, blocks):
+            np.matmul(self._left[a:b], self._right[b:].T, out=d2)
+
+    def assemble(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """sum over entries of W_ij (x_i - x_j)(x_i - x_j)^T = X^T diag(r) X - K - K^T, W in `blocks`.
+
+        r adds up each row's weights over the blocks, W 1 as a block row and
+        W^T 1 as a block column, and K sums X_R^T W X_C.
+        """
+        x, (n, d) = self.x, self.x.shape
+        r = np.zeros(n)
+        for (a, b), w in zip(self.spans, blocks):
+            np.matmul(w, self._x1[b:], out=self._scaled[a:b])
+            r[b:] += w.sum(axis=0)
+        r += self._scaled[:, d]
+        cross = x.T @ self._scaled[:, :d]
+        return (x * r[:, None]).T @ x - cross - cross.T
+
+
+# ---------------------------------------------------------------------------
 # LMNN
 
 
@@ -493,9 +570,9 @@ class LmnnProblem:
     """Fixed target-neighbor structure LMNN optimizes over."""
 
     features: np.ndarray
+    labels: np.ndarray
     target_pairs: np.ndarray  # (p, 2) rows (i, target j), same rating, i nondecreasing, then j nearest first
     target_ranks: np.ndarray  # (p,) rank of j among i's targets, 0 for the nearest
-    same_label: np.ndarray  # (n, n) bool: y_i == y_l, the diagonal included
     pull_gram: np.ndarray  # sum over target pairs of (x_i - x_j)(x_i - x_j)^T
 
 
@@ -533,127 +610,124 @@ def lmnn_problem(train: LabeledDataset, k_targets: int) -> LmnnProblem:
         raise ConstraintError("no rating class has two members; LMNN cannot build target pairs")
     tp = np.stack([anchor, targets[anchor, rank]], axis=1)
     vp = x[tp[:, 0]] - x[tp[:, 1]]
-    return LmnnProblem(
-        features=x,
-        target_pairs=tp,
-        target_ranks=rank,
-        same_label=labels[:, None] == labels[None, :],
-        pull_gram=vp.T @ vp,
-    )
+    return LmnnProblem(features=x, labels=labels, target_pairs=tp, target_ranks=rank, pull_gram=vp.T @ vp)
 
 
-def _impostor_d2(m: np.ndarray, problem: LmnnProblem, ws: _Workspace):
-    """d2 at m in ws.gram, +inf on its same-label entries, and the target pairs' d2, read before."""
-    d2 = _pairwise_sq(np.asarray(m, dtype=float), problem.features, ws)
-    i, j = problem.target_pairs.T
-    target_d2 = d2[i, j]
-    np.putmask(d2, problem.same_label, np.inf)
-    return d2, target_d2
+class _LmnnKernel:
+    """LMNN's value, gradient and ray start on the rating blocks, for one problem and mu; see the module docstring.
 
-
-def _by_rank(values: np.ndarray, problem: LmnnProblem) -> np.ndarray:
-    """(ranks, n): each pair's value at [its rank, its anchor], -inf where an anchor has no target of that rank."""
-    out = np.full((int(problem.target_ranks.max()) + 1, problem.features.shape[0]), -np.inf)
-    out[problem.target_ranks, problem.target_pairs[:, 0]] = values
-    return out
-
-
-def _lmnn_value(m: np.ndarray, problem: LmnnProblem, mu: float, ws: _Workspace):
-    """LMNN's value at m, and the state its gradient reads: d2, the thresholds thr and the screened entries.
-
-    thr[r, i] = 1 + d2[i, j] for i's target j of rank r, so the hinge of
-    (i, j, l) is [thr[r, i] - d2[i, l]]_+. Impostors of i are the l with
-    finite d2[i, l], and a missing target's thr is -inf. A hinge is positive
-    only where d2[i, l] < thr[r, i] <= max_r thr[r, i], so the entries below
-    that largest threshold, listed once, hold every positive hinge of every
-    rank: the screen is exact. The state lists the screened entries by their
-    flat indices i n + l.
+    Each block entry (i, l) serves two anchors: i with impostor l, and l
+    with impostor i; `ends` holds (i, l) for each entry. thr[r, i] = 1 +
+    d2(i, j) for i's target j of rank r, -inf where i has none, so the hinge
+    of (i, j, l) is [thr[r, i] - d2(i, l)]_+. It is positive only where
+    d2(i, l) < thr[r, i] <= top[i] = max_r thr[r, i], so the entries below
+    the larger top of their two anchors, listed once, hold every positive
+    hinge of every rank for both: the screen is exact. The entries' d2 live
+    in one flat buffer, `entries`, made per kernel and overwritten at every
+    evaluation; the gradient writes the entries' weights over them.
     """
-    d2, target_d2 = _impostor_d2(m, problem, ws)
-    thr = _by_rank(1.0 + target_d2, problem)
-    flat = np.flatnonzero(np.less(d2, thr.max(axis=0)[:, None], out=ws.mask))
-    anchor, near = _screened(d2, flat)
-    push = 0.0
-    for row in thr:
-        hinge = row.take(anchor)
-        hinge -= near
-        push += float(np.maximum(hinge, 0.0, out=hinge).sum())
-    pull = float(target_d2.sum())
-    return (1.0 - mu) * pull + mu * push, (d2, thr, flat)
 
+    def __init__(self, problem: LmnnProblem, mu: float):
+        self.problem, self.mu = problem, mu
+        self.blocks = _RatingBlocks(problem.features, problem.labels)
+        self.entries = self.blocks.buffer()
+        self._entry_blocks = self.blocks.views(self.entries)
+        self.ends = self.blocks.entry_rows()
+        self._listed = self.blocks.buffer(bool)
+        self._screens = list(zip(self.blocks.spans, self._entry_blocks, self.blocks.views(self._listed)))
+        n = len(self.blocks.x)
+        position = np.empty(n, dtype=np.intp)
+        position[self.blocks.order] = np.arange(n)
+        i, j = problem.target_pairs.T
+        self._anchors = position[i]
+        self._diffs = problem.features[i] - problem.features[j]
 
-def _screened(d2: np.ndarray, flat: np.ndarray):
-    """The anchor i and d2[i, l] of each screened entry i n + l."""
-    return flat // d2.shape[0], d2.ravel().take(flat)
+    def _by_rank(self, values: np.ndarray) -> np.ndarray:
+        """(ranks, n): each target pair's value at [its rank, its anchor], -inf where an anchor has no target of that rank."""
+        ranks = self.problem.target_ranks
+        out = np.full((int(ranks.max()) + 1, len(self.blocks.x)), -np.inf)
+        out[ranks, self._anchors] = values
+        return out
 
+    def _screened(self, thr: np.ndarray, top: np.ndarray):
+        """The entries whose d2 lies below the larger `top` of their anchors, listed once.
 
-def _problem_workspace(problem: LmnnProblem) -> _Workspace:
-    return _workspace(problem.features.shape[0], mask=True)
+        Returns their positions, their (2, listed) anchors and the
+        (ranks, 2, listed) thr[r, anchor] - d2.
+        """
+        for (a, b), d2, screen in self._screens:
+            np.less(d2, np.maximum(top[a:b, None], top[b:]), out=screen)
+        flat = np.flatnonzero(self._listed)
+        anchor = self.ends.take(flat, axis=1)
+        z = thr.take(anchor, axis=1)
+        z -= self.entries.take(flat)
+        return flat, anchor, z
+
+    def value(self, m: np.ndarray):
+        """eps(m), and the state the gradient reads: the screen's positions and anchors, and the hinges."""
+        m = np.asarray(m, dtype=float)
+        self.blocks.squared(m, self._entry_blocks)
+        target_d2 = quad_forms(self._diffs, m)
+        thr = self._by_rank(1.0 + target_d2)
+        flat, anchor, hinge = self._screened(thr, thr.max(axis=0))
+        push = float(np.maximum(hinge, 0.0, out=hinge).sum())
+        return (1.0 - self.mu) * float(target_d2.sum()) + self.mu * push, (flat, anchor, hinge)
+
+    def weights(self, state) -> np.ndarray:
+        """Each target pair's count of active impostors; each entry's count of active hinges goes to `entries`.
+
+        The hinge of rank r is active when z = thr[r, i] - d2(i, l) > 0 (the
+        sign of a float difference is exact), and then adds v_ij v_ij^T -
+        v_il v_il^T to the push term's gradient. The counts are integers, so
+        each one is exact. Overwrites the state's hinges.
+        """
+        flat, anchor, hinge = state
+        active = np.greater(hinge, 0.0, out=hinge)  # 1 per active hinge
+        n = len(self.blocks.x)
+        counts = np.stack([np.bincount(anchor.ravel(), weights=row.ravel(), minlength=n) for row in active])
+        self.entries.fill(0.0)  # their d2 was read into the hinges
+        self.entries[flat] = active.sum(axis=(0, 1))
+        return counts[self.problem.target_ranks, self._anchors]
+
+    def gradient(self, state) -> np.ndarray:
+        counts = self.weights(state)
+        push = (self._diffs * counts[:, None]).T @ self._diffs - self.blocks.assemble(self._entry_blocks)
+        grad = (1.0 - self.mu) * self.problem.pull_gram + self.mu * push
+        return 0.5 * (grad + grad.T)
+
+    def ray_start(self) -> float:
+        """c*, the minimizer of eps(cI) over c > 0 (see the module docstring); 1 when eps(cI) has none.
+
+        The running sum over the ascending positive b passes its bound long
+        before the large b, whose hinges vanish first along the ray. So only
+        the b below a cutoff are sorted, and the cutoff widens when their
+        sum stays within the bound. At I, -b = base[r, i] - d2(i, l), and
+        every hinge with b < cutoff has d2(i, l) below max_r base[r, i] +
+        cutoff, so the screen at that top lists them all.
+        """
+        self.blocks.squared(np.eye(self.problem.features.shape[1]), self._entry_blocks)
+        base = self._by_rank(np.einsum("ij,ij->i", self._diffs, self._diffs))
+        pull = (1.0 - self.mu) / self.mu * float(np.trace(self.problem.pull_gram))
+        for cutoff in (4.0, 64.0, np.inf):
+            top = base.max(axis=0)
+            top[np.isfinite(top)] += cutoff  # an anchor without targets keeps -inf
+            neg_b = self._screened(base, top)[2]
+            # hinges with b <= 0 never vanish: each adds -b to the slope
+            need = pull + float(np.maximum(neg_b, 0.0).sum())
+            b = np.sort(-neg_b[(neg_b < 0.0) & (neg_b > -cutoff)])
+            running = np.cumsum(b)
+            if running.size and running[-1] > need:
+                return 1.0 / float(b[np.searchsorted(running, need, side="right")])
+        return 1.0
 
 
 def lmnn_objective(m: np.ndarray, problem: LmnnProblem, mu: float) -> float:
-    return _lmnn_value(m, problem, mu, _problem_workspace(problem))[0]
+    return _LmnnKernel(problem, mu).value(m)[0]
 
 
 def lmnn_gradient(m: np.ndarray, problem: LmnnProblem, mu: float) -> np.ndarray:
-    ws = _problem_workspace(problem)
-    return _lmnn_grad(_lmnn_value(m, problem, mu, ws)[1], problem, mu, ws)
-
-
-def _lmnn_grad(state, problem: LmnnProblem, mu: float, ws: _Workspace) -> np.ndarray:
-    x = problem.features
-    i, j = problem.target_pairs.T
-    d2, thr, flat = state
-    anchor, near = _screened(d2, flat)
-    # c[i, j] counts the active impostors of pair (i, j), and c[i, l] is minus
-    # the number of i's pairs that l is active for. l is active for i's target
-    # of rank r when d2[i, l] < thr[r, i], which is z = thr[r, i] - d2[i, l] > 0
-    # (the sign of a float difference is exact); only screened entries can be.
-    # Targets are never impostors and the counts are integers, so every entry
-    # is exact. The screened entries come in runs of one anchor each, so a
-    # target's count is a sum over its anchor's run.
-    bounds = np.searchsorted(flat, np.arange(len(d2) + 1) * len(d2))
-    owners = np.flatnonzero(bounds[1:] > bounds[:-1])  # the anchors with a run
-    starts = bounds[owners]
-    ranks_active = np.zeros(flat.size, dtype=np.int64)
-    counts = np.zeros(thr.shape)
-    for rank, row in enumerate(thr):
-        active = near < row.take(anchor)
-        ranks_active += active
-        counts[rank, owners] = np.add.reduceat(active, starts, dtype=np.int64)
-    c = ws.lap  # free once d2 is formed
-    c.fill(0.0)
-    c.ravel()[flat] = -ranks_active
-    c[i, j] = counts[problem.target_ranks, i]
-    push = _laplacian_form(x, np.add(c, c.T, out=ws.gram))  # over d2, read into `near` above
-    grad = (1.0 - mu) * problem.pull_gram + mu * 0.5 * (push + push.T)
-    return 0.5 * (grad + grad.T)
-
-
-def _lmnn_ray_start(problem: LmnnProblem, mu: float, ws: _Workspace) -> float:
-    """c*, the minimizer of eps(cI) over c > 0 (see the module docstring); 1 when eps(cI) has none.
-
-    The running sum over the ascending positive b passes its bound long
-    before the large b, whose hinges vanish first along the ray. So only the
-    b below a cutoff are sorted, and the cutoff widens when their sum stays
-    within the bound.
-    """
-    d2, target_d2 = _impostor_d2(np.eye(problem.features.shape[1]), problem, ws)
-    base = _by_rank(target_d2, problem)
-    neg_b = ws.lap
-    need = (1.0 - mu) / mu * float(np.trace(problem.pull_gram))
-    for row in base:  # hinges with b <= 0 never vanish: each adds -b to the slope
-        need += float(np.maximum(np.subtract(row[:, None], d2, out=neg_b), 0.0, out=neg_b).sum())
-    for cutoff in (4.0, 64.0, np.inf):
-        falls = []
-        for row in base:
-            np.subtract(row[:, None], d2, out=neg_b)
-            falls.append(-neg_b[(neg_b < 0.0) & (neg_b > -cutoff)])
-        b = np.sort(np.concatenate(falls))
-        running = np.cumsum(b)
-        if running.size and running[-1] > need:
-            return 1.0 / float(b[np.searchsorted(running, need, side="right")])
-    return 1.0
+    kernel = _LmnnKernel(problem, mu)
+    return kernel.gradient(kernel.value(m)[1])
 
 
 def _clip_to_cone(m: np.ndarray):
@@ -668,14 +742,11 @@ def fit_lmnn(
 
     Reads `lmnn_k_targets`, `lmnn_mu`, `lmnn_max_iter` and `lmnn_tol` from the config.
     """
-    mu = config.lmnn_mu
-    problem = lmnn_problem(train, config.lmnn_k_targets)
-    ws = _problem_workspace(problem)
-    start = _lmnn_ray_start(problem, mu, ws)
+    kernel = _LmnnKernel(lmnn_problem(train, config.lmnn_k_targets), config.lmnn_mu)
     m, trace = _spg(
-        start * np.eye(train.d),
-        lambda m: _lmnn_value(m, problem, mu, ws),
-        lambda state: _lmnn_grad(state, problem, mu, ws),
+        kernel.ray_start() * np.eye(train.d),
+        kernel.value,
+        kernel.gradient,
         _clip_to_cone,
         config.lmnn_max_iter,
         config.lmnn_tol,
@@ -707,65 +778,34 @@ def _mmc_pairs(train: LabeledDataset, row: np.ndarray) -> np.ndarray:
 
 
 def _dissimilar_blocks(train: LabeledDataset, row: np.ndarray):
-    """MMC's dissimilar-distance sum and its gradient, on one block per rating; see the module docstring.
+    """MMC's dissimilar-distance sum and its gradient, on the rating blocks; see the module docstring.
 
-    The rows are sorted by rating once (stably), so a rating's block is its
-    contiguous run of rows against all the rows after it, and the blocks
-    hold each pair i < j of unequal ratings once. Their entries live in two
-    flat buffers made per fit, d_M and the weights, overwritten at every
-    evaluation. Entries whose rows have equal features (equal `row`, the
-    fold's _row_ids) are listed once and read d = 0, so weight 0: the Gram
-    form can leave them a d^2 near 1e-16 * |x|^2, and 0.5 / d would swamp the
-    gradient.
+    The entries' d_M and weights live in two flat buffers made per fit,
+    overwritten at every evaluation. Entries whose rows have equal features
+    (equal `row`, the fold's _row_ids) are listed once and read d = 0, so
+    weight 0: the Gram form can leave them a d^2 near 1e-16 * |x|^2, and
+    0.5 / d would swamp the gradient.
     """
-    order = np.argsort(train.labels, kind="stable")
-    x = train.features[order]
-    n, d = x.shape
-    ends = np.cumsum(np.unique(train.labels, return_counts=True)[1])[:-1]
-    spans = list(zip(np.concatenate([[0], ends[:-1]]), ends))  # every rating but the highest
-    offsets = np.cumsum([0] + [(b - a) * (n - b) for a, b in spans])
-    dist, weight = np.empty(offsets[-1]), np.empty(offsets[-1])
-
-    def blocks(buffer):
-        return [buffer[lo:hi].reshape(b - a, n - b) for (a, b), lo, hi in zip(spans, offsets, offsets[1:])]
-
-    dist_blocks, weight_blocks = blocks(dist), blocks(weight)
-    row = row[order]
-    equal = np.concatenate([lo + np.flatnonzero(row[a:b, None] == row[b:]) for (a, b), lo in zip(spans, offsets)])
-    x1 = np.hstack([x, np.ones((n, 1))])
-    scaled = np.zeros((n, d + 1))  # on each block's rows, [W X_C, W 1]
-    left = np.ones((n, d + 2))  # [-2 y, s, 1]
-    right = np.hstack([x1, np.zeros((n, 1))])  # [x, 1, s]
+    blocks = _RatingBlocks(train.features, train.labels)
+    dist, weight = blocks.buffer(), blocks.buffer()
+    dist_blocks, weight_blocks = blocks.views(dist), blocks.views(weight)
+    row = row[blocks.order]
+    equal = np.concatenate(
+        [lo + np.flatnonzero(row[a:b, None] == row[b:]) for (a, b), lo in zip(blocks.spans, blocks.offsets)]
+    )
 
     def total(m: np.ndarray) -> float:
         """Sum of d_M over the dissimilar pairs; each pair's d_M stays in `dist`."""
-        y = x @ m
-        s = np.einsum("ij,ij->i", y, x)
-        np.multiply(y, -2.0, out=left[:, :d])
-        left[:, d] = s
-        right[:, d + 1] = s
-        for (a, b), d2 in zip(spans, dist_blocks):
-            np.matmul(left[a:b], right[b:].T, out=d2)
+        blocks.squared(m, dist_blocks)
         np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
         dist[equal] = 0.0
         return float(dist.sum())
 
     def ascent() -> np.ndarray:
-        """Gradient in M of the sum `total` took last: X^T diag(r) X - K - K^T.
-
-        With W = 1 / (2 d_M) per block, r adds up each row's weights over the
-        blocks, W 1 as a block row and W^T 1 as a block column, and K sums
-        X_R^T W X_C.
-        """
+        """Gradient in M of the sum `total` took last: the assembly of W = 1 / (2 d_M) per block."""
         weight.fill(0.0)
         np.divide(0.5, dist, out=weight, where=dist > ZERO_DISTANCE)
-        r = np.zeros(n)
-        for (a, b), w in zip(spans, weight_blocks):
-            np.matmul(w, x1[b:], out=scaled[a:b])
-            r[b:] += w.sum(axis=0)
-        r += scaled[:, d]
-        cross = x.T @ scaled[:, :d]
-        return (x * r[:, None]).T @ x - cross - cross.T
+        return blocks.assemble(weight_blocks)
 
     return total, ascent
 

@@ -546,9 +546,12 @@ def _lmnn_oracle(x, labels, k, m, mu):
     """LMNN by its definition, looping over anchor i, target j and impostor l.
 
     Targets are the k nearest same-rating points under the Euclidean metric,
-    lower index first on ties. Returns the target pairs, the objective, and the
-    gradient assembled from the loop's count matrix c as
-    (1 - mu) * sum v_ij v_ij^T + mu * x^T (diag(row sums of s) - s) x, s = c + c^T.
+    lower index first on ties. Returns the target pairs, the objective, the
+    push term, the gradient and the loop's (n, n) count matrix c: c[i, j]
+    counts the active impostors of target pair (i, j), and c[i, l] is minus
+    the number of i's target pairs that l is an active impostor for. The
+    gradient is (1 - mu) * sum v_ij v_ij^T + mu * x^T (diag(row sums of s) - s) x,
+    s = c + c^T.
     """
     n = len(labels)
     pairs = []
@@ -574,37 +577,71 @@ def _lmnn_oracle(x, labels, k, m, mu):
     s = c + c.T
     push_grad = x.T @ (np.diag(s.sum(axis=1)) - s) @ x
     grad = (1.0 - mu) * (vp.T @ vp) + mu * 0.5 * (push_grad + push_grad.T)
-    return np.array(pairs), (1.0 - mu) * pull + mu * push, push, 0.5 * (grad + grad.T)
+    return np.array(pairs), (1.0 - mu) * pull + mu * push, push, 0.5 * (grad + grad.T), c
+
+
+def _assert_lmnn_matches_oracle(x, labels, problem, m, mu):
+    """The kernel against _lmnn_oracle at m: the value, the integer counts exactly, the gradient to 1e-12.
+
+    The kernel's counts are its weights: one per target pair, and one per
+    block entry, the pair (i, l) of unequal ratings, which counts the active
+    hinges of both anchors, -(c[i, l] + c[l, i]) in the oracle's terms.
+    Returns the oracle's push term and c.
+    """
+    pairs, objective, push, gradient, c = _lmnn_oracle(x, labels, 3, m, mu)
+    assert np.array_equal(problem.target_pairs, pairs)
+    assert lmnn_objective(m, problem, mu) == pytest.approx(objective, rel=1e-12)
+    kernel = learners._LmnnKernel(problem, mu)
+    counts = kernel.weights(kernel.value(m)[1])
+    assert np.array_equal(counts, c[pairs[:, 0], pairs[:, 1]])
+    entry = np.zeros_like(c)
+    rows, cols = kernel.blocks.order[kernel.ends]  # each entry's two rows, in the fold's order
+    entry[rows, cols] = entry[cols, rows] = kernel.entries
+    assert np.array_equal(entry, np.where(np.not_equal.outer(labels, labels), -(c + c.T), 0.0))
+    got = lmnn_gradient(m, problem, mu)
+    assert np.abs(got - gradient).max() <= 1e-12 * np.abs(gradient).max()
+    return push, c
 
 
 @pytest.mark.parametrize(
-    "labels",
-    [
-        # a singleton class (its row is skipped) and classes with 2 and 3 members,
-        # fewer than k + 1
-        [1] * 8 + [2] * 6 + [3] * 2 + [4] + [5] * 3,
-        [2] * 8,  # one class: no impostors
-        list(np.random.default_rng(20).integers(1, 6, 40)),
-    ],
-    ids=["small_classes", "single_class", "random"],
+    "case", ["small_classes", "single_class", "random", "ratings_1_10", "singleton_impostor", "equal_features"]
 )
 @pytest.mark.parametrize("mu", [0.5, 0.2])
-def test_lmnn_kernels_match_triple_loop_oracle(labels, mu):
+def test_lmnn_kernels_match_triple_loop_oracle(case, mu):
+    labels = {
+        # a singleton class (its row is skipped) and classes with 2 and 3 members,
+        # fewer than k + 1
+        "small_classes": [1] * 8 + [2] * 6 + [3] * 2 + [4] + [5] * 3,
+        "single_class": [2] * 8,  # one class: no block, so no impostors
+        "random": list(np.random.default_rng(20).integers(1, 6, 40)),
+        "ratings_1_10": list(range(1, 11)) * 4,  # nine blocks
+        # rating 3's one row sits among rating 1's: an impostor that anchors nothing
+        "singleton_impostor": [1] * 10 + [2] * 10 + [3],
+        "equal_features": [1, 2, 3, 4, 5] * 6,
+    }[case]
     rng = np.random.default_rng(len(labels))
     x = rng.normal(size=(len(labels), 3))
-    ds = toy(x, labels, scale=(1, 5))
+    if case == "singleton_impostor":
+        x[20] = x[:10].mean(axis=0)
+    elif case == "equal_features":
+        x[1], x[7], x[13] = x[0], x[0], x[4]  # rows rated 1 and 2, 3 and 1, 4 and 5
+    ds = toy(x, labels)
     if min(np.unique(labels, return_counts=True)[1]) == 1:
         with pytest.warns(SmallClassWarning):
             problem = lmnn_problem(ds, 3)
     else:
         problem = lmnn_problem(ds, 3)
+    assert len(learners._RatingBlocks(x, ds.labels).spans) == len(set(labels)) - 1
     for _ in range(3):
         m = random_spd(rng, 3) / 3.0
-        pairs, objective, push, gradient = _lmnn_oracle(x, labels, 3, m, mu)
+        push, c = _assert_lmnn_matches_oracle(x, labels, problem, m, mu)
         assert (push > 0.0) == (len(set(labels)) > 1)
-        assert np.array_equal(problem.target_pairs, pairs)
-        assert lmnn_objective(m, problem, mu) == pytest.approx(objective, rel=1e-12)
-        assert np.array_equal(lmnn_gradient(m, problem, mu), gradient)
+        if case == "single_class":
+            # push 0, and the gradient is the pull term's, bit for bit
+            pull = (1.0 - mu) * problem.pull_gram
+            assert np.array_equal(lmnn_gradient(m, problem, mu), 0.5 * (pull + pull.T))
+        elif case == "singleton_impostor":
+            assert (c[:, 20] < 0.0).any() and not c[20].any()
 
 
 @pytest.mark.parametrize("case", ["every_impostor", "no_impostor", "short_anchor"])
@@ -629,20 +666,22 @@ def test_lmnn_screen_edge_cases_match_triple_loop_oracle(case, mu):
         x = rng.normal(size=(22, 3))
         m = random_spd(rng, 3) / 3.0
     problem = lmnn_problem(toy(x, labels, scale=(1, 5)), 3)
-    pairs, objective, push, gradient = _lmnn_oracle(x, labels, 3, m, mu)
-    _, (_, thr, flat) = learners._lmnn_value(m, problem, mu, learners._problem_workspace(problem))
+    kernel = learners._LmnnKernel(problem, mu)
+    _, (flat, anchor, hinge) = kernel.value(m)
+    listed = kernel.blocks.order[anchor]  # the two rows of each listed entry, in the fold's order
+    push, _ = _assert_lmnn_matches_oracle(x, labels, problem, m, mu)
     if case == "every_impostor":
-        assert np.array_equal(flat, np.flatnonzero(np.not_equal.outer(labels, labels)))
+        # every pair of unequal ratings, once
+        want = [(i, l) for i in range(30) for l in range(i + 1, 30) if labels[i] != labels[l]]
+        assert sorted(map(tuple, np.sort(listed, axis=0).T.tolist())) == want
     elif case == "no_impostor":
         assert flat.size == 0 and push == 0.0
         pull = (1.0 - mu) * problem.pull_gram
         assert np.array_equal(lmnn_gradient(m, problem, mu), 0.5 * (pull + pull.T))
     else:
-        assert np.isneginf(thr[1:, 20:]).all() and np.isfinite(thr[0]).all()
-        assert np.isin(np.arange(20, 22), flat // len(labels)).all()  # their rank-0 hinges stay screened
-    assert np.array_equal(problem.target_pairs, pairs)
-    assert lmnn_objective(m, problem, mu) == pytest.approx(objective, rel=1e-12)
-    assert np.array_equal(lmnn_gradient(m, problem, mu), gradient)
+        short = np.isin(listed, [20, 21])
+        assert np.isin([20, 21], listed).all()  # their rank-0 hinges stay screened
+        assert not hinge[1:, short].any()  # and they have no hinge of rank 1 or 2
 
 
 def _lmnn_ray_oracle(x, labels, pairs, mu):
@@ -995,11 +1034,13 @@ def test_each_learner_reads_only_its_own_keys():
 
 
 def test_lmnn_fit_peak_memory_is_its_workspace():
-    # 420 rows: the workspace's two (n, n) float arrays and (n, n) mask, with
-    # the problem's same-label mask, hold 3.0 MB; the fit peaks at 4.1 MB, in
-    # its ray start's selection of the b. The bound leaves 2 MB over the
-    # workspace, so one (pairs, n) float array (1,260 target pairs, 4 MB),
-    # the layout of the hinges before the per-rank slabs, breaks it.
+    # 420 rows: the kernel keeps the rating blocks' entries, 0.4 n^2 of them,
+    # in flat buffers, with no same-label mask and no (n, n) workspace: their
+    # two anchors (intp, 1.08 MiB), their d2 (0.54 MiB), the screen mask and
+    # the layout's (n, d) arrays, 1.97 MiB in all. The fit peaks at 3.4 MiB,
+    # in the screened hinges of the ray start and the early evaluations. The
+    # bound leaves 0.6 MiB over that, so one more (n, n) float array alive
+    # (1.35 MiB) breaks it.
     ds = make_dataset(np.random.default_rng(1), 420, 10)
     tracemalloc.start()
     try:
@@ -1007,7 +1048,7 @@ def test_lmnn_fit_peak_memory_is_its_workspace():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.0 * 2**20
+    assert peak <= 4.0 * 2**20
 
 
 @pytest.mark.parametrize("form", ["full", "diagonal"])
