@@ -9,11 +9,12 @@ of a set is lexicographic (a, b, c), so subsampling is reproducible.
 `triplet_blocks` enumerates the set anchor by anchor, in canonical order, and
 `dump-triplets` streams them. The experiment never builds the set:
 `sample_triplets` draws the training triplets by rank and decodes only the
-drawn ranks, in O(n^2) memory; `describe_triplets` gives a test fold's set as
-its rule and size: the rule evaluated on the fold's L distinct labels, an
-(L, L, L) table, which a violation count reads. Both count the valid c per
-pair of labels (`_label_table`); the sampler spreads that count over every
-(a, b) (`_valid_c_counts`), which the tests pin to the rule.
+drawn ranks, in O(n^2 + L^2 n) memory for a fold of L distinct labels;
+`describe_triplets` gives a test fold's set as its rule and size: the rule
+evaluated on the fold's L distinct labels, an (L, L, L) table, which a
+violation count reads. Both count the valid c per pair of labels
+(`_label_table`); the sampler spreads that count over every (a, b)
+(`_valid_c_counts`), which the tests pin to the rule.
 `reference.build_triplets` joins the blocks in O(n^3) memory, and
 `reference.subsample_triplets` draws from the whole set as `sample_triplets`
 does without it.
@@ -98,7 +99,8 @@ def sample_triplets(
     Draws the same ranks into the canonical order, then decodes each rank to
     (a, b) through the cumulative valid-c counts and to c as the nth valid c
     of that (a, b). The valid c depend only on (S_a, S_b), so they are listed
-    once per label pair among the draws.
+    once per label pair, ascending, in one array; a draw reads its c at its
+    label pair's offset in that list plus nth.
     """
     labels = _triplet_labels(dataset, sigma, variant)
     if m < 1:
@@ -114,15 +116,11 @@ def sample_triplets(
     pair = np.searchsorted(ends, ranks, side="right")
     a, b = np.divmod(pair, dataset.n)
     nth = ranks - (ends[pair] - counts[pair])
-    _, value = np.unique(labels, return_inverse=True)
-    code = value[a] * labels.size + value[b]  # one code per (S_a, S_b)
-    order = np.argsort(code)
-    starts = np.flatnonzero(np.diff(code[order], prepend=-1))
-    c = np.empty_like(ranks)
-    for lo, hi in zip(starts, np.append(starts[1:], order.size)):
-        group = order[lo:hi]
-        first = group[0]
-        c[group] = np.flatnonzero(_valid_c(labels, sigma, variant, a[first], b[first]))[nth[group]]
+    table, codes, _ = _label_table(labels, sigma, variant)
+    size = len(table)
+    label_pair, valid_c = np.nonzero(table.reshape(size * size, size)[:, codes])  # row-major: c ascending per pair
+    offset = np.searchsorted(label_pair, np.arange(size * size))
+    c = valid_c[offset[codes[a] * size + codes[b]] + nth]
     return TripletSet(indices=np.stack([a, b, c], axis=1))
 
 

@@ -6,7 +6,12 @@ same data, constraints and config give the same metric. Each iteration
 projects once at the Barzilai-Borwein step lam, d = P(x - lam g) - x, halving
 lam while d is no descent direction, then backtracks along the segment
 x + t d, t <= 1, to the Armijo rule f(x + t d) <= f(x) + 1e-4 t <g, d>. Every
-feasible set here is convex, so the segment needs no projection. A fit stops,
+feasible set here is convex, so the segment needs no projection. The first lam
+is |x0|_inf / |P(x0 - g) - x0|_inf (1 in place of |x0|_inf at x0 = 0), so the
+first trial moves x0 by about its own size. LSML starts at c* I, with c*
+about 4e-5 on the benchmark's folds (3e-5 to 5e-5); there a first trial of
+size 1, Birgin et al.'s lam = 1 / |P(x0 - g) - x0|_inf, is some 25,000 times
+too long and takes about 9 evaluations to backtrack. A fit stops,
 converged, after two consecutive relative decreases (f - f_new) / max(|f|, 1)
 of at most `tol`, or when no step reaches the Armijo rule before it rounds to
 x. Each fit returns the learned metric together with an OptimizerTrace of the
@@ -224,15 +229,25 @@ def _spg(x0, evaluate, gradient, project, max_iter: int, tol: float):
     projection of x onto the (convex) feasible set and 1 if it altered x,
     else 0. max_iter caps the iterates, the start included, and tol is the
     relative-decrease stop. Returns the final iterate and its OptimizerTrace.
+
+    The first step is relative to the start's size, |x0|_inf / |P(x0 - g) -
+    x0|_inf, not Birgin, Martinez & Raydan's 1 / |P(x0 - g) - x0|_inf. So
+    for a quadratic f on a cone, scaling the problem by s > 0 (x0 -> s x0,
+    f(x) -> s^2 f(x / s)) scales every iterate by s and leaves each line
+    search's trials as they were (the tol stop, relative to max(|f|, 1),
+    aside), where a fixed first step is far too long for a start as small as
+    LSML's c* I (see the module docstring) and backtracks for several
+    evaluations.
     """
     x, projection_count = project(np.array(x0, dtype=float))
     f, state = evaluate(x)
     g = gradient(state)
     del state  # no state stays alive while the line search evaluates
     values, evaluations = [f], 1
-    # the first step is 1 / |P(x - g) - x|_inf, as in Birgin, Martinez & Raydan
-    scale = float(np.abs(project(x - g)[0] - x).max())
-    lam = _clip_step(1.0 / scale) if scale > 0.0 else STEP_RANGE[1]
+    # the first step is |x|_inf / |P(x - g) - x|_inf, relative to the start's size; 1 stands in for it at x = 0
+    reach = float(np.abs(project(x - g)[0] - x).max())
+    size = float(np.abs(x).max()) or 1.0
+    lam = _clip_step(size / reach) if reach > 0.0 else STEP_RANGE[1]
     small_streak = 0
     converged = False
     for _ in range(max_iter - 1):
@@ -683,8 +698,10 @@ class _LmnnKernel:
         """
         flat, anchor, hinge = state
         active = np.greater(hinge, 0.0, out=hinge)  # 1 per active hinge
-        n = len(self.blocks.x)
-        counts = np.stack([np.bincount(anchor.ravel(), weights=row.ravel(), minlength=n) for row in active])
+        n, ranks = len(self.blocks.x), len(active)
+        # one count for every rank; sums of 0.0 and 1.0, so exact
+        key = anchor + (n * np.arange(ranks))[:, None, None]
+        counts = np.bincount(key.ravel(), weights=active.ravel(), minlength=ranks * n).reshape(ranks, n)
         self.entries.fill(0.0)  # their d2 was read into the hinges
         self.entries[flat] = active.sum(axis=(0, 1))
         return counts[self.problem.target_ranks, self._anchors]

@@ -644,6 +644,23 @@ def test_lmnn_kernels_match_triple_loop_oracle(case, mu):
             assert (c[:, 20] < 0.0).any() and not c[20].any()
 
 
+@pytest.mark.parametrize("k_targets", [1, 3, 5])
+@pytest.mark.parametrize("n, top", [(140, 5), (140, 10)])
+def test_lmnn_counts_all_ranks_in_one_pass_as_per_rank(k_targets, n, top):
+    # the one count keyed by rank * n + anchor against one bincount per target rank
+    rng = np.random.default_rng(k_targets)
+    ds = make_dataset(rng, n, 4, scale=(1, top))
+    problem = lmnn_problem(ds, k_targets)
+    kernel = learners._LmnnKernel(problem, 0.5)
+    state = kernel.value(random_spd(rng, 4) / 4.0)[1]
+    _, anchor, hinge = state
+    active = hinge > 0.0
+    per_rank = np.stack([np.bincount(anchor.ravel(), weights=r.ravel(), minlength=n) for r in active])
+    assert active.any()
+    want = per_rank[problem.target_ranks, kernel._anchors]
+    assert np.array_equal(kernel.weights(state), want)
+
+
 @pytest.mark.parametrize("case", ["every_impostor", "no_impostor", "short_anchor"])
 @pytest.mark.parametrize("mu", [0.5, 0.2])
 def test_lmnn_screen_edge_cases_match_triple_loop_oracle(case, mu):
@@ -935,6 +952,67 @@ def test_spg_holds_one_evaluation_state_at_a_time():
     _, trace = learners._spg(np.array([-1.2, 1.0]), evaluate, gradient, project, 200, 1e-12)
     assert calls["gradient"] == trace.iterations > 3
     assert calls["evaluate"] > calls["gradient"] + 1  # some trials were rejected
+
+
+def _count_trials(patch):
+    """Patch learners._armijo to log the trials of each line search; returns the log."""
+    search, trials = learners._armijo, []
+
+    def counting(*args):
+        out = search(*args)
+        trials.append(out[2])
+        return out
+
+    patch.setattr(learners, "_armijo", counting)
+    return trials
+
+
+def _spg_path(monkeypatch, x0, target):
+    """_spg on f(X) = |X - target|_F^2 / 2 over the PSD cone, at tol 0 and at most 10 iterates.
+
+    Returns the trials of each line search, the points evaluated and the trace.
+    """
+    points = []
+
+    def evaluate(x):
+        points.append(x)
+        return 0.5 * float(np.sum(np.square(x - target))), x
+
+    with monkeypatch.context() as patch:
+        trials = _count_trials(patch)
+        _, trace = learners._spg(x0, evaluate, lambda x: x - target, learners._clip_to_cone, 10, 0.0)
+    return trials, points, trace
+
+
+@pytest.mark.parametrize("k", [-20, 20])
+def test_spg_path_scales_with_the_problem(monkeypatch, k):
+    # scaling the start and the objective's minimizer by 2^k scales the
+    # gradient and the projection alike; the first step, relative to the
+    # start's size, then takes the same trials, and each iterate is 2^k times
+    # the unscaled one
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(5, 5))
+    target = a + a.T
+    w = np.linalg.eigvalsh(target)
+    assert w[0] < 0.0 < w[-1]  # indefinite, so the projection acts
+    x0 = random_spd(rng, 5)
+    trials, points, trace = _spg_path(monkeypatch, x0, target)
+    scaled_trials, scaled_points, scaled_trace = _spg_path(monkeypatch, 2.0**k * x0, 2.0**k * target)
+    assert trace.iterations > 3
+    assert scaled_trials == trials
+    assert (scaled_trace.iterations, scaled_trace.evaluations) == (trace.iterations, trace.evaluations)
+    assert len(scaled_points) == len(points)
+    for p, q in zip(points, scaled_points):
+        np.testing.assert_allclose(q, 2.0**k * p, rtol=1e-12, atol=0.0)
+
+
+def test_lsml_first_line_search_takes_few_trials(monkeypatch):
+    # LSML starts at c* I with c* far below 1 here; a first step of unit size
+    # against that start backtracks about 9 times before one is accepted
+    ds, triplets = _lsml_fold("train140")
+    trials = _count_trials(monkeypatch)
+    fit_lsml(ds, triplets)
+    assert trials[0] <= 3
 
 
 @pytest.mark.parametrize("name", ["lsml", "lmnn", "mmc_full", "mmc_diagonal"])

@@ -15,14 +15,24 @@ its entry draws, `sample_triplets(fold, 0.0, 5000, subseed(seed, 0, 1),
 "literal")`, and its fit time includes that draw. Each tree runs in its own
 subprocess with one BLAS thread; the trees run one after the other.
 
+Each tree also fits every fold a second time from the same start, at tol 0
+with a cap of 20,000 iterates (`TOL0_CAP`), and scores that fit, f_tol0, the
+same way. LMNN and both MMC forms are convex, so f_tol0 approximates their
+optimal value; LSML's triplet term is not (d_M is the root of a linear form),
+so its f_tol0 is the limit from its ray start, not a global optimum.
+
 Prints one row per learner and fold kind: the worst and best relative
 objective change (new - old) / |old| over the folds, + = worse; the
 unconverged fits; and the summed iterations, objective evaluations and fit
-time, old -> new. LSML and LMNN are scored by their objectives at the
-returned metric, and both MMC forms by the scale-invariant sum over similar
-pairs of d^2 over the squared sum over dissimilar pairs of d; all three are
-minimized. Exits 1 if any fit raises, a tree's run fails, or a row has more
-unconverged fits in NEW_SRC than in OLD_SRC, else 0.
+time, old -> new. A second table gives, per row and tree, the worst and the
+median excess of the default fit over the tol-0 fit, (f - f_tol0) / |f_tol0|,
+so a change that stops farther from the optimum shows even when its objective
+change against the old tree looks like rounding. LSML and LMNN are scored by
+their objectives at the returned metric, and both MMC forms by the
+scale-invariant sum over similar pairs of d^2 over the squared sum over
+dissimilar pairs of d; all three are minimized. Exits 1 if any fit raises, a
+tree's run fails, or a row has more unconverged fits in NEW_SRC than in
+OLD_SRC, else 0.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ SEEDS = range(1, 13)
 FOLDS = {"140": (140, 5), "420": (420, 5), "140 1-10": (140, 10)}  # kind: (n, highest rating)
 DIM = 10
 LEARNERS = ("lsml", "lmnn", "mmc_full", "mmc_diagonal")
+TOL0_CAP = 20_000
 
 
 def _fold(seed: int, n: int, top: int):
@@ -70,15 +81,15 @@ def _mmc_ratio(m: np.ndarray, ds) -> float:
     return float(d2[same & upper].sum()) / float(np.sqrt(d2[~same & upper]).sum()) ** 2
 
 
-def _fit(learner: str, ds, seed: int):
-    """Fit `learner` on `ds`; return its score at the returned metric, its trace and the fit time."""
+def _fit(learner: str, ds, seed: int, **limits):
+    """Fit `learner` on `ds`, with config fields `limits`; return its score, its trace and the fit time."""
     from fairmetric import learners
     from fairmetric.constraints import sample_triplets
     from fairmetric.core import ExperimentConfig, subseed
     from fairmetric.evaluation import RepeatData, build_learner_menu
 
     name, _, form = learner.partition("_")
-    config = ExperimentConfig(rng_seed=seed, mmc_form=form or "full")
+    config = ExperimentConfig(rng_seed=seed, mmc_form=form or "full", **limits)
     fit = build_learner_menu((name,), config)[name]
     start = time.perf_counter()
     metric, trace = fit(RepeatData(0, ds, ds, ()))
@@ -102,14 +113,19 @@ def worker() -> None:
         for kind, (n, top) in FOLDS.items():
             for seed in SEEDS:
                 record = {"learner": learner, "fold": kind, "seed": seed}
+                name = learner.partition("_")[0]
+                tol0 = {f"{name}_tol": 0.0, f"{name}_max_iter": TOL0_CAP}
                 try:
-                    objective, trace, elapsed = _fit(learner, _fold(seed, n, top), seed)
+                    fold = _fold(seed, n, top)
+                    objective, trace, elapsed = _fit(learner, fold, seed)
+                    objective_tol0 = _fit(learner, fold, seed, **tol0)[0]
                 except Exception as exc:  # reported, and the gate fails
                     traceback.print_exc()
                     record["error"] = f"{type(exc).__name__}: {exc}"
                 else:
                     record.update(
                         objective=objective,
+                        objective_tol0=objective_tol0,
                         converged=trace.converged,
                         iterations=trace.iterations,
                         evaluations=trace.evaluations,
@@ -148,7 +164,7 @@ def main(argv=None) -> int:
     for side, (learner, kind, seed), error in failed:
         print(f"fit_gate: {side} {learner} fold {kind} seed={seed} raised {error}", file=sys.stderr)
 
-    worse = []  # rows with more unconverged fits in the new tree
+    worse, excess_rows = [], []  # rows with more unconverged fits in the new tree; excess table rows
     print(f"{len(SEEDS)} seeds per row; objective change (new - old) / |old|, + = worse")
     header = ("learner", "fold", "worst", "best", "unconverged", "iterations", "evaluations", "fit_s")
     print("  ".join(f"{h:>13}" for h in header))
@@ -159,6 +175,12 @@ def main(argv=None) -> int:
                 print(f"{learner:>13}  {kind:>13}  (a fit raised)")
                 continue
             change = [(new[k]["objective"] - old[k]["objective"]) / abs(old[k]["objective"]) for k in keys]
+            excess = []
+            for side in (old, new):
+                limit = [side[k]["objective_tol0"] for k in keys]
+                over = [(side[k]["objective"] - f0) / abs(f0) for k, f0 in zip(keys, limit)]
+                excess += [f"{max(over):+.2e}", f"{np.median(over):+.2e}"]
+            excess_rows.append((learner, kind, *excess))
 
             def total(side, field):
                 return sum(side[k][field] for k in keys)
@@ -180,6 +202,11 @@ def main(argv=None) -> int:
                 f"{total(old, 'fit_s'):.2f} -> {total(new, 'fit_s'):.2f}",
             )
             print("  ".join(f"{c:>13}" for c in cells))
+    print(f"\nexcess (f - f_tol0) / |f_tol0| over the tol-0 fit (cap {TOL0_CAP}); LSML's is from its ray start")
+    header = ("learner", "fold", "old worst", "old median", "new worst", "new median")
+    print("  ".join(f"{h:>13}" for h in header))
+    for cells in excess_rows:
+        print("  ".join(f"{c:>13}" for c in cells))
     for message in worse:
         print(message, file=sys.stderr)
     return 1 if failed or worse else 0
