@@ -251,14 +251,13 @@ def _file_safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_")
 
 
-def _write_fitted_metrics(out_dir: Path, outcomes, unsaved) -> None:
-    """Save each repeat's metric of every menu entry whose fit succeeded, except those `unsaved`."""
-    for outcome in outcomes:
-        repeat_dir = out_dir / "metrics" / f"repeat_{outcome.repeat:02d}"
-        for name, metric in outcome.metrics.items():
-            if name not in unsaved:
-                repeat_dir.mkdir(parents=True, exist_ok=True)
-                save_metric(metric, repeat_dir / f"{_file_safe(name)}.txt")
+def _write_fitted_metrics(out_dir: Path, fits, unsaved) -> None:
+    """Save the metric of every fit that returned one, except the fits of the entries `unsaved`."""
+    for fit in fits:
+        if fit.metric is not None and fit.entry not in unsaved:
+            repeat_dir = out_dir / "metrics" / f"repeat_{fit.repeat:02d}"
+            repeat_dir.mkdir(parents=True, exist_ok=True)
+            save_metric(fit.metric, repeat_dir / f"{_file_safe(fit.entry)}.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +331,7 @@ def cmd_experiment(config_path, out_dir, overrides, threads) -> int:
         text = render_report_text(report, layout)
         write_csv(stage / f"{layout.stem}.csv", report_csv_rows(report, layout))
         (stage / f"{layout.stem}.txt").write_text(text, encoding="utf-8")
-        _write_fitted_metrics(stage, report.outcomes, layout.unsaved)
+        _write_fitted_metrics(stage, report.fits, layout.unsaved)
     print(text, end="")
     return 0
 

@@ -184,17 +184,19 @@ LOSS_NAMES = (LOSS_TRIPLET, LOSS_KNN_L1, LOSS_KNN_L2)
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Grid of per-cell aggregates over repeats, plus one `evaluation.RepeatOutcome` per repeat.
+    """Grid of per-cell aggregates over repeats, plus the fits they aggregate.
 
     figure1: menu entries x losses. Sweep: test sigmas x menu entries, each cell
     the loss `provenance["loss"]`. A cell is None where no repeat scored it.
+    `fits` holds one `evaluation.FitRecord` per (repeat, menu entry), repeat by
+    repeat and in menu order.
     """
 
     cells: dict[tuple, CellStats | None]
     rows: tuple
     columns: tuple
     provenance: dict[str, str] = field(default_factory=dict)
-    outcomes: list = field(default_factory=list)
+    fits: tuple = ()
 
     def __post_init__(self):
         for (row, column), cell in self.cells.items():
@@ -292,6 +294,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_config_fields(self)
+        for key in ("train_size", "test_size"):
+            if getattr(self, key) < 2:
+                raise ConfigurationError(f"{key} must be >= 2, got {getattr(self, key)}")
         if self.k_neighbors > self.train_size:
             raise ConfigurationError(
                 f"k_neighbors = {self.k_neighbors} exceeds train_size = {self.train_size}"

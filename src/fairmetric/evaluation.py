@@ -8,8 +8,8 @@ across learners (paired comparison) and aggregate to mean and sample standard
 deviation. The sigma sweep runs the same repeat body, with one LSML menu entry
 per training sigma and one test-fold rule per test sigma, and scores only the
 triplet-violation loss. `run_experiment` and `sigma_sweep` both return one
-`EvalReport`: the grid of cells, its provenance, and per repeat each fit's
-metric, optimizer trace and failure reason.
+`EvalReport`: the grid of cells, its provenance, and one `FitRecord` per
+(repeat, menu entry) with that fit's metric, optimizer trace, losses and failure.
 
 No triplet set is enumerated: training triplets are sampled by rank and the
 test set is kept as its rule and size. Per metric, one test x test distance
@@ -22,6 +22,7 @@ the enumerated set scored triplet by triplet, and every pair's distance.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -243,14 +244,22 @@ class RepeatData:
     test_rules: tuple[TripletRule, ...]
 
 
-@dataclass
-class RepeatOutcome:
+@dataclass(frozen=True)
+class FitRecord:
+    """One fit: a menu entry on one repeat.
+
+    `metric` and `trace` are None when the fit raised; `trace` is None for the
+    two baselines too. `losses` maps each loss name (figure1) or test sigma
+    (sweep) to its loss; it is empty when the fit or its scoring raised, and
+    `failure` then holds the error text. A fit whose scoring raised keeps its metric.
+    """
+
     repeat: int
-    # entry name -> {loss name (figure1) or test sigma (sweep): loss}
-    losses: dict[str, dict] = field(default_factory=dict)
-    metrics: dict[str, MahalanobisMetric] = field(default_factory=dict)
-    traces: dict[str, OptimizerTrace | None] = field(default_factory=dict)
-    failures: dict[str, str] = field(default_factory=dict)
+    entry: str
+    metric: MahalanobisMetric | None = None
+    trace: OptimizerTrace | None = None
+    losses: dict = field(default_factory=dict)
+    failure: str | None = None
 
 
 def split_indices(n: int, config: ExperimentConfig, repeat: int) -> tuple[np.ndarray, np.ndarray]:
@@ -335,19 +344,31 @@ def score_metric(
     return losses
 
 
-def _run_one_repeat(dataset, config, menu, sigma_tests, score, repeat) -> RepeatOutcome:
-    """Fit and score every menu entry on one repeat; a FairmetricError is that entry's failure."""
-    data = prepare_repeat(dataset, config, repeat, sigma_tests)
-    outcome = RepeatOutcome(repeat=repeat)
-    for name, fit in menu.items():
-        try:
-            metric, trace = fit(data)
-            outcome.metrics[name] = metric
-            outcome.traces[name] = trace
-            outcome.losses[name] = score(metric, data)
-        except FairmetricError as exc:
-            outcome.failures[name] = str(exc)
-    return outcome
+def _fit_repeats(dataset, config, menu, sigma_tests, score, threads: int) -> tuple[FitRecord, ...]:
+    """Fit and score every menu entry on every repeat, on `threads` worker threads when threads > 1.
+
+    The records come repeat by repeat, in menu order. A FairmetricError is that fit's failure.
+    """
+
+    def fit_repeat(repeat: int) -> list[FitRecord]:
+        data = prepare_repeat(dataset, config, repeat, sigma_tests)
+        records = []
+        for name, fit in menu.items():
+            metric = trace = None
+            try:
+                metric, trace = fit(data)
+                records.append(FitRecord(repeat, name, metric, trace, score(metric, data)))
+            except FairmetricError as exc:
+                records.append(FitRecord(repeat, name, metric, trace, failure=str(exc)))
+        return records
+
+    if threads > 1:
+        # looked up at call time: the benchmark's tracer swaps in its own executor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_repeat = list(pool.map(fit_repeat, range(config.n_repeats)))
+    else:
+        per_repeat = [fit_repeat(r) for r in range(config.n_repeats)]
+    return tuple(itertools.chain.from_iterable(per_repeat))
 
 
 def _cell_stats(values) -> CellStats | None:
@@ -359,24 +380,13 @@ def _cell_stats(values) -> CellStats | None:
     return CellStats(float(arr.mean()), std, arr.size)
 
 
-def aggregate_cells(outcomes: list[RepeatOutcome], entries, keys) -> dict[tuple, CellStats | None]:
-    """(entry, key) -> `_cell_stats` of `losses[entry][key]` over the repeats that scored it."""
+def aggregate_cells(fits, entries, keys) -> dict[tuple, CellStats | None]:
+    """(entry, key) -> `_cell_stats` of `losses[key]` over the entry's fits that scored it."""
     return {
-        (entry, key): _cell_stats(
-            [o.losses[entry][key] for o in outcomes if key in o.losses.get(entry, {})]
-        )
+        (entry, key): _cell_stats([f.losses[key] for f in fits if f.entry == entry and key in f.losses])
         for entry in entries
         for key in keys
     }
-
-
-def _map_repeats(fn, n_repeats: int, threads: int) -> list:
-    """[fn(0), ..., fn(n_repeats - 1)], on `threads` worker threads when threads > 1."""
-    if threads > 1:
-        # looked up at call time: the benchmark's tracer swaps in its own executor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(n_repeats)))
-    return [fn(r) for r in range(n_repeats)]
 
 
 def _provenance(config: ExperimentConfig, dataset: LabeledDataset, **own: str) -> dict[str, str]:
@@ -403,13 +413,9 @@ def run_experiment(
     """
     menu = learner_menu if learner_menu is not None else build_learner_menu(DEFAULT_MENU, config)
     score = partial(score_metric, k=config.k_neighbors)
-    outcomes = _map_repeats(
-        lambda r: _run_one_repeat(dataset, config, menu, (config.sigma_test,), score, r),
-        config.n_repeats,
-        threads,
-    )
+    fits = _fit_repeats(dataset, config, menu, (config.sigma_test,), score, threads)
     return EvalReport(
-        cells=aggregate_cells(outcomes, tuple(menu), LOSS_NAMES),
+        cells=aggregate_cells(fits, tuple(menu), LOSS_NAMES),
         rows=tuple(menu),
         columns=LOSS_NAMES,
         provenance=_provenance(
@@ -418,7 +424,7 @@ def run_experiment(
             sigma_train=repr(config.sigma_train),
             sigma_test=repr(config.sigma_test),
         ),
-        outcomes=outcomes,
+        fits=fits,
     )
 
 
@@ -459,19 +465,15 @@ def sigma_sweep(
         raise ConfigurationError("sigma sweep needs nonempty train and test sigma lists")
     require_distinct_sigmas("sigma_train_list", sigma_train_list)
     require_distinct_sigmas("sigma_test_list", sigma_test_list)
-    columns = ("euclidean",) + tuple(lsml_column_name(s) for s in sigma_train_list)
     menu = build_learner_menu(("euclidean",), config)
     menu.update({lsml_column_name(s): _lsml_entry(config, s) for s in sigma_train_list})
-    outcomes = _map_repeats(
-        lambda r: _run_one_repeat(dataset, config, menu, sigma_test_list, violation_losses, r),
-        config.n_repeats,
-        threads,
-    )
-    cells = aggregate_cells(outcomes, columns, sigma_test_list)
+    columns = tuple(menu)
+    fits = _fit_repeats(dataset, config, menu, sigma_test_list, violation_losses, threads)
+    cells = aggregate_cells(fits, columns, sigma_test_list)
     return EvalReport(
         cells={(t, name): cell for (name, t), cell in cells.items()},
         rows=tuple(sigma_test_list),
         columns=columns,
         provenance=_provenance(config, dataset, loss=LOSS_TRIPLET),
-        outcomes=outcomes,
+        fits=fits,
     )

@@ -21,9 +21,9 @@ Each learner hands the engine evaluate(x) -> (f, state) and
 gradient(state) -> g. The line search calls evaluate at every trial x + t d,
 and the accepted trial, with its value and state, is the next iterate: no point
 is evaluated twice, and the engine asks for a gradient only from the state of
-the point it evaluated last. So LSML's Gram kernel can use a workspace made
-once per fit call (_Workspace), holding its (n, n) squared distances and
-Laplacian weights, and LMNN and MMC keep the entries of their rating blocks
+the point it evaluated last. So LSML's Gram kernel can keep two (n, n)
+buffers made once per fit call, for its squared distances and Laplacian
+weights, and LMNN and MMC keep the entries of their rating blocks
 (below) in flat buffers, also made once per fit. Each evaluation overwrites
 them, by the same operations in the same order as on fresh arrays, so the
 results are the same bits and the fit does not page in new memory at every
@@ -318,29 +318,15 @@ def precision_baseline(train: LabeledDataset) -> MahalanobisMetric:
 # The (n, n) Gram form of LSML's Gram kernel
 
 
-@dataclass(frozen=True)
-class _Workspace:
-    """The arrays one LSML fit on the Gram kernel overwrites at every evaluation.
+def _pairwise_sq(m: np.ndarray, x: np.ndarray, gram: np.ndarray, lap: np.ndarray) -> np.ndarray:
+    """Squared distances (s_i + s_j) - 2 g_ij from the Gram matrix g = x M x^T, s = diag(g), in `gram`.
 
-    `gram` holds the (n, n) squared distances, and the gradient writes its
-    symmetrized weights there once it has read them. `lap` holds the outer
-    sum s_i + s_j. Each fit call makes its own workspace.
+    `gram` and `lap` are (n, n) buffers that the call overwrites; `lap` ends as the outer sum s_i + s_j.
     """
-
-    gram: np.ndarray
-    lap: np.ndarray
-
-
-def _workspace(n: int) -> _Workspace:
-    return _Workspace(np.empty((n, n)), np.empty((n, n)))
-
-
-def _pairwise_sq(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Squared distances (s_i + s_j) - 2 g_ij from the Gram matrix g = x M x^T, s = diag(g), in ws.gram."""
-    g = np.matmul(x @ m, x.T, out=ws.gram)
+    g = np.matmul(x @ m, x.T, out=gram)
     s = np.diag(g).copy()
     g *= 2.0
-    return np.subtract(np.add.outer(s, s, out=ws.lap), g, out=g)
+    return np.subtract(np.add.outer(s, s, out=lap), g, out=g)
 
 
 def _laplacian_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -395,16 +381,16 @@ def _gram_kernel(train: LabeledDataset, triplets: TripletSet):
     flat = np.concatenate([idx[:, 0] * n + idx[:, 1], idx[:, 0] * n + idx[:, 2]])
     row = _row_ids(x)
     equal = np.flatnonzero(row[flat // n] == row[flat % n])
-    ws = _workspace(n)
+    gram, lap = np.empty((n, n)), np.empty((n, n))  # overwritten at every evaluation of this fit
 
     def squared(metric):
-        d2 = _pairwise_sq(metric, x, ws).take(flat)
+        d2 = _pairwise_sq(metric, x, gram, lap).take(flat)
         d2[equal] = 0.0
         return d2[:m], d2[m:]
 
     def add_data_term(grad, wab, wac):
         w = np.bincount(flat, weights=np.concatenate([wab, -wac]), minlength=n * n).reshape(n, n)
-        return grad + _laplacian_form(x, np.add(w, w.T, out=ws.gram))  # d^2 was gathered already
+        return grad + _laplacian_form(x, np.add(w, w.T, out=gram))  # d^2 was gathered already
 
     return squared, add_data_term
 

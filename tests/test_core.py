@@ -153,9 +153,14 @@ def test_experiment_config_validation():
         {"lmnn_tol": float("inf")},
         {"mmc_tol": float("nan")},
         {"rng_seed": -1},
+        {"train_size": 1, "k_neighbors": 1},
+        {"test_size": 1},
     ):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**bad)
+    for key in ("train_size", "test_size"):  # below 2, the message names the key
+        with pytest.raises(ConfigurationError, match=f"^{key} must be >= 2"):
+            ExperimentConfig(**{key: 1, "k_neighbors": 1})
     ExperimentConfig(k_neighbors=5, train_size=5, lsml_tol=0.0)
     cfg = ExperimentConfig()
     assert (cfg.train_size, cfg.test_size, cfg.n_repeats, cfg.k_neighbors) == (140, 60, 10, 5)

@@ -30,7 +30,7 @@ from fairmetric.evaluation import (
     split_indices,
 )
 from fairmetric.ingest import standardize
-from fairmetric.learners import euclidean_baseline
+from fairmetric.learners import OptimizerTrace, euclidean_baseline
 from fairmetric.numerics import quad_forms
 from fairmetric.reference import build_triplets, cross_distances, triplet_violation_loss
 
@@ -431,6 +431,14 @@ def test_experiment_is_deterministic():
         assert r1.cells[key] == r2.cells[key]
 
 
+def _fit_fields(report):
+    """Each fit's (repeat, entry, losses, failure, metric matrix), in the report's order."""
+    return [
+        (f.repeat, f.entry, f.losses, f.failure, None if f.metric is None else f.metric.matrix.tolist())
+        for f in report.fits
+    ]
+
+
 def test_threaded_experiment_matches_sequential():
     rng = np.random.default_rng(7)
     ds = make_dataset(rng, 60, 3)
@@ -439,9 +447,15 @@ def test_threaded_experiment_matches_sequential():
     seq = run_experiment_detailed(cfg, ds, build_learner_menu(menu_names, cfg), threads=1)
     par = run_experiment_detailed(cfg, ds, build_learner_menu(menu_names, cfg), threads=3)
     assert seq.cells == par.cells
+    assert _fit_fields(seq) == _fit_fields(par)
+    assert [(f.repeat, f.entry) for f in par.fits] == [
+        (r, name) for r in range(cfg.n_repeats) for name in menu_names
+    ]
     seq = sigma_sweep(cfg, ds, [0.0, 2.0], [0.0, 2.0], threads=1)
     par = sigma_sweep(cfg, ds, [0.0, 2.0], [0.0, 2.0], threads=3)
     assert seq.cells == par.cells
+    assert _fit_fields(seq) == _fit_fields(par)
+    assert len(par.fits) == cfg.n_repeats * len(par.columns)
     assert any(cell is not None for cell in seq.cells.values())
 
 
@@ -458,9 +472,13 @@ def test_paired_splits_across_learners():
         a, b = split_indices(ds.n, cfg, repeat), split_indices(ds.n, cfg, repeat)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert again.cell("precision", LOSS_KNN_L1) is not None
+    # an iterative learner's record carries its optimizer trace; a baseline's carries none
+    assert all(isinstance(f.trace, OptimizerTrace) for f in detailed.fits if f.entry == "lmnn")
+    assert all(f.trace is None for f in detailed.fits + again.fits if f.entry != "lmnn")
+    assert {f.entry for f in detailed.fits + again.fits} == {"euclidean", "lmnn", "precision"}
 
 
-def test_experiment_records_learner_failures_per_cell():
+def test_experiment_records_learner_failures_per_cell(monkeypatch):
     rng = np.random.default_rng(9)
     ds = make_dataset(rng, 60, 3)
     cfg = small_config()
@@ -473,7 +491,21 @@ def test_experiment_records_learner_failures_per_cell():
     detailed = run_experiment_detailed(cfg, ds, menu)
     assert detailed.cell("broken", LOSS_KNN_L1) is None
     assert detailed.cell("euclidean", LOSS_KNN_L1) is not None
-    assert all(o.failures.get("broken") == "boom" for o in detailed.outcomes)
+    broken_fits = [f for f in detailed.fits if f.entry == "broken"]
+    assert [f.repeat for f in broken_fits] == list(range(cfg.n_repeats))
+    assert all(f.failure == "boom" and f.metric is None and f.losses == {} for f in broken_fits)
+    assert all(f.failure is None and f.losses for f in detailed.fits if f.entry == "euclidean")
+
+    def unscorable(metric, data, k):
+        raise EvaluationError("cannot score")
+
+    # a fit that returned keeps its metric and trace when its scoring raises
+    monkeypatch.setattr("fairmetric.evaluation.score_metric", unscorable)
+    unscored = run_experiment_detailed(cfg, ds, build_learner_menu(("lsml",), cfg))
+    assert unscored.cell("lsml", LOSS_KNN_L1) is None
+    assert [f.failure for f in unscored.fits] == ["cannot score"] * cfg.n_repeats
+    assert all(f.metric is not None and isinstance(f.trace, OptimizerTrace) for f in unscored.fits)
+    assert all(f.losses == {} for f in unscored.fits)
 
 
 def test_report_cells_respect_loss_ranges():

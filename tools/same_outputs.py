@@ -20,7 +20,9 @@ config is read, both on the first `smoke_figure1` dataset: one passes
 `--seed`, `--label-mode` and `--triplet-variant`, and one reads a config that
 states every key, each the dataset config leaves unset at its default. No
 workload fits MMC's diagonal form, so one more run on that dataset sets
-`mmc_form = diagonal`.
+`mmc_form = diagonal`. Only `smoke_sweep` fits on more than one thread, so
+one last run on that dataset passes `--threads 2`, and figure1's metric files
+are checked from a threaded run too.
 
 Prints each difference and exits 1 on any difference, any run that exits
 with another status than expected or any run that leaves a `.partial-*`
@@ -97,6 +99,7 @@ DERIVED = {
         Derived("flag_overrides", flags=FLAGS),
         Derived("every_key", defaults=EVERY_KEY),
         Derived("mmc_diagonal", edits={"learners": {"mmc_form": "diagonal"}}),
+        Derived("two_threads", flags=("--threads", "2")),
     ),
     "smoke_sweep": (
         Derived("na_column", edits={"sweep": {"sigma_train_list": "0, 9"}}),
